@@ -3,7 +3,7 @@
 
 CARGO ?= cargo
 
-.PHONY: verify check build test fmt fmt-check clippy doc bench bench-engine bench-engine-build bench-all bench-all-build bench-all-gate bench-isa bench-isa-build bench-campaign bench-campaign-build bench-importance bench-importance-build bench-spill trace-roundtrip campaign campaign-resume campaign-fanout audit isa-audit clean
+.PHONY: verify check build test fmt fmt-check clippy doc bench bench-engine bench-engine-build bench-all bench-all-build bench-all-gate bench-isa bench-isa-build bench-campaign bench-campaign-build bench-importance bench-importance-build bench-spill trace-roundtrip campaign campaign-resume campaign-fanout campaign-plain audit isa-audit clean
 
 ## Full verification: build + all tests + formatting + lints + docs,
 ## plus a build-only check of the bench targets, the dL1-vs-spill
@@ -11,10 +11,11 @@ CARGO ?= cargo
 ## audit of the full scheme × app matrix — ten paper presets plus two
 ## L2-spill descriptors — against the icr-check reference model, a
 ## byte-identical trace save/replay round-trip through icr-run, a
-## kill-and-resume smoke of the checkpointed campaign service, and a
+## kill-and-resume smoke of the checkpointed campaign service, a
 ## two-worker fan-out whose merge must be byte-identical to the
-## single-process run.
-verify: build test fmt-check clippy doc bench-engine-build bench-all-build bench-isa-build bench-campaign-build bench-importance-build bench-spill trace-roundtrip campaign-resume campaign-fanout audit
+## single-process run, and a plain (in-memory) campaign whose report
+## must match the checkpointed run's.
+verify: build test fmt-check clippy doc bench-engine-build bench-all-build bench-isa-build bench-campaign-build bench-importance-build bench-spill trace-roundtrip campaign-resume campaign-fanout campaign-plain audit
 	@echo "verify: OK"
 
 ## Tier-1 gate (ROADMAP.md): release build + quiet tests.
@@ -172,6 +173,25 @@ campaign-fanout:
 		target/fan-w0 target/fan-w1
 	cmp target/fan-single.json target/fan-merged.json
 	@echo "campaign-fanout: OK (merged worker output is byte-identical)"
+
+## One campaign engine: a plain run is the checkpointed service's shard
+## loop kept in memory, --batch trials per shard. Run the same
+## importance-sampled, early-stopping spec without and with
+## --checkpoint; with the checkpointed report's "sharding" block
+## deleted, the two JSON reports must be byte-identical.
+CAMPAIGN_PLAIN_ARGS = --schemes basep,icr-p-ps-s --apps gzip,gcc --trials 200 \
+	--insts 20000 --importance --ci-width 0.15 --batch 10 --seed 7 --quiet
+campaign-plain:
+	$(CARGO) build --release -p icr-sim --bin icr-campaign
+	rm -rf target/plain-ckpt
+	rm -f target/plain.json target/plain-ckpt.json target/plain-ckpt-body.json
+	./target/release/icr-campaign $(CAMPAIGN_PLAIN_ARGS) --json target/plain.json
+	./target/release/icr-campaign $(CAMPAIGN_PLAIN_ARGS) \
+		--checkpoint target/plain-ckpt --json target/plain-ckpt.json
+	sed '/^  "sharding": {$$/,/^  },$$/d' target/plain-ckpt.json \
+		> target/plain-ckpt-body.json
+	cmp target/plain.json target/plain-ckpt-body.json
+	@echo "campaign-plain: OK (plain output matches the checkpointed run)"
 
 ## dL1-only vs L2-spill placement: per-app wall time plus the spill
 ## region's lifecycle counters, recorded to BENCH_spill.json. Asserts

@@ -338,56 +338,6 @@ impl SchemeSpec {
             }
         }
     }
-
-    // ---- deprecated constructor shims (one release) ----
-
-    /// `ICR-P-PS (LS)`.
-    #[deprecated(since = "0.1.0", note = "use `Scheme::ICR_P_PS_LS`")]
-    pub fn icr_p_ps_ls() -> Self {
-        Scheme::ICR_P_PS_LS
-    }
-
-    /// `ICR-P-PS (S)`.
-    #[deprecated(since = "0.1.0", note = "use `Scheme::ICR_P_PS_S`")]
-    pub fn icr_p_ps_s() -> Self {
-        Scheme::ICR_P_PS_S
-    }
-
-    /// `ICR-P-PP (LS)`.
-    #[deprecated(since = "0.1.0", note = "use `Scheme::ICR_P_PP_LS`")]
-    pub fn icr_p_pp_ls() -> Self {
-        Scheme::ICR_P_PP_LS
-    }
-
-    /// `ICR-P-PP (S)`.
-    #[deprecated(since = "0.1.0", note = "use `Scheme::ICR_P_PP_S`")]
-    pub fn icr_p_pp_s() -> Self {
-        Scheme::ICR_P_PP_S
-    }
-
-    /// `ICR-ECC-PS (LS)`.
-    #[deprecated(since = "0.1.0", note = "use `Scheme::ICR_ECC_PS_LS`")]
-    pub fn icr_ecc_ps_ls() -> Self {
-        Scheme::ICR_ECC_PS_LS
-    }
-
-    /// `ICR-ECC-PS (S)`.
-    #[deprecated(since = "0.1.0", note = "use `Scheme::ICR_ECC_PS_S`")]
-    pub fn icr_ecc_ps_s() -> Self {
-        Scheme::ICR_ECC_PS_S
-    }
-
-    /// `ICR-ECC-PP (LS)`.
-    #[deprecated(since = "0.1.0", note = "use `Scheme::ICR_ECC_PP_LS`")]
-    pub fn icr_ecc_pp_ls() -> Self {
-        Scheme::ICR_ECC_PP_LS
-    }
-
-    /// `ICR-ECC-PP (S)`.
-    #[deprecated(since = "0.1.0", note = "use `Scheme::ICR_ECC_PP_S`")]
-    pub fn icr_ecc_pp_s() -> Self {
-        Scheme::ICR_ECC_PP_S
-    }
 }
 
 impl fmt::Display for SchemeSpec {
@@ -611,18 +561,5 @@ mod tests {
             "tmr".parse::<Scheme>().unwrap_err().to_string(),
             "unknown scheme \"tmr\""
         );
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_constructor_shims_return_the_presets() {
-        assert_eq!(Scheme::icr_p_ps_ls(), Scheme::ICR_P_PS_LS);
-        assert_eq!(Scheme::icr_p_ps_s(), Scheme::ICR_P_PS_S);
-        assert_eq!(Scheme::icr_p_pp_ls(), Scheme::ICR_P_PP_LS);
-        assert_eq!(Scheme::icr_p_pp_s(), Scheme::ICR_P_PP_S);
-        assert_eq!(Scheme::icr_ecc_ps_ls(), Scheme::ICR_ECC_PS_LS);
-        assert_eq!(Scheme::icr_ecc_ps_s(), Scheme::ICR_ECC_PS_S);
-        assert_eq!(Scheme::icr_ecc_pp_ls(), Scheme::ICR_ECC_PP_LS);
-        assert_eq!(Scheme::icr_ecc_pp_s(), Scheme::ICR_ECC_PP_S);
     }
 }

@@ -10,7 +10,8 @@
 //!   --schemes a,b,c   comma-separated schemes       (default basep,baseecc,icr-p-ps-s,icr-ecc-ps-s)
 //!   --apps a,b,c      comma-separated workloads     (default gzip,gcc,mcf)
 //!   --trials N        trials per (scheme × app) cell (default 100)
-//!   --batch N         early-stop check granularity  (default 50)
+//!   --batch N         trials per cell per in-memory shard, the early-stop
+//!                     check granularity             (default 50)
 //!   --seed S          master seed                   (default 42)
 //!   --insts N         instructions per trial        (default 20000)
 //!   --model M         direct|adjacent|column|random (default random)
@@ -43,25 +44,28 @@
 //! mismatches and conflicting duplicates are runtime errors; merge
 //! never modifies the input directories.
 //!
+//! Every run goes through one shard loop. Without `--checkpoint` the
+//! shards stay in memory, `--batch` trials per cell each, and the report
+//! has no `sharding` section; with it, each finished shard is persisted.
 //! The JSON report is a pure function of the options: no timestamps, no
 //! host data, bit-identical across runs, thread counts, and — in
 //! checkpoint mode — across any sequence of kills and resumes. Progress
-//! and timing go to stderr only; in checkpoint mode that means one
-//! streaming line per completed shard instead of silence until the
-//! final blob.
+//! and timing go to stderr only, one streaming line per completed shard.
 //!
 //! SIGINT in checkpoint mode triggers a graceful drain: the in-flight
 //! shard finishes, its checkpoint is flushed, and the report is written
-//! with `"complete": false` so partial results are explicit. Invalid
-//! command-line input exits with code 2 and a diagnostic; runtime
-//! failures (e.g. an unwritable checkpoint directory) exit with 1.
+//! with `"complete": false` so partial results are explicit. Without
+//! `--checkpoint`, SIGINT kills the run: a plain report has no
+//! `complete` marker to flag partial results. Invalid command-line
+//! input exits with code 2 and a diagnostic; runtime failures (e.g. an
+//! unwritable checkpoint directory) exit with 1.
 
 use icr_core::Scheme;
 use icr_fault::ErrorModel;
 use icr_sim::json::write_output;
 use icr_sim::{
-    merge_sharded_campaign, run_campaign_observed, run_sharded_campaign_observed, CampaignSpec,
-    ShardEvent, ShardedCampaignSpec,
+    merge_sharded_campaign, run_sharded_campaign_observed, CampaignSpec, ShardEvent,
+    ShardedCampaignSpec,
 };
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -324,10 +328,15 @@ fn main() -> ExitCode {
     if merge_mode {
         return run_merge(spec, shard_size, &merge_dirs, json_path, quiet);
     }
-    match checkpoint_dir {
-        Some(dir) => run_checkpointed(spec, &dir, resume, shard_size, worker, json_path, quiet),
-        None => run_plain(spec, json_path, quiet),
-    }
+    run_shards(
+        spec,
+        checkpoint_dir.as_deref(),
+        resume,
+        shard_size,
+        worker,
+        json_path,
+        quiet,
+    )
 }
 
 /// `icr-campaign merge` — replay worker checkpoint directories into the
@@ -368,10 +377,12 @@ fn run_merge(
     write_report(&report.to_json(), json_path.as_deref(), quiet)
 }
 
-/// The sharded, checkpointed service mode behind `--checkpoint`.
-fn run_checkpointed(
+/// Runs the campaign's shard loop: checkpointed into `dir` when given
+/// (the service mode, with the SIGINT drain), otherwise in memory with
+/// `--batch` trials per shard, writing the plain report.
+fn run_shards(
     spec: CampaignSpec,
-    dir: &str,
+    dir: Option<&str>,
     resume: bool,
     shard_size: Option<u64>,
     worker: Option<(u64, u64)>,
@@ -383,8 +394,15 @@ fn run_checkpointed(
     if let Some((idx, total)) = worker {
         sspec = sspec.with_worker(idx, total);
     }
-    let stop = install_sigint_flag();
-    if !quiet {
+    // Only a checkpointed run can drain: a plain report has no
+    // `complete` marker, so ^C keeps its default meaning there.
+    let never = AtomicBool::new(false);
+    let stop = if dir.is_some() {
+        install_sigint_flag()
+    } else {
+        &never
+    };
+    if let Some(dir) = dir.filter(|_| !quiet) {
         let worker_note = match worker {
             Some((idx, total)) => format!(", worker {idx}/{total}"),
             None => String::new(),
@@ -399,7 +417,7 @@ fn run_checkpointed(
     }
 
     let started = Instant::now();
-    let result = run_sharded_campaign_observed(&sspec, Some(Path::new(dir)), resume, stop, |e| {
+    let result = run_sharded_campaign_observed(&sspec, dir.map(Path::new), resume, stop, |e| {
         match e {
             // Quarantine diagnostics always print: silently re-running a
             // corrupt checkpoint's shard would hide data damage.
@@ -475,7 +493,7 @@ fn run_checkpointed(
                  to assemble the full report \
                  (a worker's own JSON carries \"complete\": false)"
             );
-        } else {
+        } else if let Some(dir) = dir {
             eprintln!(
                 "campaign drained after SIGINT: checkpoints are flushed; \
                  re-run with --checkpoint {dir} --resume to finish \
@@ -484,63 +502,12 @@ fn run_checkpointed(
         }
     }
 
-    write_report(&report.to_json(), json_path.as_deref(), quiet)
-}
-
-/// The original single-process batch mode (no `--checkpoint`).
-fn run_plain(spec: CampaignSpec, json_path: Option<String>, quiet: bool) -> ExitCode {
-    let started = Instant::now();
-    let mut per_cell: std::collections::HashMap<(String, String), u64> = Default::default();
-    let result = run_campaign_observed(&spec, |p| {
-        per_cell.insert((p.scheme.to_string(), p.app.to_string()), p.trials_done);
-        if quiet {
-            return;
-        }
-        let trials_done: u64 = per_cell.values().sum();
-        let secs = started.elapsed().as_secs_f64();
-        eprintln!(
-            "  {:<16} {:<8} {:>5}/{:<5} survived {:.4} [{:.4}, {:.4}]{}  ({:.0} trials/s)",
-            p.scheme,
-            p.app,
-            p.trials_done,
-            p.trials_target,
-            p.survived,
-            p.ci95.0,
-            p.ci95.1,
-            if p.done {
-                if p.stopped_early {
-                    "  ✓ early"
-                } else {
-                    "  ✓"
-                }
-            } else {
-                ""
-            },
-            if secs > 0.0 {
-                trials_done as f64 / secs
-            } else {
-                0.0
-            },
-        );
-    });
-    let report = match result {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
+    let json = if dir.is_some() {
+        report.to_json()
+    } else {
+        report.report.to_json()
     };
-
-    let executed: u64 = report.cells.iter().map(|c| c.trials).sum();
-    let secs = started.elapsed().as_secs_f64();
-    if !quiet {
-        eprintln!(
-            "done: {executed} trials in {secs:.2}s ({:.0} trials/s)\n",
-            executed as f64 / secs.max(1e-9)
-        );
-        eprint!("{}", report.summary_table());
-    }
-    write_report(&report.to_json(), json_path.as_deref(), quiet)
+    write_report(&json, json_path.as_deref(), quiet)
 }
 
 /// Writes the final JSON through the shared hardened writer.

@@ -30,14 +30,16 @@
 //! each distinct configuration exactly once even though many figures
 //! name the same cells; `--stats` prints the cache counters to stderr
 //! afterwards. Invalid command-line input exits with code 2 and a
-//! diagnostic — the same contract as `icr-run` and `icr-campaign`.
+//! diagnostic; runtime failures (e.g. an unwritable `--json` path) exit
+//! with 1 — the same contract as `icr-run` and `icr-campaign`.
 
 use icr_core::Scheme;
 use icr_sim::audit::{run_audit, AuditSpec};
 use icr_sim::engine::Engine;
-use icr_sim::experiment::{self, ExpOptions};
+use icr_sim::experiment::{self, ExpOptions, FigureRunner};
 use icr_sim::json::write_output;
 use icr_sim::vuln::{run_vuln, VulnSpec};
+use icr_sim::FigureResult;
 use std::process::ExitCode;
 
 /// Prints a diagnostic plus the usage text and returns the
@@ -132,47 +134,21 @@ fn main() -> ExitCode {
         return fail_usage("--scheme only applies to audit, isa-audit and vuln");
     }
 
-    let emit = |fig: icr_sim::FigureResult| {
+    let emit = |fig: FigureResult| {
         if let Some(path) = &json {
-            write_output(&fig.to_json(), path).expect("json output writable");
-        } else {
-            print!("{fig}");
-            if spark {
-                print!("{}", fig.sparklines());
-            }
+            return write_json(&fig.to_json(), path);
         }
+        print!("{fig}");
+        if spark {
+            print!("{}", fig.sparklines());
+        }
+        ExitCode::SUCCESS
     };
-    match which.as_str() {
-        "table1" => print!("{}", experiment::table1()),
-        "fig1" => emit(experiment::fig1(&opts)),
-        "fig2" => emit(experiment::fig2(&opts)),
-        "fig3" => emit(experiment::fig3(&opts)),
-        "fig4" => emit(experiment::fig4(&opts)),
-        "fig5" => emit(experiment::fig5(&opts)),
-        "fig6" => emit(experiment::fig6(&opts)),
-        "fig7" => emit(experiment::fig7(&opts)),
-        "fig8" => emit(experiment::fig8(&opts)),
-        "fig9" => emit(experiment::fig9(&opts)),
-        "fig10" => emit(experiment::fig10(&opts)),
-        "fig11" => emit(experiment::fig11(&opts)),
-        "fig12" => emit(experiment::fig12(&opts)),
-        "fig13" => emit(experiment::fig13(&opts)),
-        "fig14" => emit(experiment::fig14(&opts)),
-        "fig15" => emit(experiment::fig15(&opts)),
-        "fig16" => emit(experiment::fig16(&opts)),
-        "fig17" => emit(experiment::fig17(&opts)),
-        "sens" => emit(experiment::sensitivity(&opts)),
-        "victim" => emit(experiment::victim_ablation(&opts)),
-        "models" => emit(experiment::error_models(&opts)),
-        "hints" => emit(experiment::hints_ablation(&opts)),
-        "dupcache" => emit(experiment::dupcache(&opts)),
-        "stability" => emit(experiment::stability(&opts)),
-        "scrub" => emit(experiment::scrub(&opts)),
-        "window" => emit(experiment::window(&opts)),
-        "dram" => emit(experiment::dram(&opts)),
-        "exposure" => emit(experiment::exposure(&opts)),
-        "isa" => emit(experiment::isa_matrix(&opts)),
-        "spill" => emit(experiment::spill_matrix(&opts)),
+    let code = match which.as_str() {
+        "table1" => {
+            print!("{}", experiment::table1());
+            ExitCode::SUCCESS
+        }
         "isa-audit" => {
             let mut spec = AuditSpec::new(
                 schemes.unwrap_or_else(Scheme::all_paper_schemes),
@@ -187,13 +163,14 @@ fn main() -> ExitCode {
             // Panics with a labelled divergence report on any mismatch.
             let report = run_audit(&spec);
             if let Some(path) = &json {
-                write_output(&report.to_json(), path).expect("json output writable");
+                write_json(&report.to_json(), path)
             } else {
                 println!(
                     "Lockstep reference-model audit over ISA kernels ({} insts/app, seed {})",
                     spec.instructions, spec.seed
                 );
                 print!("{}", report.summary_table());
+                ExitCode::SUCCESS
             }
         }
         "vuln" => {
@@ -211,14 +188,14 @@ fn main() -> ExitCode {
             if let Some(path) = &json {
                 // `to_json` already ends with a newline; trim it so the
                 // shared writer appends exactly one.
-                write_output(report.to_json().trim_end_matches('\n'), path)
-                    .expect("json output writable");
+                write_json(report.to_json().trim_end_matches('\n'), path)
             } else {
                 println!(
                     "Analytic vulnerability profile ({} insts/app, seed {})",
                     spec.instructions, spec.seed
                 );
                 print!("{}", report.summary_table());
+                ExitCode::SUCCESS
             }
         }
         "audit" => {
@@ -235,13 +212,14 @@ fn main() -> ExitCode {
             // Panics with a labelled divergence report on any mismatch.
             let report = run_audit(&spec);
             if let Some(path) = &json {
-                write_output(&report.to_json(), path).expect("json output writable");
+                write_json(&report.to_json(), path)
             } else {
                 println!(
                     "Lockstep reference-model audit ({} insts/app, seed {})",
                     spec.instructions, spec.seed
                 );
                 print!("{}", report.summary_table());
+                ExitCode::SUCCESS
             }
         }
         "all" => {
@@ -256,18 +234,46 @@ fn main() -> ExitCode {
                     .map(|f| f.to_json())
                     .collect::<Vec<_>>()
                     .join(",\n");
-                write_output(&format!("[\n{body}\n]"), path).expect("json output writable");
+                write_json(&format!("[\n{body}\n]"), path)
             } else {
                 for fig in figs {
                     println!();
                     emit(fig);
                 }
+                ExitCode::SUCCESS
             }
         }
-        other => return fail_usage(&format!("unknown experiment {other:?}")),
-    }
+        // Single figures: everything `all` runs, plus the two matrices
+        // kept out of it. `vuln` is matched above as the full report.
+        name => {
+            let extra: [FigureRunner; 2] = [
+                ("isa", experiment::isa_matrix),
+                ("spill", experiment::spill_matrix),
+            ];
+            let runner = experiment::figure_runners()
+                .into_iter()
+                .chain(extra)
+                .find(|(id, _)| *id == name);
+            let Some((_, run)) = runner else {
+                return fail_usage(&format!("unknown experiment {name:?}"));
+            };
+            emit(run(&opts))
+        }
+    };
     if stats {
         eprintln!("engine: {:?}", Engine::global().stats());
     }
-    ExitCode::SUCCESS
+    code
+}
+
+/// Writes `doc` through the shared hardened writer. A failure is a
+/// runtime error (exit 1), as in `icr-campaign`.
+fn write_json(doc: &str, path: &str) -> ExitCode {
+    match write_output(doc, path) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("cannot write {path}: {e}");
+            ExitCode::FAILURE
+        }
+    }
 }

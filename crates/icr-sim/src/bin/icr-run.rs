@@ -221,7 +221,10 @@ fn main() -> ExitCode {
     }
 
     if let Some(path) = &json {
-        write_output(&r.to_json(), path).expect("json output writable");
+        if let Err(e) = write_output(&r.to_json(), path) {
+            eprintln!("cannot write {path}: {e}");
+            return ExitCode::FAILURE;
+        }
         return ExitCode::SUCCESS;
     }
 

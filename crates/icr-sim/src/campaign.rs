@@ -7,18 +7,28 @@
 //! ([`ErrorOutcome`]) and tallies the outcomes per cell with Wilson 95%
 //! confidence intervals over the survived fraction.
 //!
+//! **One engine.** Every campaign runs through one shard loop
+//! ([`run_sharded_campaign_observed`]): shard `s` covers per-cell trial
+//! indices `[s·shard_size, (s+1)·shard_size)` of every cell still
+//! active. A plain [`run_campaign`] is that loop in memory, with
+//! [`CampaignSpec::batch`] as the shard size and no checkpoint
+//! directory; a checkpointed run persists each finished shard so a
+//! killed campaign resumes, and a fan-out splits the shards over
+//! workers.
+//!
 //! **Determinism.** Trial `i` of cell `c` draws its injector seed as
 //! `icr_fault::trial_seed(master_seed, c·trials_per_cell + i)` — a pure
 //! SplitMix64 function of the campaign's master seed and the trial's
 //! coordinates. Trials are pure functions of their seed, tallies are
-//! commutative integer sums, and early stopping is only evaluated at
-//! fixed batch boundaries, so a campaign's results are bit-identical
-//! across repeated runs, thread counts and work interleavings.
+//! commutative integer sums, weighted sums are folded per shard in a
+//! fixed order, and early stopping is only evaluated at shard
+//! boundaries, so a campaign's results are bit-identical across
+//! repeated runs, thread counts, work interleavings, kills and resumes.
 //!
 //! **Early stopping.** With a `target_ci_width`, a cell stops as soon as
-//! a completed batch leaves its Wilson interval narrower than the target,
+//! a completed shard leaves its Wilson interval narrower than the target,
 //! instead of burning the full trial budget. Because the check happens
-//! only between whole batches, the set of executed trials — and hence the
+//! only between whole shards, the set of executed trials — and hence the
 //! report — is still thread-count independent.
 //!
 //! **Importance sampling.** With [`CampaignSpec::importance`], each
@@ -85,8 +95,10 @@ pub struct CampaignSpec {
     pub apps: Vec<String>,
     /// Trial budget per (scheme × app) cell.
     pub trials_per_cell: u64,
-    /// Trials per early-stopping batch; stopping decisions happen only at
-    /// multiples of this, which keeps them thread-count independent.
+    /// Per-cell trials per in-memory shard of a plain [`run_campaign`]:
+    /// stopping decisions happen only at multiples of this, which keeps
+    /// them thread-count independent. `icr-campaign` also uses it as the
+    /// default `--shard-size` of checkpointed runs.
     pub batch: u64,
     /// Master seed; every trial seed derives from it via SplitMix64.
     pub master_seed: u64,
@@ -209,29 +221,10 @@ pub struct CampaignReport {
     pub cells: Vec<CellReport>,
 }
 
-/// Progress snapshot handed to the observer after every completed batch
-/// round of a cell.
-#[derive(Debug, Clone, Copy)]
-pub struct CellProgress<'a> {
-    /// Scheme name of the cell.
-    pub scheme: &'a str,
-    /// App name of the cell.
-    pub app: &'a str,
-    /// Trials completed so far.
-    pub trials_done: u64,
-    /// The cell's trial budget.
-    pub trials_target: u64,
-    /// Survived fraction so far.
-    pub survived: f64,
-    /// Wilson 95% interval of the survived fraction so far.
-    pub ci95: (f64, f64),
-    /// `true` on the cell's final snapshot.
-    pub done: bool,
-    /// `true` when the cell finished before its budget.
-    pub stopped_early: bool,
-}
-
-/// Runs a campaign silently; see [`run_campaign_observed`] for progress.
+/// Runs a campaign in memory: the shard loop of
+/// [`run_sharded_campaign`] with [`CampaignSpec::batch`] trials per
+/// shard and no checkpoint directory. Use
+/// [`run_sharded_campaign_observed`] for per-shard progress.
 ///
 /// # Errors
 ///
@@ -239,175 +232,31 @@ pub struct CellProgress<'a> {
 /// violates outcome conservation or its weighted tally fails its
 /// internal invariants — the diagnostic names the offending cell.
 pub fn run_campaign(spec: &CampaignSpec) -> io::Result<CampaignReport> {
-    run_campaign_observed(spec, |_| {})
-}
-
-/// Runs a campaign, reporting per-cell progress through `observer` after
-/// every batch round. The observer is called from the coordinating
-/// thread, never concurrently.
-///
-/// # Errors
-///
-/// See [`run_campaign`].
-pub fn run_campaign_observed(
-    spec: &CampaignSpec,
-    mut observer: impl FnMut(&CellProgress<'_>),
-) -> io::Result<CampaignReport> {
-    spec.validate();
-    let pool = Pool::new(spec.threads);
-
-    struct CellState {
-        scheme: Scheme,
-        scheme_name: String,
-        app: String,
-        proposal: Option<CellProposal>,
-        tally: OutcomeTally,
-        weighted: Option<WeightedTally>,
-        trials_done: u64,
-        stopped_early: bool,
-        active: bool,
-    }
-
-    let mut cells: Vec<CellState> = spec
-        .schemes
-        .iter()
-        .flat_map(|&scheme| {
-            spec.apps.iter().map(move |app| CellState {
-                scheme,
-                scheme_name: scheme.name(),
-                app: app.clone(),
-                proposal: spec.importance.then(|| cell_proposal(spec, scheme, app)),
-                tally: OutcomeTally::default(),
-                weighted: spec.importance.then(WeightedTally::default),
-                trials_done: 0,
-                stopped_early: false,
-                active: true,
-            })
-        })
-        .collect();
-
-    // Round loop: every active cell contributes its next batch of trial
-    // indices; the whole round fans out over the worker pool at once so
-    // slow cells cannot starve the machine.
-    while cells.iter().any(|c| c.active) {
-        let mut jobs: Vec<(usize, u64)> = Vec::new();
-        for (ci, cell) in cells.iter().enumerate() {
-            if !cell.active {
-                continue;
-            }
-            let remaining = spec.trials_per_cell - cell.trials_done;
-            for t in 0..spec.batch.min(remaining) {
-                jobs.push((ci, cell.trials_done + t));
-            }
-        }
-
-        let outcomes = pool.run(jobs.clone(), |(ci, trial)| {
-            run_trial(
-                spec,
-                cells[ci].scheme,
-                &cells[ci].app,
-                ci,
-                trial,
-                cells[ci].proposal,
-            )
-        });
-
-        for ((ci, _), (outcome, weight)) in jobs.into_iter().zip(outcomes) {
-            cells[ci].tally.record(outcome);
-            if let Some(w) = cells[ci].weighted.as_mut() {
-                w.record(outcome, weight);
-            }
-            cells[ci].trials_done += 1;
-        }
-
-        for cell in cells.iter_mut().filter(|c| c.active) {
-            let injected = cell.tally.injected();
-            let (survived, ci95) = cell_view(&cell.tally, cell.weighted.as_ref());
-            let budget_spent = cell.trials_done >= spec.trials_per_cell;
-            let ci_reached = spec
-                .target_ci_width
-                .is_some_and(|w| injected > 0 && ci95.1 - ci95.0 <= w);
-            if budget_spent || ci_reached {
-                cell.active = false;
-                cell.stopped_early = !budget_spent;
-            }
-            observer(&CellProgress {
-                scheme: &cell.scheme_name,
-                app: &cell.app,
-                trials_done: cell.trials_done,
-                trials_target: spec.trials_per_cell,
-                survived,
-                ci95,
-                done: !cell.active,
-                stopped_early: cell.stopped_early,
-            });
-        }
-    }
-
-    for c in &cells {
-        check_conservation(
-            "campaign",
-            &c.scheme_name,
-            &c.app,
-            c.trials_done,
-            &c.tally,
-            c.weighted.as_ref(),
-        )?;
-    }
-
-    Ok(CampaignReport {
-        spec: spec.clone(),
-        cells: cells
-            .into_iter()
-            .map(|c| CellReport {
-                scheme: c.scheme,
-                app: c.app,
-                trials: c.trials_done,
-                stopped_early: c.stopped_early,
-                tally: c.tally,
-                weighted: c.weighted,
-            })
-            .collect(),
-    })
-}
-
-/// The progress numbers a cell reports: the weighted survived estimate
-/// and interval when the cell carries a weighted tally, the plain
-/// fractions otherwise. Early stopping tests the same interval, so the
-/// numbers the observer streams are the ones the stop rule acts on.
-fn cell_view(tally: &OutcomeTally, weighted: Option<&WeightedTally>) -> (f64, (f64, f64)) {
-    match weighted {
-        Some(w) => {
-            let est = w.survived_estimate();
-            (est.p, wilson_ci95_f(est.p * est.n_eff, est.n_eff))
-        }
-        None => (
-            tally.survived_fraction(),
-            wilson_ci95(tally.survived_count(), tally.injected()),
-        ),
-    }
+    let sharded = ShardedCampaignSpec::new(spec.clone(), spec.batch);
+    run_sharded_campaign(&sharded, None, false).map(|r| r.report)
 }
 
 /// Outcome conservation plus weighted-tally consistency for one final
 /// cell, as a runtime error instead of an abort: the diagnostic names
 /// the offending cell so callers can quarantine it (and, in checkpoint
 /// mode, leave every durable shard file intact for inspection).
-fn check_conservation(
-    engine: &str,
-    scheme: &str,
-    app: &str,
-    trials: u64,
-    tally: &OutcomeTally,
-    weighted: Option<&WeightedTally>,
-) -> io::Result<()> {
+fn check_conservation(cell: &CellReport) -> io::Result<()> {
+    let CellReport {
+        scheme,
+        app,
+        trials,
+        tally,
+        weighted,
+        ..
+    } = cell;
     let fail = |e: String| {
         io::Error::other(format!(
-            "{engine} tally violates conservation: scheme {scheme}, app {app}: {e}; \
+            "campaign tally violates conservation: scheme {scheme}, app {app}: {e}; \
              the cell is quarantined from the report and any checkpoints are preserved"
         ))
     };
     icr_check::tally_conserved(
-        trials,
+        *trials,
         tally.count(ErrorOutcome::NotInjected),
         tally.recovered(),
         tally.count(ErrorOutcome::Masked),
@@ -580,7 +429,7 @@ impl CampaignReport {
     /// [`to_json`](CampaignReport::to_json) with `extra` inserted
     /// verbatim between the `campaign` and `cells` sections — how the
     /// sharded report adds its `sharding` block without perturbing a
-    /// single byte of the unsharded format.
+    /// single byte of the plain format.
     fn to_json_sections(&self, extra: &str) -> String {
         use crate::json::{esc, num};
         let spec = &self.spec;
@@ -699,17 +548,17 @@ impl CampaignReport {
 ///
 /// Shard `s` covers per-cell trial indices `[s·shard_size,
 /// min((s+1)·shard_size, trials_per_cell))` for every cell still
-/// active. Trial seeds derive exactly as in the unsharded engine — a
-/// pure SplitMix64 function of the master seed and the trial's global
-/// coordinates — so each shard's seed stream is independent of every
-/// other shard's, shard tallies are order-insensitive and mergeable,
-/// and a sharded campaign without early stopping reproduces the
-/// unsharded tallies bit-for-bit.
+/// active. Trial seeds are a pure SplitMix64 function of the master
+/// seed and the trial's global coordinates, so each shard's seed
+/// stream is independent of every other shard's, shard tallies are
+/// order-insensitive and mergeable, and without early stopping every
+/// shard size reproduces the same tallies bit-for-bit.
 ///
-/// In sharded mode, early-stopping decisions happen at **shard**
-/// boundaries (the shard is the durable unit of progress), so
-/// [`CampaignSpec::batch`] is ignored; everything else in the base
-/// spec keeps its meaning.
+/// Early-stopping decisions happen at shard boundaries (the shard is
+/// the durable unit of progress). `shard_size` takes the place of
+/// [`CampaignSpec::batch`], which [`run_campaign`] passes here as the
+/// shard size of its in-memory run; everything else in the base spec
+/// keeps its meaning.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardedCampaignSpec {
     /// The campaign being sharded.
@@ -853,7 +702,8 @@ pub struct ShardProgress {
 /// A finished (or gracefully drained) sharded campaign.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardedReport {
-    /// Merged per-cell results, exactly as an unsharded report.
+    /// Merged per-cell results; `report.to_json()` is the plain
+    /// campaign document, without the `sharding` section.
     pub report: CampaignReport,
     /// Per-cell trials per shard.
     pub shard_size: u64,
@@ -881,7 +731,7 @@ pub struct ShardedReport {
 }
 
 impl ShardedReport {
-    /// The report as JSON: the unsharded campaign document plus a
+    /// The report as JSON: the plain campaign document plus a
     /// `sharding` section. Identical bytes whether the run was
     /// straight-through or killed and resumed any number of times.
     pub fn to_json(&self) -> String {
@@ -897,15 +747,12 @@ impl ShardedReport {
     }
 }
 
-struct ShardCellSlot {
-    scheme: Scheme,
+/// One cell's cumulative state in the shard loop: the report it
+/// becomes, its importance proposal, and whether it still runs.
+struct CellSlot {
+    report: CellReport,
     scheme_name: String,
-    app: String,
     proposal: Option<CellProposal>,
-    tally: OutcomeTally,
-    weighted: Option<WeightedTally>,
-    trials_done: u64,
-    stopped_early: bool,
     active: bool,
 }
 
@@ -924,19 +771,21 @@ pub fn run_sharded_campaign(
 /// derives each cell's importance proposal from a fault-free profiling
 /// run; the restore-only merge path passes `false` so it never
 /// simulates anything.
-fn shard_cells(base: &CampaignSpec, with_bias: bool) -> Vec<ShardCellSlot> {
+fn shard_cells(base: &CampaignSpec, with_bias: bool) -> Vec<CellSlot> {
     base.schemes
         .iter()
         .flat_map(|&scheme| {
-            base.apps.iter().map(move |app| ShardCellSlot {
-                scheme,
+            base.apps.iter().map(move |app| CellSlot {
+                report: CellReport {
+                    scheme,
+                    app: app.clone(),
+                    trials: 0,
+                    stopped_early: false,
+                    tally: OutcomeTally::default(),
+                    weighted: base.importance.then(WeightedTally::default),
+                },
                 scheme_name: scheme.name(),
-                app: app.clone(),
                 proposal: (with_bias && base.importance).then(|| cell_proposal(base, scheme, app)),
-                tally: OutcomeTally::default(),
-                weighted: base.importance.then(WeightedTally::default),
-                trials_done: 0,
-                stopped_early: false,
                 active: true,
             })
         })
@@ -948,30 +797,34 @@ fn shard_cells(base: &CampaignSpec, with_bias: bool) -> Vec<ShardCellSlot> {
 /// shard-major — the same addition sequence every execution order
 /// reproduces, keeping `f64` totals bit-identical across straight runs,
 /// resumes and merges.
-fn fold_shard(cells: &mut [ShardCellSlot], shard_cells: &[ShardCellState]) -> u64 {
+fn fold_shard(cells: &mut [CellSlot], shard_cells: &[ShardCellState]) -> u64 {
     let mut n = 0;
     for (slot, cell) in cells.iter_mut().zip(shard_cells) {
-        slot.tally.merge(&cell.tally);
-        if let (Some(total), Some(shard)) = (slot.weighted.as_mut(), cell.weighted.as_ref()) {
-            total.merge(shard);
+        let total = &mut slot.report;
+        total.tally.merge(&cell.tally);
+        if let (Some(sum), Some(shard)) = (total.weighted.as_mut(), cell.weighted.as_ref()) {
+            sum.merge(shard);
         }
-        slot.trials_done += cell.trials;
+        total.trials += cell.trials;
         n += cell.trials;
     }
     n
 }
 
-/// Evaluates the shard-boundary early-stop rule over every active cell.
-fn evaluate_stops(cells: &mut [ShardCellSlot], base: &CampaignSpec) {
-    for cell in cells.iter_mut().filter(|c| c.active) {
-        let injected = cell.tally.injected();
-        let (_, ci95) = cell_view(&cell.tally, cell.weighted.as_ref());
-        let budget_spent = cell.trials_done >= base.trials_per_cell;
-        let ci_reached = base
-            .target_ci_width
-            .is_some_and(|w| injected > 0 && ci95.1 - ci95.0 <= w);
+/// Evaluates the shard-boundary early-stop rule over every active cell:
+/// a cell stops once its budget is spent or, under a CI target, once it
+/// has a delivered fault and its Wilson interval — the weighted one for
+/// importance cells — is no wider than the target.
+fn evaluate_stops(cells: &mut [CellSlot], base: &CampaignSpec) {
+    for slot in cells.iter_mut().filter(|c| c.active) {
+        let cell = &mut slot.report;
+        let budget_spent = cell.trials >= base.trials_per_cell;
+        let ci_reached = base.target_ci_width.is_some_and(|w| {
+            let (lo, hi) = cell.weighted_wilson95().unwrap_or_else(|| cell.wilson95());
+            cell.tally.injected() > 0 && hi - lo <= w
+        });
         if budget_spent || ci_reached {
-            cell.active = false;
+            slot.active = false;
             cell.stopped_early = !budget_spent;
         }
     }
@@ -981,36 +834,20 @@ fn evaluate_stops(cells: &mut [ShardCellSlot], base: &CampaignSpec) {
 /// runner and the merge.
 fn finish_sharded(
     spec: &ShardedCampaignSpec,
-    cells: Vec<ShardCellSlot>,
+    cells: Vec<CellSlot>,
     shards_done: u64,
     shards_resumed: u64,
     quarantined: u64,
 ) -> io::Result<ShardedReport> {
     let complete = cells.iter().all(|c| !c.active);
-    for c in &cells {
-        check_conservation(
-            "sharded campaign",
-            &c.scheme_name,
-            &c.app,
-            c.trials_done,
-            &c.tally,
-            c.weighted.as_ref(),
-        )?;
+    let cells: Vec<CellReport> = cells.into_iter().map(|c| c.report).collect();
+    for cell in &cells {
+        check_conservation(cell)?;
     }
     Ok(ShardedReport {
         report: CampaignReport {
             spec: spec.base.clone(),
-            cells: cells
-                .into_iter()
-                .map(|c| CellReport {
-                    scheme: c.scheme,
-                    app: c.app,
-                    trials: c.trials_done,
-                    stopped_early: c.stopped_early,
-                    tally: c.tally,
-                    weighted: c.weighted,
-                })
-                .collect(),
+            cells,
         },
         shard_size: spec.shard_size,
         shards_total: spec.shards_total(),
@@ -1133,20 +970,21 @@ pub fn run_sharded_campaign_observed(
                     .flat_map(|(ci, _)| (start..end).map(move |t| (ci, t)))
                     .collect();
                 let results = pool.run(jobs.clone(), |(ci, trial)| {
+                    let slot = &cells[ci];
                     run_trial(
                         base,
-                        cells[ci].scheme,
-                        &cells[ci].app,
+                        slot.report.scheme,
+                        &slot.report.app,
                         ci,
                         trial,
-                        cells[ci].proposal,
+                        slot.proposal,
                     )
                 });
                 let mut shard_states: Vec<ShardCellState> = cells
                     .iter()
                     .map(|slot| ShardCellState {
                         scheme: slot.scheme_name.clone(),
-                        app: slot.app.clone(),
+                        app: slot.report.app.clone(),
                         trials: 0,
                         tally: OutcomeTally::default(),
                         weighted: base.importance.then(WeightedTally::default),
@@ -1302,7 +1140,7 @@ fn verify_participation(
     start: u64,
     end: u64,
     importance: bool,
-    cells: &[ShardCellSlot],
+    cells: &[CellSlot],
 ) -> Result<(), String> {
     if ckpt.shard != shard || ckpt.start != start || ckpt.end != end {
         return Err(format!(
@@ -1318,10 +1156,10 @@ fn verify_participation(
         ));
     }
     for (slot, cell) in cells.iter().zip(&ckpt.cells) {
-        if cell.scheme != slot.scheme_name || cell.app != slot.app {
+        if cell.scheme != slot.scheme_name || cell.app != slot.report.app {
             return Err(format!(
                 "cell ({}, {}) does not match spec cell ({}, {})",
-                cell.scheme, cell.app, slot.scheme_name, slot.app
+                cell.scheme, cell.app, slot.scheme_name, slot.report.app
             ));
         }
         let expected = if slot.active { end - start } else { 0 };
@@ -1425,10 +1263,9 @@ mod tests {
 
     #[test]
     fn sharded_reproduces_unsharded_tallies_across_shard_splits() {
-        // The satellite property: any shard partition of the trial
-        // space merges back to exactly the single-process campaign
-        // tallies — seeds are pure functions of trial coordinates and
-        // tallies are commutative sums.
+        // Any shard partition of the trial space merges back to exactly
+        // the plain campaign's tallies — seeds are pure functions of
+        // trial coordinates and tallies are commutative sums.
         let spec = tiny_spec();
         let whole = run_campaign(&spec).unwrap();
         for shard_size in [1, 2, 3, 4, 5, 6, 7] {
@@ -1438,7 +1275,31 @@ mod tests {
             assert_eq!(got.shards_total, 6u64.div_ceil(shard_size));
             assert_eq!(
                 got.report.cells, whole.cells,
-                "shard_size {shard_size} diverged from the unsharded run"
+                "shard_size {shard_size} diverged from the plain run"
+            );
+        }
+
+        // At shard_size == batch the sharded report is the plain report
+        // byte for byte — also when importance weights are folded as
+        // per-shard sums and when early stopping truncates cells.
+        let mut importance = tiny_spec();
+        importance.trials_per_cell = 12;
+        importance.importance = true;
+        let mut early = tiny_spec();
+        early.trials_per_cell = 12;
+        early.target_ci_width = Some(0.5);
+        let mut both = importance.clone();
+        both.target_ci_width = Some(0.5);
+        for spec in [tiny_spec(), importance, early, both] {
+            let plain = run_campaign(&spec).unwrap();
+            let sharded = ShardedCampaignSpec::new(spec.clone(), spec.batch);
+            let got = run_sharded_campaign(&sharded, None, false).unwrap();
+            assert_eq!(
+                got.report.to_json(),
+                plain.to_json(),
+                "importance {}, ci {:?}: sharded bytes diverged from the plain run",
+                spec.importance,
+                spec.target_ci_width
             );
         }
     }
@@ -1628,14 +1489,22 @@ mod tests {
 
     #[test]
     fn conservation_violations_surface_as_errors_not_panics() {
+        let cell = |scheme, app: &str, trials, tally, weighted| CellReport {
+            scheme,
+            app: app.into(),
+            trials,
+            stopped_early: false,
+            tally,
+            weighted,
+        };
         // A lost trial: the budget says 2 but the tally holds 1.
         let mut tally = OutcomeTally::default();
         tally.record(ErrorOutcome::Masked);
         let err =
-            check_conservation("campaign", "icr-p-ps-s", "gzip", 2, &tally, None).unwrap_err();
+            check_conservation(&cell(Scheme::ICR_P_PS_S, "gzip", 2, tally, None)).unwrap_err();
         let msg = err.to_string();
         assert!(
-            msg.contains("icr-p-ps-s") && msg.contains("gzip"),
+            msg.contains("ICR-P-PS (S)") && msg.contains("gzip"),
             "got: {msg}"
         );
         assert!(msg.contains("quarantined from the report"), "got: {msg}");
@@ -1646,11 +1515,11 @@ mod tests {
         w.record(ErrorOutcome::Masked, 1.0);
         let mut t2 = OutcomeTally::default();
         t2.record(ErrorOutcome::Masked);
-        let err = check_conservation("campaign", "basep", "gcc", 1, &t2, Some(&w)).unwrap_err();
+        let err = check_conservation(&cell(Scheme::BASE_P, "gcc", 1, t2, Some(w))).unwrap_err();
         assert!(err.to_string().contains("disagree"), "got: {err}");
 
         // And the happy path stays silent.
-        check_conservation("campaign", "basep", "gcc", 1, &t2, None).unwrap();
+        check_conservation(&cell(Scheme::BASE_P, "gcc", 1, t2, None)).unwrap();
     }
 
     #[test]
@@ -1832,16 +1701,26 @@ mod tests {
 
     #[test]
     fn observer_sees_monotone_progress() {
-        let mut last: std::collections::HashMap<(String, String), u64> = Default::default();
-        let mut calls = 0;
-        run_campaign_observed(&tiny_spec(), |p| {
-            calls += 1;
-            let key = (p.scheme.to_string(), p.app.to_string());
-            let prev = last.insert(key, p.trials_done).unwrap_or(0);
-            assert!(p.trials_done > prev, "progress must advance");
-            assert!(p.trials_done <= p.trials_target);
+        // The in-memory shard loop a plain campaign runs: no checkpoint
+        // directory, one progress event per shard.
+        let spec = tiny_spec();
+        let sharded = ShardedCampaignSpec::new(spec.clone(), spec.batch);
+        let stop = AtomicBool::new(false);
+        let mut events: Vec<ShardProgress> = Vec::new();
+        run_sharded_campaign_observed(&sharded, None, false, &stop, |e| match e {
+            ShardEvent::ShardDone(p) => events.push(*p),
+            ShardEvent::Quarantined { .. } => panic!("no checkpoint directory to quarantine"),
         })
         .unwrap();
-        assert!(calls >= 4, "at least one progress event per cell");
+        assert_eq!(events.len() as u64, sharded.shards_total());
+        for pair in events.windows(2) {
+            assert!(
+                pair[1].trials_done > pair[0].trials_done,
+                "progress must advance"
+            );
+        }
+        let last = events.last().expect("at least one shard");
+        assert_eq!(last.cells_active, 0, "the last event finishes every cell");
+        assert_eq!(last.trials_done, 4 * spec.trials_per_cell);
     }
 }

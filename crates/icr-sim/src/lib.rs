@@ -17,12 +17,14 @@
 //! * [`experiment`] — `table1`, `fig1` … `fig17`, `sensitivity`,
 //!   `victim_ablation`;
 //! * [`campaign`] — deterministic parallel Monte-Carlo fault-injection
-//!   campaigns ([`CampaignSpec`] → [`run_campaign`] → [`CampaignReport`]),
-//!   exposed by the `icr-campaign` binary; the sharded, checkpointed,
-//!   resumable variant ([`ShardedCampaignSpec`] →
-//!   [`run_sharded_campaign`] → [`ShardedReport`]) partitions the trial
-//!   space into seed-range shards and persists digest-verified
+//!   campaigns, exposed by the `icr-campaign` binary. One shard loop
+//!   ([`ShardedCampaignSpec`] → [`run_sharded_campaign`] →
+//!   [`ShardedReport`]) partitions the trial space into seed-range
+//!   shards and, given a directory, persists digest-verified
 //!   checkpoints so a killed campaign resumes to byte-identical output;
+//!   a plain campaign ([`CampaignSpec`] → [`run_campaign`] →
+//!   [`CampaignReport`]) is the same loop in memory, with
+//!   [`CampaignSpec::batch`] trials per cell per shard;
 //! * [`checkpoint`] — the durable per-shard checkpoint format behind
 //!   resume: versioned `ICRC` header, FNV-1a payload digest, spec
 //!   fingerprint, quarantine-on-corruption;
@@ -68,9 +70,9 @@ pub mod vuln;
 
 pub use audit::{run_audit, AuditCell, AuditReport, AuditSpec, LockstepChecker};
 pub use campaign::{
-    merge_sharded_campaign, run_campaign, run_campaign_observed, run_sharded_campaign,
-    run_sharded_campaign_observed, CampaignReport, CampaignSpec, CellProgress, CellReport,
-    ShardEvent, ShardProgress, ShardedCampaignSpec, ShardedReport,
+    merge_sharded_campaign, run_campaign, run_sharded_campaign, run_sharded_campaign_observed,
+    CampaignReport, CampaignSpec, CellReport, ShardEvent, ShardProgress, ShardedCampaignSpec,
+    ShardedReport,
 };
 pub use engine::{Engine, EngineStats};
 pub use exec::{JobProgress, Pool};

@@ -119,7 +119,18 @@ fn spill_figure_exits_0_with_json() {
 }
 
 #[test]
-fn unwritable_json_destination_panics_nonzero() {
+fn sdc_figure_exits_0_with_json() {
+    let out = run(&["sdc", "--insts", "2000", "--json", "-"]);
+    assert!(out.status.success(), "sdc figure failed: {out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        stdout.contains("\"id\":\"sdc\""),
+        "sdc figure JSON missing:\n{stdout}"
+    );
+}
+
+#[test]
+fn unwritable_json_destination_exits_1() {
     let out = run(&[
         "fig1",
         "--insts",
@@ -127,14 +138,15 @@ fn unwritable_json_destination_panics_nonzero() {
         "--json",
         "/nonexistent-dir/out.json",
     ]);
-    assert_ne!(
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
         out.status.code(),
-        Some(0),
-        "unwritable output must not exit 0"
+        Some(1),
+        "runtime failures must exit 1, not {:?}\nstderr: {stderr}",
+        out.status.code(),
     );
-    assert_ne!(
-        out.status.code(),
-        Some(2),
-        "runtime failure must be distinguishable from invocation errors"
+    assert!(
+        stderr.contains("cannot write /nonexistent-dir/out.json"),
+        "diagnostic missing from stderr:\n{stderr}"
     );
 }

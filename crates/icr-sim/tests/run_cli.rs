@@ -162,3 +162,26 @@ fn mismatched_trace_in_exits_1() {
         String::from_utf8_lossy(&out.stderr)
     );
 }
+
+#[test]
+fn unwritable_json_destination_exits_1() {
+    let out = run(&[
+        "gzip",
+        "basep",
+        "--insts",
+        "500",
+        "--json",
+        "/nonexistent-dir/out.json",
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(
+        out.status.code(),
+        Some(1),
+        "runtime failures must exit 1, not {:?}\nstderr: {stderr}",
+        out.status.code(),
+    );
+    assert!(
+        stderr.contains("cannot write /nonexistent-dir/out.json"),
+        "diagnostic missing from stderr:\n{stderr}"
+    );
+}

@@ -1,7 +1,7 @@
 //! Monte-Carlo fault-injection campaign through the library API: N
 //! independent single-soft-error trials per (scheme × app) cell, run in
-//! parallel yet bit-identical for a given master seed, with live
-//! progress and Wilson 95% confidence intervals on the survival rate.
+//! parallel yet bit-identical for a given master seed, with per-cell
+//! Wilson 95% confidence intervals on the survival rate.
 //!
 //! ```text
 //! cargo run --release --example soft_error_campaign
@@ -11,7 +11,7 @@
 //! JSON report; this example shows the programmatic shape.
 
 use icr::core::Scheme;
-use icr::sim::campaign::{run_campaign_observed, CampaignSpec};
+use icr::sim::campaign::{run_campaign, CampaignSpec};
 
 fn main() {
     let mut spec = CampaignSpec::new(
@@ -37,21 +37,20 @@ fn main() {
         spec.trials_per_cell
     );
 
-    let report = run_campaign_observed(&spec, |p| {
-        if p.done {
-            println!(
-                "  {:<16} {:<6} {:>3} trials  survived {:.3} [{:.3}, {:.3}]{}",
-                p.scheme,
-                p.app,
-                p.trials_done,
-                p.survived,
-                p.ci95.0,
-                p.ci95.1,
-                if p.stopped_early { "  (early)" } else { "" },
-            );
-        }
-    })
-    .expect("campaign tallies stay conserved");
+    let report = run_campaign(&spec).expect("campaign tallies stay conserved");
+    for cell in &report.cells {
+        let (lo, hi) = cell.wilson95();
+        println!(
+            "  {:<16} {:<6} {:>3} trials  survived {:.3} [{:.3}, {:.3}]{}",
+            cell.scheme.name(),
+            cell.app,
+            cell.trials,
+            cell.tally.survived_fraction(),
+            lo,
+            hi,
+            if cell.stopped_early { "  (early)" } else { "" },
+        );
+    }
 
     println!("\n{}", report.summary_table());
 

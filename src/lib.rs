@@ -28,7 +28,7 @@
 //! // scheme and read out the paper's headline metric.
 //! let cfg = SimConfig::paper(
 //!     "gzip",
-//!     DataL1Config::paper_default(Scheme::icr_p_ps_s()),
+//!     DataL1Config::paper_default(Scheme::ICR_P_PS_S),
 //!     20_000,
 //!     42,
 //! );
