@@ -3,10 +3,11 @@
 
 CARGO ?= cargo
 
-.PHONY: verify check build test fmt fmt-check clippy doc bench bench-engine bench-engine-build bench-all bench-all-build bench-all-gate bench-isa bench-isa-build bench-campaign bench-campaign-build bench-importance bench-importance-build bench-spill trace-roundtrip campaign campaign-resume campaign-fanout campaign-plain audit isa-audit clean
+.PHONY: verify check build test fmt fmt-check clippy doc bench-build bench bench-engine bench-engine-build bench-all bench-all-build bench-all-gate bench-isa bench-isa-build bench-campaign bench-campaign-build bench-importance bench-importance-build bench-spill trace-roundtrip campaign campaign-resume campaign-fanout campaign-plain audit isa-audit clean
 
 ## Full verification: build + all tests + formatting + lints + docs,
-## plus a build-only check of the bench targets, the dL1-vs-spill
+## plus a build-only check of the bench targets and of the end-to-end
+## benchmark package under benchmark/, the dL1-vs-spill
 ## placement benchmark (fast enough to run, not just build), a lockstep
 ## audit of the full scheme × app matrix — ten paper presets plus two
 ## L2-spill descriptors — against the icr-check reference model, a
@@ -15,7 +16,7 @@ CARGO ?= cargo
 ## two-worker fan-out whose merge must be byte-identical to the
 ## single-process run, and a plain (in-memory) campaign whose report
 ## must match the checkpointed run's.
-verify: build test fmt-check clippy doc bench-engine-build bench-all-build bench-isa-build bench-campaign-build bench-importance-build bench-spill trace-roundtrip campaign-resume campaign-fanout campaign-plain audit
+verify: build test fmt-check clippy doc bench-build bench-engine-build bench-all-build bench-isa-build bench-campaign-build bench-importance-build bench-spill trace-roundtrip campaign-resume campaign-fanout campaign-plain audit
 	@echo "verify: OK"
 
 ## Tier-1 gate (ROADMAP.md): release build + quiet tests.
@@ -41,6 +42,11 @@ clippy:
 ## API docs must build warnings-clean (broken intra-doc links, etc.).
 doc:
 	RUSTDOCFLAGS="-D warnings" $(CARGO) doc --no-deps --workspace
+
+## Compile the end-to-end benchmark package (its own workspace, which
+## imports icr_sim's experiment, engine and pool APIs) without running it.
+bench-build:
+	$(CARGO) build --release --offline --manifest-path benchmark/Cargo.toml
 
 ## Criterion benchmarks (confined to the bench crate).
 bench:

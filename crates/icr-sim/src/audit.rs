@@ -368,14 +368,9 @@ pub struct AuditReport {
 pub fn run_audit(spec: &AuditSpec) -> AuditReport {
     spec.validate();
     let pool = Pool::new(spec.threads);
-    let jobs: Vec<(Scheme, String)> = spec
-        .schemes
-        .iter()
-        .flat_map(|&s| spec.apps.iter().map(move |a| (s, a.clone())))
-        .collect();
-    let cells = pool.run(jobs, |(scheme, app)| {
+    let grid = pool.run_grid(&spec.schemes, &spec.apps, |&scheme, app| {
         let dl1 = DataL1Config::paper_default(scheme);
-        let checked_cfg = SimConfig::builder(&app, dl1.clone())
+        let checked_cfg = SimConfig::builder(app, dl1.clone())
             .instructions(spec.instructions)
             .seed(spec.seed)
             .check(CheckMode::Lockstep)
@@ -383,7 +378,7 @@ pub fn run_audit(spec: &AuditSpec) -> AuditReport {
         // Panics with the divergence report on the first mismatch.
         let checked = run_sim(&checked_cfg);
         // Differential leg: the same cell without the auditor attached.
-        let plain_cfg = SimConfig::paper(&app, dl1, spec.instructions, spec.seed);
+        let plain_cfg = SimConfig::paper(app, dl1, spec.instructions, spec.seed);
         let plain = Engine::global().run(&plain_cfg);
         assert_eq!(
             checked,
@@ -393,14 +388,14 @@ pub fn run_audit(spec: &AuditSpec) -> AuditReport {
         );
         AuditCell {
             scheme,
-            app,
+            app: app.clone(),
             accesses_checked: checked.icr.cache.accesses(),
             cycles: checked.pipeline.cycles,
         }
     });
     AuditReport {
         spec: spec.clone(),
-        cells,
+        cells: grid.into_iter().flatten().collect(),
     }
 }
 
@@ -439,26 +434,14 @@ impl AuditReport {
     /// The report as JSON, via the shared [`crate::json`] primitives.
     /// Deterministic for a given spec.
     pub fn to_json(&self) -> String {
-        use crate::json::esc;
+        use crate::json::{esc, matrix_echo};
         let spec = &self.spec;
-        let schemes = spec
-            .schemes
-            .iter()
-            .map(|s| esc(&s.name()))
-            .collect::<Vec<_>>()
-            .join(", ");
-        let apps = spec
-            .apps
-            .iter()
-            .map(|a| esc(a))
-            .collect::<Vec<_>>()
-            .join(", ");
         let mut out = String::new();
         out.push_str("{\n  \"audit\": {\n");
         out.push_str(&format!("    \"seed\": {},\n", spec.seed));
         out.push_str(&format!("    \"instructions\": {},\n", spec.instructions));
-        out.push_str(&format!("    \"schemes\": [{schemes}],\n"));
-        out.push_str(&format!("    \"apps\": [{apps}],\n"));
+        out.push_str(&matrix_echo(&spec.schemes, &spec.apps));
+        out.push_str(",\n");
         out.push_str(&format!(
             "    \"total_accesses_checked\": {},\n",
             self.total_accesses_checked()

@@ -11,7 +11,8 @@
 //! ```
 //!
 //! `--json PATH` writes the machine-readable result to `PATH`, where `-`
-//! means stdout — the same convention `icr-run` and `icr-campaign` use.
+//! means stdout — the same convention `icr-run` and `icr-campaign` use;
+//! `table1` is text only and rejects it.
 //! `vuln` prints the full analytic vulnerability profile (per-scheme
 //! one-shot outcome probabilities, FIT and MTTF from the `icr-vuln`
 //! ledger) rather than a figure; with `--json` it emits the
@@ -40,6 +41,7 @@ use icr_sim::experiment::{self, ExpOptions, FigureRunner};
 use icr_sim::json::write_output;
 use icr_sim::vuln::{run_vuln, VulnSpec};
 use icr_sim::FigureResult;
+use icr_trace::apps::{APP_NAMES, ISA_APP_NAMES};
 use std::process::ExitCode;
 
 /// Prints a diagnostic plus the usage text and returns the
@@ -49,7 +51,7 @@ fn fail_usage(diagnostic: &str) -> ExitCode {
     eprintln!("error: {diagnostic}");
     eprintln!(
         "usage: icr-exp <experiment> [--insts N] [--seed S] [--threads T] [--json PATH] [--scheme NAME[,NAME…]] [--spark] [--stats]\n\
-         \x20      --json PATH    write JSON to PATH ('-' = stdout)\n\
+         \x20      --json PATH    write JSON to PATH ('-' = stdout; not table1)\n\
          \x20      --scheme NAMES restrict audit/isa-audit/vuln to these schemes\n\
          experiments: table1 fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9\n\
          \x20            fig10 fig11 fig12 fig13 fig14 fig15 fig16 fig17 sens victim models hints dupcache stability scrub window dram exposure vuln audit sdc isa isa-audit spill all"
@@ -133,6 +135,9 @@ fn main() -> ExitCode {
     if schemes.is_some() && !matches!(which.as_str(), "audit" | "isa-audit" | "vuln") {
         return fail_usage("--scheme only applies to audit, isa-audit and vuln");
     }
+    if json.is_some() && which == "table1" {
+        return fail_usage("--json does not apply to table1");
+    }
 
     let emit = |fig: FigureResult| {
         if let Some(path) = &json {
@@ -149,76 +154,49 @@ fn main() -> ExitCode {
             print!("{}", experiment::table1());
             ExitCode::SUCCESS
         }
-        "isa-audit" => {
-            let mut spec = AuditSpec::new(
-                schemes.unwrap_or_else(Scheme::all_paper_schemes),
-                icr_trace::apps::ISA_APP_NAMES
-                    .iter()
-                    .map(|s| s.to_string())
-                    .collect(),
-                opts.instructions,
-                opts.seed,
-            );
-            spec.threads = opts.threads;
-            // Panics with a labelled divergence report on any mismatch.
-            let report = run_audit(&spec);
-            if let Some(path) = &json {
-                write_json(&report.to_json(), path)
-            } else {
-                println!(
-                    "Lockstep reference-model audit over ISA kernels ({} insts/app, seed {})",
-                    spec.instructions, spec.seed
-                );
-                print!("{}", report.summary_table());
-                ExitCode::SUCCESS
-            }
-        }
-        "vuln" => {
-            let mut spec = VulnSpec::new(
-                schemes.unwrap_or_else(Scheme::all_paper_schemes),
-                icr_trace::apps::APP_NAMES
-                    .iter()
-                    .map(|s| s.to_string())
-                    .collect(),
-                opts.instructions,
-                opts.seed,
-            );
-            spec.threads = opts.threads;
-            let report = run_vuln(&spec);
-            if let Some(path) = &json {
+        "audit" | "isa-audit" | "vuln" => {
+            let (heading, default_schemes, apps) = match which.as_str() {
+                "audit" => (
+                    "Lockstep reference-model audit",
+                    audit_schemes(),
+                    APP_NAMES.as_slice(),
+                ),
+                "isa-audit" => (
+                    "Lockstep reference-model audit over ISA kernels",
+                    Scheme::all_paper_schemes(),
+                    ISA_APP_NAMES.as_slice(),
+                ),
+                _ => (
+                    "Analytic vulnerability profile",
+                    Scheme::all_paper_schemes(),
+                    APP_NAMES.as_slice(),
+                ),
+            };
+            let schemes = schemes.unwrap_or(default_schemes);
+            let apps = apps.iter().map(|s| s.to_string()).collect();
+            let (doc, table) = if which == "vuln" {
+                let mut spec = VulnSpec::new(schemes, apps, opts.instructions, opts.seed);
+                spec.threads = opts.threads;
+                let report = run_vuln(&spec);
                 // `to_json` already ends with a newline; trim it so the
                 // shared writer appends exactly one.
-                write_json(report.to_json().trim_end_matches('\n'), path)
+                let doc = report.to_json().trim_end_matches('\n').to_owned();
+                (doc, report.summary_table())
             } else {
-                println!(
-                    "Analytic vulnerability profile ({} insts/app, seed {})",
-                    spec.instructions, spec.seed
-                );
-                print!("{}", report.summary_table());
-                ExitCode::SUCCESS
-            }
-        }
-        "audit" => {
-            let mut spec = AuditSpec::new(
-                schemes.unwrap_or_else(audit_schemes),
-                icr_trace::apps::APP_NAMES
-                    .iter()
-                    .map(|s| s.to_string())
-                    .collect(),
-                opts.instructions,
-                opts.seed,
-            );
-            spec.threads = opts.threads;
-            // Panics with a labelled divergence report on any mismatch.
-            let report = run_audit(&spec);
+                let mut spec = AuditSpec::new(schemes, apps, opts.instructions, opts.seed);
+                spec.threads = opts.threads;
+                // Panics with a labelled divergence report on any mismatch.
+                let report = run_audit(&spec);
+                (report.to_json(), report.summary_table())
+            };
             if let Some(path) = &json {
-                write_json(&report.to_json(), path)
+                write_json(&doc, path)
             } else {
                 println!(
-                    "Lockstep reference-model audit ({} insts/app, seed {})",
-                    spec.instructions, spec.seed
+                    "{heading} ({} insts/app, seed {})",
+                    opts.instructions, opts.seed
                 );
-                print!("{}", report.summary_table());
+                print!("{table}");
                 ExitCode::SUCCESS
             }
         }

@@ -85,7 +85,7 @@ fn main() -> ExitCode {
     let mut dl1 = DataL1Config::paper_default(scheme);
     let mut instructions = 200_000u64;
     let mut seed = 42u64;
-    let mut fault: Option<FaultConfig> = None;
+    let mut fault_p: Option<f64> = None;
     let mut scrub: Option<ScrubConfig> = None;
     let mut check = false;
     let mut json: Option<String> = None;
@@ -141,12 +141,7 @@ fn main() -> ExitCode {
                 if !(0.0..=1.0).contains(&p) || !p.is_finite() {
                     return fail_usage("--fault must be a probability in [0, 1]");
                 }
-                fault = Some(FaultConfig {
-                    model: ErrorModel::Random,
-                    p_per_cycle: p,
-                    seed: seed.wrapping_add(1),
-                    max_faults: None,
-                });
+                fault_p = Some(p);
             }
             "--scrub" => {
                 scrub = Some(ScrubConfig {
@@ -198,8 +193,15 @@ fn main() -> ExitCode {
     let mut builder = SimConfig::builder(&app, dl1)
         .instructions(instructions)
         .seed(seed);
-    if let Some(fault) = fault {
-        builder = builder.fault(fault);
+    // Built after parsing, so the injector seed follows the final
+    // `--seed` wherever it appears on the command line.
+    if let Some(p) = fault_p {
+        builder = builder.fault(FaultConfig {
+            model: ErrorModel::Random,
+            p_per_cycle: p,
+            seed: seed.wrapping_add(1),
+            max_faults: None,
+        });
     }
     if let Some(scrub) = scrub {
         builder = builder.scrub(scrub);

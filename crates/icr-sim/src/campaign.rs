@@ -431,20 +431,8 @@ impl CampaignReport {
     /// sharded report adds its `sharding` block without perturbing a
     /// single byte of the plain format.
     fn to_json_sections(&self, extra: &str) -> String {
-        use crate::json::{esc, num};
+        use crate::json::{esc, matrix_echo, num};
         let spec = &self.spec;
-        let schemes = spec
-            .schemes
-            .iter()
-            .map(|s| esc(&s.name()))
-            .collect::<Vec<_>>()
-            .join(", ");
-        let apps = spec
-            .apps
-            .iter()
-            .map(|a| esc(a))
-            .collect::<Vec<_>>()
-            .join(", ");
         let mut out = String::new();
         out.push_str("{\n  \"campaign\": {\n");
         out.push_str(&format!("    \"master_seed\": {},\n", spec.master_seed));
@@ -469,9 +457,8 @@ impl CampaignReport {
         if spec.importance {
             out.push_str("    \"importance\": true,\n");
         }
-        out.push_str(&format!("    \"schemes\": [{schemes}],\n"));
-        out.push_str(&format!("    \"apps\": [{apps}]\n"));
-        out.push_str("  },\n");
+        out.push_str(&matrix_echo(&spec.schemes, &spec.apps));
+        out.push_str("\n  },\n");
         out.push_str(extra);
         out.push_str("  \"cells\": [\n");
         for (i, cell) in self.cells.iter().enumerate() {
@@ -614,31 +601,53 @@ impl ShardedCampaignSpec {
     /// excluded — neither changes what a shard computes.
     pub fn fingerprint(&self) -> u64 {
         use std::fmt::Write;
-        let b = &self.base;
+        // Destructured without `..`: a new spec field does not compile
+        // until it is either hashed here or excluded with a reason.
+        let ShardedCampaignSpec {
+            base,
+            shard_size,
+            // Every worker of a fan-out shares one checkpoint identity.
+            worker: _,
+        } = self;
+        let CampaignSpec {
+            schemes,
+            apps,
+            trials_per_cell,
+            batch: _,
+            master_seed,
+            instructions,
+            model,
+            // Hashed as `effective_p()`, which resolves the auto rate.
+            p_per_cycle: _,
+            target_ci_width,
+            threads: _,
+            oracle,
+            importance,
+        } = base;
         let mut canon = String::new();
         write!(
             canon,
             "ICRC v{}|seed={}|insts={}|model={}|p={}|trials={}|ci={:?}|oracle={}|shard_size={}",
             checkpoint::VERSION,
-            b.master_seed,
-            b.instructions,
-            b.model.name(),
-            crate::json::num(b.effective_p()),
-            b.trials_per_cell,
-            b.target_ci_width,
-            b.oracle,
-            self.shard_size,
+            master_seed,
+            instructions,
+            model.name(),
+            crate::json::num(base.effective_p()),
+            trials_per_cell,
+            target_ci_width,
+            oracle,
+            shard_size,
         )
         .expect("writing to a String cannot fail");
         // Gated so uniform campaigns keep their historical fingerprints
         // (and hence resume their pre-existing checkpoints).
-        if b.importance {
+        if *importance {
             canon.push_str("|importance=true");
         }
-        for s in &b.schemes {
+        for s in schemes {
             write!(canon, "|s:{}", s.name()).expect("infallible");
         }
-        for a in &b.apps {
+        for a in apps {
             write!(canon, "|a:{a}").expect("infallible");
         }
         checkpoint::fnv1a64(canon.as_bytes())

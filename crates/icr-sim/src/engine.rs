@@ -21,9 +21,8 @@
 //! hit. All runs, cached or not, share materialised workload traces
 //! through the [`icr_trace::store`].
 
-use crate::exec::Pool;
 use crate::simulator::{run_sim, SimConfig, SimResult};
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Counters describing what an [`Engine`] has executed and reused.
@@ -85,30 +84,25 @@ impl Engine {
     /// Panics on an invalid configuration or unknown application name,
     /// like [`run_sim`].
     pub fn run(&self, config: &SimConfig) -> Arc<SimResult> {
+        let key = Engine::key(config);
         let slot = {
             let mut cache = self.cache.lock().expect("not poisoned");
             let mut counters = self.counters.lock().expect("not poisoned");
-            if let Some(slot) = cache.get(Engine::key(config).as_str()) {
-                counters.run_hits += 1;
-                slot.clone()
-            } else {
-                counters.run_misses += 1;
-                let slot = Arc::new(OnceLock::new());
-                cache.insert(Engine::key(config), slot.clone());
-                slot
+            match cache.entry(key) {
+                Entry::Occupied(slot) => {
+                    counters.run_hits += 1;
+                    slot.get().clone()
+                }
+                Entry::Vacant(slot) => {
+                    counters.run_misses += 1;
+                    slot.insert(Arc::new(OnceLock::new())).clone()
+                }
             }
         };
         // Simulate outside the map lock so distinct cells run in
         // parallel; duplicates of *this* cell block until the winner
         // publishes.
         slot.get_or_init(|| Arc::new(run_sim(config))).clone()
-    }
-
-    /// Runs a batch of configurations over `pool`, preserving order.
-    /// Duplicate configurations within the batch execute once and share
-    /// one result.
-    pub fn run_batch(&self, configs: Vec<SimConfig>, pool: &Pool) -> Vec<Arc<SimResult>> {
-        pool.run(configs, |cfg| self.run(&cfg))
     }
 
     /// This engine's counters, combined with the process-wide workload
@@ -188,20 +182,6 @@ mod tests {
         reseeded.fault = Some(FaultConfig::one_shot(ErrorModel::Random, 1e-3, 10));
         let c = engine.run(&reseeded);
         assert!(!Arc::ptr_eq(&a, &c), "a new injector seed is a new cell");
-        assert_eq!(engine.cached_runs(), 2);
-    }
-
-    #[test]
-    fn batch_deduplicates_within_itself() {
-        let engine = Engine::new();
-        let configs = vec![cfg("gzip", 1), cfg("gcc", 1), cfg("gzip", 1)];
-        let out = engine.run_batch(configs, &Pool::new(2));
-        assert_eq!(out.len(), 3);
-        assert!(Arc::ptr_eq(&out[0], &out[2]));
-        assert_eq!(out[0].app, "gzip");
-        assert_eq!(out[1].app, "gcc");
-        let s = engine.stats();
-        assert_eq!(s.run_hits + s.run_misses, 3);
         assert_eq!(engine.cached_runs(), 2);
     }
 }

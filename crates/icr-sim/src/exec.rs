@@ -3,11 +3,12 @@
 //!
 //! [`parallel_map_with_threads`] is the order-preserving work-stealing
 //! primitive (formerly private to `experiment`); [`Pool`] wraps it with a
-//! resolved worker count, an observed variant with per-job timing, and a
-//! progress callback. Results are always written by item index, so the
-//! output of every entry point is independent of the worker count and of
-//! which thread executed which item — the invariant all determinism
-//! guarantees in this workspace rest on.
+//! resolved worker count, an observed variant with per-job timing, a
+//! progress callback, and the row × column grid form every figure, vuln
+//! and audit matrix runs through. Results are always written by item
+//! index, so the output of every entry point is independent of the
+//! worker count and of which thread executed which item — the invariant
+//! all determinism guarantees in this workspace rest on.
 
 use std::time::{Duration, Instant};
 
@@ -157,6 +158,25 @@ impl Pool {
         parallel_map_with_threads(items, self.threads, f)
     }
 
+    /// Runs `f` on every `(row, col)` pair of `rows × cols` as one batch,
+    /// submitted row-major, and returns `grid[row][col]`.
+    pub(crate) fn run_grid<R, C, T, F>(&self, rows: &[R], cols: &[C], f: F) -> Vec<Vec<T>>
+    where
+        R: Sync,
+        C: Sync,
+        T: Send,
+        F: Fn(&R, &C) -> T + Sync,
+    {
+        let cells = rows
+            .iter()
+            .flat_map(|r| cols.iter().map(move |c| (r, c)))
+            .collect();
+        let mut results = self.run(cells, |(r, c)| f(r, c)).into_iter();
+        rows.iter()
+            .map(|_| results.by_ref().take(cols.len()).collect())
+            .collect()
+    }
+
     /// Runs `f` over `items`, preserving order and reporting each job's
     /// completion (with per-job wall-clock timing) to `observer` from the
     /// coordinating thread.
@@ -231,6 +251,17 @@ mod tests {
             let got = Pool::new(threads).run(items.clone(), |x| x.wrapping_mul(0x9E37) ^ 11);
             assert_eq!(got, expect, "threads={threads}");
         }
+    }
+
+    #[test]
+    fn run_grid_returns_each_row_in_column_order() {
+        let (rows, cols) = ([10u64, 20, 30], [1u64, 2]);
+        for threads in [1, 4] {
+            let grid = Pool::new(threads).run_grid(&rows, &cols, |r, c| r + c);
+            assert_eq!(grid, [[11, 12], [21, 22], [31, 32]], "threads={threads}");
+        }
+        let no_cols = Pool::new(2).run_grid(&rows, &[] as &[u64], |r, c| r + c);
+        assert_eq!(no_cols, vec![Vec::<u64>::new(); 3]);
     }
 
     #[test]

@@ -5,21 +5,27 @@
 //! the paper's 500M (see `EXPERIMENTS.md`); seeds are fixed, so every
 //! number is reproducible.
 //!
-//! All runners submit their cells to the process-wide
-//! [`Engine`] over an [`exec::Pool`](crate::exec::Pool):
-//! cells named by more than one figure execute once, and every
-//! workload trace is materialised once — without changing a single emitted
-//! number relative to the serial path.
+//! Every figure is a grid — dL1 variants or schemes × applications or a
+//! swept parameter — and every runner hands its grid to one helper, which
+//! submits the cells to the process-wide [`Engine`] over an
+//! [`exec::Pool`](crate::exec::Pool) and returns them as
+//! `grid[row][col]`: cells named by more than one figure execute once,
+//! and every workload trace is materialised once — without changing a
+//! single emitted number relative to the serial path. Figures over the
+//! applications share one x-axis, the applications plus an `AVG` column
+//! holding each series' mean.
 
 use crate::engine::Engine;
 use crate::exec::Pool;
 use crate::report::{FigureResult, Series};
-use crate::simulator::{FaultConfig, SimConfig, SimResult};
-use icr_core::{DataL1Config, DecayConfig, PlacementPolicy, Scheme, VictimPolicy};
+use crate::simulator::{FaultConfig, ScrubConfig, SimConfig, SimResult};
+use icr_core::{
+    DataL1Config, DecayConfig, PlacementPolicy, ReplicationHints, Scheme, VictimPolicy, WritePolicy,
+};
 use icr_energy::EnergyModel;
 use icr_fault::ErrorModel;
-use icr_mem::CacheGeometry;
-use icr_trace::apps::APP_NAMES;
+use icr_mem::{CacheGeometry, RowBufferConfig};
+use icr_trace::apps::{APP_NAMES, ISA_APP_NAMES};
 use std::sync::Arc;
 
 /// Common experiment options.
@@ -50,75 +56,137 @@ impl ExpOptions {
     }
 }
 
-/// Runs the full (variant × app) matrix through the process-wide engine.
-/// Returns `matrix[variant][app]`.
-fn run_matrix(
-    apps: &[&str],
-    variants: &[(String, DataL1Config, Option<FaultConfig>)],
+/// One row of a figure over the applications: its series label, dL1
+/// configuration and injected fault.
+type Variant = (String, DataL1Config, Option<FaultConfig>);
+
+/// Results in `grid[row][col]` order.
+type Grid = Vec<Vec<Arc<SimResult>>>;
+
+fn v(label: &str, dl1: DataL1Config) -> Variant {
+    (label.to_owned(), dl1, None)
+}
+
+/// `scheme` at its paper defaults, labelled with its name.
+fn paper(scheme: Scheme) -> Variant {
+    v(&scheme.name(), DataL1Config::paper_default(scheme))
+}
+
+/// An unbounded fault storm: `model` strikes with probability `p` per
+/// cycle for the whole run.
+fn storm(model: ErrorModel, p: f64, seed: u64) -> FaultConfig {
+    FaultConfig {
+        model,
+        p_per_cycle: p,
+        seed,
+        max_faults: None,
+    }
+}
+
+/// Runs `cell(row, col)` for every row × column through the
+/// process-wide engine: how every figure builds its cells.
+fn run_grid<R: Sync, C: Sync>(
     opts: &ExpOptions,
-) -> Vec<Vec<Arc<SimResult>>> {
-    let configs: Vec<SimConfig> = variants
-        .iter()
-        .flat_map(|(_, dl1, fault)| {
-            apps.iter().map(move |app| {
-                let mut cfg = SimConfig::paper(app, dl1.clone(), opts.instructions, opts.seed);
-                cfg.fault = *fault;
-                cfg
+    rows: &[R],
+    cols: &[C],
+    cell: impl Fn(&R, &C) -> SimConfig + Sync,
+) -> Grid {
+    opts.pool()
+        .run_grid(rows, cols, |r, c| Engine::global().run(&cell(r, c)))
+}
+
+/// Runs every variant on every one of `apps`: `grid[variant][app]`.
+fn run_apps(opts: &ExpOptions, variants: &[Variant], apps: &[&str]) -> Grid {
+    run_grid(opts, variants, apps, |(_, dl1, fault), app| {
+        let mut cfg = SimConfig::paper(app, dl1.clone(), opts.instructions, opts.seed);
+        cfg.fault = *fault;
+        cfg
+    })
+}
+
+/// `metric` of every result in `row`.
+fn each(row: &[Arc<SimResult>], metric: impl Fn(&SimResult) -> f64) -> Vec<f64> {
+    row.iter().map(|r| metric(r)).collect()
+}
+
+/// Per column, `metric` of `row` over `metric` of `base`.
+fn ratio(
+    row: &[Arc<SimResult>],
+    base: &[Arc<SimResult>],
+    metric: impl Fn(&SimResult) -> f64,
+) -> Vec<f64> {
+    row.iter()
+        .zip(base)
+        .map(|(r, b)| metric(r) / metric(b))
+        .collect()
+}
+
+fn cycles(r: &SimResult) -> f64 {
+    r.pipeline.cycles as f64
+}
+
+/// A figure whose xs are `apps` plus `AVG`: each series carries one value
+/// per app, and its `AVG` value is their mean.
+fn app_figure(
+    id: &str,
+    title: &str,
+    unit: &str,
+    notes: &str,
+    apps: &[&str],
+    series: impl IntoIterator<Item = (String, Vec<f64>)>,
+) -> FigureResult {
+    FigureResult {
+        id: id.into(),
+        title: title.into(),
+        unit: unit.into(),
+        xs: apps
+            .iter()
+            .map(|a| a.to_string())
+            .chain(["AVG".into()])
+            .collect(),
+        series: series
+            .into_iter()
+            .map(|(label, mut values)| {
+                values.push(values.iter().sum::<f64>() / values.len() as f64);
+                Series { label, values }
             })
-        })
-        .collect();
-    let mut results = Engine::global()
-        .run_batch(configs, &opts.pool())
-        .into_iter();
+            .collect(),
+        notes: notes.into(),
+    }
+}
+
+/// One series per variant, labelled with it: per app,
+/// `metric(cell, the same app under variant 0)`, so variant 0 doubles as
+/// the baseline.
+fn versus_first(
+    variants: &[Variant],
+    grid: &Grid,
+    metric: impl Fn(&SimResult, &SimResult) -> f64,
+) -> Vec<(String, Vec<f64>)> {
     variants
         .iter()
-        .map(|_| {
-            apps.iter()
-                .map(|_| results.next().expect("job ran"))
-                .collect()
+        .zip(grid)
+        .map(|((label, ..), row)| {
+            let values = row.iter().zip(&grid[0]).map(|(r, b)| metric(r, b));
+            (label.clone(), values.collect())
         })
         .collect()
 }
 
-/// Builds a figure whose xs are the eight applications plus `AVG`, from a
+/// Builds a figure over the eight applications plus `AVG`, from a
 /// per-(variant, app) metric.
 fn figure_over_apps(
     id: &str,
     title: &str,
     unit: &str,
     notes: &str,
-    variants: &[(String, DataL1Config, Option<FaultConfig>)],
+    variants: &[Variant],
     opts: &ExpOptions,
     metric: impl Fn(&SimResult, &SimResult) -> f64,
 ) -> FigureResult {
-    let matrix = run_matrix(&APP_NAMES, variants, opts);
-    let baseline = &matrix[0]; // variant 0 doubles as the baseline
-    let mut series = Vec::new();
-    for (vi, (label, _, _)) in variants.iter().enumerate() {
-        let mut values: Vec<f64> = (0..APP_NAMES.len())
-            .map(|a| metric(matrix[vi][a].as_ref(), baseline[a].as_ref()))
-            .collect();
-        let avg = values.iter().sum::<f64>() / values.len() as f64;
-        values.push(avg);
-        series.push(Series {
-            label: label.clone(),
-            values,
-        });
-    }
-    let mut xs: Vec<String> = APP_NAMES.iter().map(|s| s.to_string()).collect();
-    xs.push("AVG".into());
-    FigureResult {
-        id: id.into(),
-        title: title.into(),
-        unit: unit.into(),
-        xs,
-        series,
-        notes: notes.into(),
-    }
-}
-
-fn v(label: &str, dl1: DataL1Config) -> (String, DataL1Config, Option<FaultConfig>) {
-    (label.to_owned(), dl1, None)
+    let grid = run_apps(opts, variants, &APP_NAMES);
+    let series = versus_first(variants, &grid, metric);
+    app_figure(id, title, unit, notes, &APP_NAMES, series)
 }
 
 // ---------------------------------------------------------------------
@@ -177,19 +245,24 @@ pub fn table1() -> String {
 // §5.1 — Replication mechanisms (Figures 1–5)
 // ---------------------------------------------------------------------
 
+/// Figures 1–2's rows: `ICR-P-PS (S)` under aggressive dead-block
+/// prediction, with a single (N/2) and a multiple (N/2, N/4) attempt.
+fn attempt_variants() -> [Variant; 2] {
+    let single = DataL1Config::aggressive(Scheme::ICR_P_PS_S);
+    let mut multi = single.clone();
+    multi.placement = PlacementPolicy::multi_attempt(single.geometry);
+    [v("single (N/2)", single), v("multi (N/2,N/4)", multi)]
+}
+
 /// Figure 1: replication ability, single vs multiple attempt,
 /// `ICR-P-PS (S)`, aggressive dead-block prediction.
 pub fn fig1(opts: &ExpOptions) -> FigureResult {
-    let g = CacheGeometry::new(16 * 1024, 4, 64);
-    let single = DataL1Config::aggressive(Scheme::ICR_P_PS_S);
-    let mut multi = single.clone();
-    multi.placement = PlacementPolicy::multi_attempt(g);
     figure_over_apps(
         "fig1",
         "Replication ability: single vs multiple attempts, ICR-P-PS (S)",
         "fraction of attempts",
         "paper shape: multiple attempts raise replication ability",
-        &[v("single (N/2)", single), v("multi (N/2,N/4)", multi)],
+        &attempt_variants(),
         opts,
         |r, _| r.icr.replication_ability(),
     )
@@ -197,70 +270,56 @@ pub fn fig1(opts: &ExpOptions) -> FigureResult {
 
 /// Figure 2: loads with replica, single vs multiple attempt.
 pub fn fig2(opts: &ExpOptions) -> FigureResult {
-    let g = CacheGeometry::new(16 * 1024, 4, 64);
-    let single = DataL1Config::aggressive(Scheme::ICR_P_PS_S);
-    let mut multi = single.clone();
-    multi.placement = PlacementPolicy::multi_attempt(g);
     figure_over_apps(
         "fig2",
         "Loads with replica: single vs multiple attempts, ICR-P-PS (S)",
         "fraction of read hits",
         "paper shape: negligible improvement from multiple attempts",
-        &[v("single (N/2)", single), v("multi (N/2,N/4)", multi)],
+        &attempt_variants(),
         opts,
         |r, _| r.icr.loads_with_replica(),
     )
 }
 
+/// `ICR-P-PS (S)` under aggressive dead-block prediction, allowed a
+/// second replica (Figures 3–4).
+fn two_replicas() -> DataL1Config {
+    let mut two = DataL1Config::aggressive(Scheme::ICR_P_PS_S);
+    two.placement = PlacementPolicy::two_replicas(two.geometry);
+    two
+}
+
 /// Figure 3: ability to create one vs two replicas, `ICR-P-PS (S)`.
 pub fn fig3(opts: &ExpOptions) -> FigureResult {
-    let g = CacheGeometry::new(16 * 1024, 4, 64);
-    let mut two = DataL1Config::aggressive(Scheme::ICR_P_PS_S);
-    two.placement = PlacementPolicy::two_replicas(g);
-    let matrix = run_matrix(&APP_NAMES, &[v("two-replica policy", two)], opts);
-    let mut one_vals: Vec<f64> = matrix[0]
-        .iter()
-        .map(|r| r.icr.replication_ability())
-        .collect();
-    let mut two_vals: Vec<f64> = matrix[0]
-        .iter()
-        .map(|r| r.icr.replication_ability_two())
-        .collect();
-    one_vals.push(one_vals.iter().sum::<f64>() / one_vals.len() as f64);
-    two_vals.push(two_vals.iter().sum::<f64>() / two_vals.len() as f64);
-    let mut xs: Vec<String> = APP_NAMES.iter().map(|s| s.to_string()).collect();
-    xs.push("AVG".into());
-    FigureResult {
-        id: "fig3".into(),
-        title: "Replication ability for one and two replicas, ICR-P-PS (S)".into(),
-        unit: "fraction of attempts".into(),
-        xs,
-        series: vec![
-            Series {
-                label: ">=1 replica".into(),
-                values: one_vals,
-            },
-            Series {
-                label: ">=2 replicas".into(),
-                values: two_vals,
-            },
+    let grid = run_apps(opts, &[v("two-replica policy", two_replicas())], &APP_NAMES);
+    app_figure(
+        "fig3",
+        "Replication ability for one and two replicas, ICR-P-PS (S)",
+        "fraction of attempts",
+        "paper shape: two replicas succeed ~12% of the time on average",
+        &APP_NAMES,
+        [
+            (
+                ">=1 replica".into(),
+                each(&grid[0], |r| r.icr.replication_ability()),
+            ),
+            (
+                ">=2 replicas".into(),
+                each(&grid[0], |r| r.icr.replication_ability_two()),
+            ),
         ],
-        notes: "paper shape: two replicas succeed ~12% of the time on average".into(),
-    }
+    )
 }
 
 /// Figure 4: miss rates with one vs two replicas, `ICR-P-PS (S)`.
 pub fn fig4(opts: &ExpOptions) -> FigureResult {
-    let g = CacheGeometry::new(16 * 1024, 4, 64);
     let one = DataL1Config::aggressive(Scheme::ICR_P_PS_S);
-    let mut two = one.clone();
-    two.placement = PlacementPolicy::two_replicas(g);
     figure_over_apps(
         "fig4",
         "Miss rates with one vs two replicas, ICR-P-PS (S)",
         "dL1 miss rate",
         "paper shape: a second replica worsens miss rate (mesa nearly doubles)",
-        &[v("1 replica", one), v("2 replicas", two)],
+        &[v("1 replica", one), v("2 replicas", two_replicas())],
         opts,
         |r, _| r.icr.miss_rate(),
     )
@@ -357,7 +416,7 @@ pub fn fig9(opts: &ExpOptions) -> FigureResult {
         "paper shape: BaseECC ~+30%; ICR-P-PS(S) ~+3.6%; ICR-ECC-PS(S) ~+21%; PP variants ECC-class",
         &variants,
         opts,
-        |r, base| r.pipeline.cycles as f64 / base.pipeline.cycles as f64,
+        |r, base| cycles(r) / cycles(base),
     )
 }
 
@@ -367,22 +426,23 @@ pub fn fig9(opts: &ExpOptions) -> FigureResult {
 
 const WINDOWS: [u64; 5] = [0, 500, 1000, 5000, 10000];
 
+/// The `schemes` × [`WINDOWS`] decay sweep on vpr.
+fn decay_grid(opts: &ExpOptions, schemes: &[Scheme]) -> Grid {
+    run_grid(opts, schemes, &WINDOWS, |&scheme, &window| {
+        let mut dl1 = DataL1Config::paper_default(scheme);
+        dl1.decay = DecayConfig { window };
+        // §5.3 runs before the paper switches to dead-first, and its
+        // falling-ability trend requires dead-only victims: a longer
+        // window shrinks the pool of dead lines replicas may take.
+        dl1.victim = VictimPolicy::DeadOnly;
+        SimConfig::paper("vpr", dl1, opts.instructions, opts.seed)
+    })
+}
+
 /// Figure 10: replication ability and loads-with-replica vs decay window
 /// (vpr, `ICR-P-PS (S)`).
 pub fn fig10(opts: &ExpOptions) -> FigureResult {
-    let configs: Vec<SimConfig> = WINDOWS
-        .iter()
-        .map(|&w| {
-            let mut dl1 = DataL1Config::paper_default(Scheme::ICR_P_PS_S);
-            dl1.decay = DecayConfig { window: w };
-            // §5.3 runs before the paper switches to dead-first, and its
-            // falling-ability trend requires dead-only victims: a longer
-            // window shrinks the pool of dead lines replicas may take.
-            dl1.victim = VictimPolicy::DeadOnly;
-            SimConfig::paper("vpr", dl1, opts.instructions, opts.seed)
-        })
-        .collect();
-    let results = Engine::global().run_batch(configs, &opts.pool());
+    let results = &decay_grid(opts, &[Scheme::ICR_P_PS_S])[0];
     FigureResult {
         id: "fig10".into(),
         title: "Replication ability and loads with replica vs decay window (vpr)".into(),
@@ -391,14 +451,11 @@ pub fn fig10(opts: &ExpOptions) -> FigureResult {
         series: vec![
             Series {
                 label: "replication ability".into(),
-                values: results
-                    .iter()
-                    .map(|r| r.icr.replication_ability())
-                    .collect(),
+                values: each(results, |r| r.icr.replication_ability()),
             },
             Series {
                 label: "loads w/ replica".into(),
-                values: results.iter().map(|r| r.icr.loads_with_replica()).collect(),
+                values: each(results, |r| r.icr.loads_with_replica()),
             },
         ],
         notes: "paper shape: ability falls with window; loads-with-replica nearly flat".into(),
@@ -413,51 +470,21 @@ pub fn fig11(opts: &ExpOptions) -> FigureResult {
         opts.instructions,
         opts.seed,
     ));
-    let jobs: Vec<(u64, Scheme)> = WINDOWS
-        .iter()
-        .flat_map(|&w| {
-            [Scheme::ICR_P_PS_S, Scheme::ICR_ECC_PS_S]
-                .into_iter()
-                .map(move |s| (w, s))
-        })
-        .collect();
-    let results = opts.pool().run(jobs, |(w, s)| {
-        let mut dl1 = DataL1Config::paper_default(s);
-        dl1.decay = DecayConfig { window: w };
-        dl1.victim = VictimPolicy::DeadOnly;
-        (
-            (w, s.name()),
-            Engine::global().run(&SimConfig::paper("vpr", dl1, opts.instructions, opts.seed)),
-        )
-    });
-    let series_for = |name: &str| -> Vec<f64> {
-        WINDOWS
-            .iter()
-            .map(|&w| {
-                let r = results
-                    .iter()
-                    .find(|((rw, rn), _)| *rw == w && rn == name)
-                    .map(|(_, r)| r)
-                    .expect("ran");
-                r.pipeline.cycles as f64 / base.pipeline.cycles as f64
-            })
-            .collect()
-    };
+    let schemes = [Scheme::ICR_P_PS_S, Scheme::ICR_ECC_PS_S];
+    let grid = decay_grid(opts, &schemes);
     FigureResult {
         id: "fig11".into(),
         title: "Normalized execution cycles vs decay window (vpr)".into(),
         unit: "cycles / BaseP cycles".into(),
         xs: WINDOWS.iter().map(|w| w.to_string()).collect(),
-        series: vec![
-            Series {
-                label: "ICR-P-PS (S)".into(),
-                values: series_for("ICR-P-PS (S)"),
-            },
-            Series {
-                label: "ICR-ECC-PS (S)".into(),
-                values: series_for("ICR-ECC-PS (S)"),
-            },
-        ],
+        series: schemes
+            .iter()
+            .zip(&grid)
+            .map(|(s, row)| Series {
+                label: s.name(),
+                values: each(row, |r| cycles(r) / cycles(&base)),
+            })
+            .collect(),
         notes: "paper shape: overhead shrinks as the window grows (<4% at 1000 for ICR-P-PS(S))"
             .into(),
     }
@@ -475,62 +502,47 @@ pub fn fig12(opts: &ExpOptions) -> FigureResult {
         "cycles / BaseP cycles",
         "paper shape: BaseECC +30.9%, ICR-P-PS(S) +2.4%, ICR-ECC-PS(S) +10.2% on average",
         &[
-            v("BaseP", DataL1Config::paper_default(Scheme::BASE_P)),
-            v("BaseECC", DataL1Config::paper_default(Scheme::BASE_ECC)),
-            v(
-                "ICR-P-PS (S)",
-                DataL1Config::paper_default(Scheme::ICR_P_PS_S),
-            ),
-            v(
-                "ICR-ECC-PS (S)",
-                DataL1Config::paper_default(Scheme::ICR_ECC_PS_S),
-            ),
+            paper(Scheme::BASE_P),
+            paper(Scheme::BASE_ECC),
+            paper(Scheme::ICR_P_PS_S),
+            paper(Scheme::ICR_ECC_PS_S),
         ],
         opts,
-        |r, base| r.pipeline.cycles as f64 / base.pipeline.cycles as f64,
+        |r, base| cycles(r) / cycles(base),
     )
 }
 
 /// Figure 13: replication ability and loads-with-replica, 1000 vs 0
 /// cycle windows.
 pub fn fig13(opts: &ExpOptions) -> FigureResult {
-    let aggressive = DataL1Config::aggressive(Scheme::ICR_P_PS_S);
-    let relaxed = DataL1Config::paper_default(Scheme::ICR_P_PS_S);
-    let matrix = run_matrix(
+    let variants = [
+        v("window 0", DataL1Config::aggressive(Scheme::ICR_P_PS_S)),
+        v(
+            "window 1000",
+            DataL1Config::paper_default(Scheme::ICR_P_PS_S),
+        ),
+    ];
+    let grid = run_apps(opts, &variants, &APP_NAMES);
+    let series = variants.iter().zip(&grid).flat_map(|((label, ..), row)| {
+        [
+            (
+                format!("ability ({label})"),
+                each(row, |r| r.icr.replication_ability()),
+            ),
+            (
+                format!("loads w/ replica ({label})"),
+                each(row, |r| r.icr.loads_with_replica()),
+            ),
+        ]
+    });
+    app_figure(
+        "fig13",
+        "Replication ability & loads with replica: window 1000 vs 0",
+        "fraction",
+        "paper shape: loads-with-replica barely changes with the window",
         &APP_NAMES,
-        &[v("window 0", aggressive), v("window 1000", relaxed)],
-        opts,
-    );
-    let mut xs: Vec<String> = APP_NAMES.iter().map(|s| s.to_string()).collect();
-    xs.push("AVG".into());
-    let mut series = Vec::new();
-    for (vi, label) in ["window 0", "window 1000"].iter().enumerate() {
-        for (metric_name, f) in [("ability", true), ("loads w/ replica", false)] {
-            let mut vals: Vec<f64> = matrix[vi]
-                .iter()
-                .map(|r| {
-                    if f {
-                        r.icr.replication_ability()
-                    } else {
-                        r.icr.loads_with_replica()
-                    }
-                })
-                .collect();
-            vals.push(vals.iter().sum::<f64>() / vals.len() as f64);
-            series.push(Series {
-                label: format!("{metric_name} ({label})"),
-                values: vals,
-            });
-        }
-    }
-    FigureResult {
-        id: "fig13".into(),
-        title: "Replication ability & loads with replica: window 1000 vs 0".into(),
-        unit: "fraction".into(),
-        xs,
         series,
-        notes: "paper shape: loads-with-replica barely changes with the window".into(),
-    }
+    )
 }
 
 // ---------------------------------------------------------------------
@@ -540,52 +552,49 @@ pub fn fig13(opts: &ExpOptions) -> FigureResult {
 /// Error probabilities swept in Figure 14 (per cycle).
 pub const FIG14_PROBS: [f64; 4] = [1e-2, 1e-3, 1e-4, 1e-5];
 
+/// Percentage of unrecoverable loads on vortex: one series per scheme
+/// (at its paper defaults, labelled with its name), one value per
+/// column, where `inject` sets up a column's faults (and scrubbing).
+fn unrecoverable_sweep<C: Sync>(
+    opts: &ExpOptions,
+    schemes: &[Scheme],
+    cols: &[C],
+    inject: impl Fn(&mut SimConfig, &C) + Sync,
+) -> Vec<Series> {
+    let grid = run_grid(opts, schemes, cols, |&scheme, col| {
+        let dl1 = DataL1Config::paper_default(scheme);
+        let mut cfg = SimConfig::paper("vortex", dl1, opts.instructions, opts.seed);
+        inject(&mut cfg, col);
+        cfg
+    });
+    schemes
+        .iter()
+        .zip(&grid)
+        .map(|(s, row)| Series {
+            label: s.name(),
+            values: each(row, |r| 100.0 * r.icr.unrecoverable_load_fraction()),
+        })
+        .collect()
+}
+
 /// Figure 14: percentage of unrecoverable loads vs per-cycle error
 /// probability (vortex, random injection model).
 pub fn fig14(opts: &ExpOptions) -> FigureResult {
-    let schemes = [
-        ("BaseP", DataL1Config::paper_default(Scheme::BASE_P)),
-        (
-            "ICR-P-PS (S)",
-            DataL1Config::paper_default(Scheme::ICR_P_PS_S),
-        ),
-        (
-            "ICR-ECC-PS (S)",
-            DataL1Config::paper_default(Scheme::ICR_ECC_PS_S),
-        ),
-        ("BaseECC", DataL1Config::paper_default(Scheme::BASE_ECC)),
-    ];
-    let jobs: Vec<(usize, usize)> = (0..schemes.len())
-        .flat_map(|s| (0..FIG14_PROBS.len()).map(move |p| (s, p)))
-        .collect();
-    let results = opts.pool().run(jobs, |(s, p)| {
-        let mut cfg =
-            SimConfig::paper("vortex", schemes[s].1.clone(), opts.instructions, opts.seed);
-        cfg.fault = Some(FaultConfig {
-            model: ErrorModel::Random,
-            p_per_cycle: FIG14_PROBS[p],
-            seed: opts.seed.wrapping_add(p as u64),
-            max_faults: None,
-        });
-        ((s, p), Engine::global().run(&cfg))
-    });
-    let series = schemes
-        .iter()
-        .enumerate()
-        .map(|(si, (label, _))| Series {
-            label: (*label).into(),
-            values: (0..FIG14_PROBS.len())
-                .map(|pi| {
-                    let r = results
-                        .iter()
-                        .find(|((s, p), _)| *s == si && *p == pi)
-                        .map(|(_, r)| r)
-                        .expect("ran");
-                    100.0 * r.icr.unrecoverable_load_fraction()
-                })
-                .collect(),
-        })
-        .collect();
+    // Each probability draws its own injector seed.
+    let probs: Vec<(u64, f64)> = (0..).zip(FIG14_PROBS).collect();
+    let series = unrecoverable_sweep(
+        opts,
+        &[
+            Scheme::BASE_P,
+            Scheme::ICR_P_PS_S,
+            Scheme::ICR_ECC_PS_S,
+            Scheme::BASE_ECC,
+        ],
+        &probs,
+        |cfg, &(k, p)| {
+            cfg.fault = Some(storm(ErrorModel::Random, p, opts.seed.wrapping_add(k)));
+        },
+    );
     FigureResult {
         id: "fig14".into(),
         title: "Unrecoverable loads vs error probability (vortex, random model)".into(),
@@ -615,13 +624,13 @@ pub fn fig15(opts: &ExpOptions) -> FigureResult {
         "cycles / BaseP cycles",
         "paper shape: ICR-*-PS(S) match BaseP, and beat it on mcf/vpr (up to ~24%)",
         &[
-            v("BaseP", DataL1Config::paper_default(Scheme::BASE_P)),
-            v("BaseECC", DataL1Config::paper_default(Scheme::BASE_ECC)),
+            paper(Scheme::BASE_P),
+            paper(Scheme::BASE_ECC),
             v("ICR-P-PS (S) keep", icr_p),
             v("ICR-ECC-PS (S) keep", icr_ecc),
         ],
         opts,
-        |r, base| r.pipeline.cycles as f64 / base.pipeline.cycles as f64,
+        |r, base| cycles(r) / cycles(base),
     )
 }
 
@@ -632,61 +641,47 @@ pub fn fig15(opts: &ExpOptions) -> FigureResult {
 /// §5.7 sensitivity: replication ability and loads-with-replica across
 /// cache sizes and associativities (ICR-P-PS (S), gzip + mcf).
 pub fn sensitivity(opts: &ExpOptions) -> FigureResult {
-    let shapes: Vec<(String, CacheGeometry)> = vec![
-        ("8KB/4w".into(), CacheGeometry::new(8 * 1024, 4, 64)),
-        ("16KB/2w".into(), CacheGeometry::new(16 * 1024, 2, 64)),
-        ("16KB/4w".into(), CacheGeometry::new(16 * 1024, 4, 64)),
-        ("16KB/8w".into(), CacheGeometry::new(16 * 1024, 8, 64)),
-        ("32KB/4w".into(), CacheGeometry::new(32 * 1024, 4, 64)),
+    let shapes = [
+        ("8KB/4w", CacheGeometry::new(8 * 1024, 4, 64)),
+        ("16KB/2w", CacheGeometry::new(16 * 1024, 2, 64)),
+        ("16KB/4w", CacheGeometry::new(16 * 1024, 4, 64)),
+        ("16KB/8w", CacheGeometry::new(16 * 1024, 8, 64)),
+        ("32KB/4w", CacheGeometry::new(32 * 1024, 4, 64)),
     ];
     let apps = ["gzip", "mcf"];
-    let jobs: Vec<(usize, usize)> = (0..shapes.len())
-        .flat_map(|s| (0..apps.len()).map(move |a| (s, a)))
-        .collect();
-    let results = opts.pool().run(jobs, |(s, a)| {
+    let grid = run_grid(opts, &shapes, &apps, |&(_, geometry), app| {
         let mut dl1 = DataL1Config::paper_default(Scheme::ICR_P_PS_S);
-        dl1.geometry = shapes[s].1;
-        dl1.placement = PlacementPolicy::vertical(shapes[s].1);
+        dl1.geometry = geometry;
+        dl1.placement = PlacementPolicy::vertical(geometry);
         // Dead-only makes replication ability a direct read-out of how
         // many replication sites each shape offers (§5.7's claim).
         dl1.victim = VictimPolicy::DeadOnly;
-        (
-            (s, a),
-            Engine::global().run(&SimConfig::paper(
-                apps[a],
-                dl1,
-                opts.instructions,
-                opts.seed,
-            )),
-        )
+        SimConfig::paper(app, dl1, opts.instructions, opts.seed)
     });
-    let mut series = Vec::new();
-    for (ai, app) in apps.iter().enumerate() {
-        for metric in ["ability", "loads w/ replica"] {
-            series.push(Series {
-                label: format!("{app} {metric}"),
-                values: (0..shapes.len())
-                    .map(|si| {
-                        let r = results
-                            .iter()
-                            .find(|((s, a), _)| *s == si && *a == ai)
-                            .map(|(_, r)| r)
-                            .expect("ran");
-                        if metric == "ability" {
-                            r.icr.replication_ability()
-                        } else {
-                            r.icr.loads_with_replica()
-                        }
-                    })
-                    .collect(),
-            });
-        }
-    }
+    let across_shapes = |a: usize, metric: fn(&SimResult) -> f64| -> Vec<f64> {
+        grid.iter().map(|row| metric(&row[a])).collect()
+    };
+    let series = apps
+        .iter()
+        .enumerate()
+        .flat_map(|(a, app)| {
+            [
+                Series {
+                    label: format!("{app} ability"),
+                    values: across_shapes(a, |r| r.icr.replication_ability()),
+                },
+                Series {
+                    label: format!("{app} loads w/ replica"),
+                    values: across_shapes(a, |r| r.icr.loads_with_replica()),
+                },
+            ]
+        })
+        .collect();
     FigureResult {
         id: "sens".into(),
         title: "§5.7 sensitivity: cache size and associativity".into(),
         unit: "fraction".into(),
-        xs: shapes.iter().map(|(n, _)| n.clone()).collect(),
+        xs: shapes.iter().map(|(n, _)| n.to_string()).collect(),
         series,
         notes: "paper shape: ability rises with size; loads-with-replica stays high".into(),
     }
@@ -701,44 +696,30 @@ pub fn sensitivity(opts: &ExpOptions) -> FigureResult {
 /// cycles and energy.
 pub fn fig16(opts: &ExpOptions) -> FigureResult {
     let mut wt = DataL1Config::paper_default(Scheme::BASE_P);
-    wt.write_policy = icr_core::WritePolicy::WriteThrough { buffer_entries: 8 };
+    wt.write_policy = WritePolicy::WriteThrough { buffer_entries: 8 };
     let icr = DataL1Config::paper_default(Scheme::ICR_P_PS_S);
-    let matrix = run_matrix(
-        &APP_NAMES,
-        &[v("ICR-P-PS (S) wb", icr), v("BaseP wt", wt)],
+    let grid = run_apps(
         opts,
+        &[v("ICR-P-PS (S) wb", icr), v("BaseP wt", wt)],
+        &APP_NAMES,
     );
-    let energy_model = EnergyModel::default();
-    let mut xs: Vec<String> = APP_NAMES.iter().map(|s| s.to_string()).collect();
-    xs.push("AVG".into());
-    let mut cycles: Vec<f64> = (0..APP_NAMES.len())
-        .map(|a| matrix[1][a].pipeline.cycles as f64 / matrix[0][a].pipeline.cycles as f64)
-        .collect();
-    let mut energy: Vec<f64> = (0..APP_NAMES.len())
-        .map(|a| {
-            energy_model.energy(&matrix[1][a].energy_counts).total()
-                / energy_model.energy(&matrix[0][a].energy_counts).total()
-        })
-        .collect();
-    cycles.push(cycles.iter().sum::<f64>() / cycles.len() as f64);
-    energy.push(energy.iter().sum::<f64>() / energy.len() as f64);
-    FigureResult {
-        id: "fig16".into(),
-        title: "Write-through BaseP normalized to write-back ICR-P-PS (S)".into(),
-        unit: "ratio (wt BaseP / wb ICR)".into(),
-        xs,
-        series: vec![
-            Series {
-                label: "norm. cycles".into(),
-                values: cycles,
-            },
-            Series {
-                label: "norm. energy (L1+L2)".into(),
-                values: energy,
-            },
+    let energy = EnergyModel::default();
+    app_figure(
+        "fig16",
+        "Write-through BaseP normalized to write-back ICR-P-PS (S)",
+        "ratio (wt BaseP / wb ICR)",
+        "paper shape: ICR ~5.7% faster on average; WT energy more than 2x ICR",
+        &APP_NAMES,
+        [
+            ("norm. cycles".into(), ratio(&grid[1], &grid[0], cycles)),
+            (
+                "norm. energy (L1+L2)".into(),
+                ratio(&grid[1], &grid[0], |r| {
+                    energy.energy(&r.energy_counts).total()
+                }),
+            ),
         ],
-        notes: "paper shape: ICR ~5.7% faster on average; WT energy more than 2x ICR".into(),
-    }
+    )
 }
 
 // ---------------------------------------------------------------------
@@ -752,60 +733,61 @@ pub fn fig17(opts: &ExpOptions) -> FigureResult {
     let spec = DataL1Config::paper_default(Scheme::BASE_ECC_SPEC);
     let mut icr = DataL1Config::paper_default(Scheme::ICR_P_PS_S);
     icr.keep_replicas_on_evict = true;
-    let matrix = run_matrix(
-        &APP_NAMES,
-        &[v("ICR-P-PS (S) keep", icr), v("BaseECC spec", spec)],
+    let grid = run_apps(
         opts,
+        &[v("ICR-P-PS (S) keep", icr), v("BaseECC spec", spec)],
+        &APP_NAMES,
     );
-    let m15 = EnergyModel::parity15_ecc30();
-    let m10 = EnergyModel::parity10_ecc30();
-    let mut xs: Vec<String> = APP_NAMES.iter().map(|s| s.to_string()).collect();
-    xs.push("AVG".into());
-    let mut cycles: Vec<f64> = (0..APP_NAMES.len())
-        .map(|a| matrix[1][a].pipeline.cycles as f64 / matrix[0][a].pipeline.cycles as f64)
-        .collect();
-    let mut e15: Vec<f64> = (0..APP_NAMES.len())
-        .map(|a| {
-            m15.energy(&matrix[1][a].energy_counts).total()
-                / m15.energy(&matrix[0][a].energy_counts).total()
+    let energy = |model: EnergyModel| {
+        ratio(&grid[1], &grid[0], move |r| {
+            model.energy(&r.energy_counts).total()
         })
-        .collect();
-    let mut e10: Vec<f64> = (0..APP_NAMES.len())
-        .map(|a| {
-            m10.energy(&matrix[1][a].energy_counts).total()
-                / m10.energy(&matrix[0][a].energy_counts).total()
-        })
-        .collect();
-    cycles.push(cycles.iter().sum::<f64>() / cycles.len() as f64);
-    e15.push(e15.iter().sum::<f64>() / e15.len() as f64);
-    e10.push(e10.iter().sum::<f64>() / e10.len() as f64);
-    FigureResult {
-        id: "fig17".into(),
-        title: "Speculative BaseECC normalized to perf-optimized ICR-P-PS (S)".into(),
-        unit: "ratio (spec ECC / ICR keep)".into(),
-        xs,
-        series: vec![
-            Series {
-                label: "norm. cycles".into(),
-                values: cycles,
-            },
-            Series {
-                label: "norm. energy 15:30".into(),
-                values: e15,
-            },
-            Series {
-                label: "norm. energy 10:30".into(),
-                values: e10,
-            },
+    };
+    app_figure(
+        "fig17",
+        "Speculative BaseECC normalized to perf-optimized ICR-P-PS (S)",
+        "ratio (spec ECC / ICR keep)",
+        "paper shape: ICR ~2.5% faster avg (mcf ~30%); energy ≈ parity at 15:30, ECC +~3% at 10:30",
+        &APP_NAMES,
+        [
+            ("norm. cycles".into(), ratio(&grid[1], &grid[0], cycles)),
+            (
+                "norm. energy 15:30".into(),
+                energy(EnergyModel::parity15_ecc30()),
+            ),
+            (
+                "norm. energy 10:30".into(),
+                energy(EnergyModel::parity10_ecc30()),
+            ),
         ],
-        notes: "paper shape: ICR ~2.5% faster avg (mcf ~30%); energy ≈ parity at 15:30, ECC +~3% at 10:30"
-            .into(),
-    }
+    )
 }
 
 // ---------------------------------------------------------------------
 // Ablation: victim policies (DESIGN.md §5)
 // ---------------------------------------------------------------------
+
+/// Loads-with-replica and miss rate of every variant over the eight
+/// applications plus `AVG`: the victim and hints ablations.
+fn replica_vs_miss(
+    id: &str,
+    title: &str,
+    notes: &str,
+    variants: &[Variant],
+    opts: &ExpOptions,
+) -> FigureResult {
+    let grid = run_apps(opts, variants, &APP_NAMES);
+    let series = variants.iter().zip(&grid).flat_map(|((label, ..), row)| {
+        [
+            (
+                format!("{label} (lwr)"),
+                each(row, |r| r.icr.loads_with_replica()),
+            ),
+            (format!("{label} (miss)"), each(row, |r| r.icr.miss_rate())),
+        ]
+    });
+    app_figure(id, title, "fraction", notes, &APP_NAMES, series)
+}
 
 /// Ablation bench: the four victim policies under `ICR-P-PS (S)`.
 pub fn victim_ablation(opts: &ExpOptions) -> FigureResult {
@@ -823,36 +805,13 @@ pub fn victim_ablation(opts: &ExpOptions) -> FigureResult {
             v(p.name(), cfg)
         })
         .collect();
-    let matrix = run_matrix(&APP_NAMES, &variants, opts);
-    let mut xs: Vec<String> = APP_NAMES.iter().map(|s| s.to_string()).collect();
-    xs.push("AVG".into());
-    let mut series = Vec::new();
-    for (vi, (label, _, _)) in variants.iter().enumerate() {
-        let mut vals: Vec<f64> = matrix[vi]
-            .iter()
-            .map(|r| r.icr.loads_with_replica())
-            .collect();
-        vals.push(vals.iter().sum::<f64>() / vals.len() as f64);
-        series.push(Series {
-            label: format!("{label} (lwr)"),
-            values: vals,
-        });
-        let mut miss: Vec<f64> = matrix[vi].iter().map(|r| r.icr.miss_rate()).collect();
-        miss.push(miss.iter().sum::<f64>() / miss.len() as f64);
-        series.push(Series {
-            label: format!("{label} (miss)"),
-            values: miss,
-        });
-    }
-    FigureResult {
-        id: "victim".into(),
-        title: "Ablation: victim policy vs loads-with-replica and miss rate".into(),
-        unit: "fraction".into(),
-        xs,
-        series,
-        notes: "replica-only cannot bootstrap replicas in fresh sets; dead-first balances both"
-            .into(),
-    }
+    replica_vs_miss(
+        "victim",
+        "Ablation: victim policy vs loads-with-replica and miss rate",
+        "replica-only cannot bootstrap replicas in fresh sets; dead-first balances both",
+        &variants,
+        opts,
+    )
 }
 
 // ---------------------------------------------------------------------
@@ -864,45 +823,13 @@ pub fn victim_ablation(opts: &ExpOptions) -> FigureResult {
 /// similar". This experiment verifies that claim: unrecoverable-load
 /// fractions per model, for BaseP and ICR-P-PS (S) at p = 10⁻².
 pub fn error_models(opts: &ExpOptions) -> FigureResult {
-    let schemes = [
-        ("BaseP", DataL1Config::paper_default(Scheme::BASE_P)),
-        (
-            "ICR-P-PS (S)",
-            DataL1Config::paper_default(Scheme::ICR_P_PS_S),
-        ),
-    ];
     let models = ErrorModel::all();
-    let jobs: Vec<(usize, usize)> = (0..schemes.len())
-        .flat_map(|s| (0..models.len()).map(move |m| (s, m)))
-        .collect();
-    let results = opts.pool().run(jobs, |(s, m)| {
-        let mut cfg =
-            SimConfig::paper("vortex", schemes[s].1.clone(), opts.instructions, opts.seed);
-        cfg.fault = Some(FaultConfig {
-            model: models[m],
-            p_per_cycle: 1e-2,
-            seed: opts.seed,
-            max_faults: None,
-        });
-        ((s, m), Engine::global().run(&cfg))
-    });
-    let series = schemes
-        .iter()
-        .enumerate()
-        .map(|(si, (label, _))| Series {
-            label: (*label).into(),
-            values: (0..models.len())
-                .map(|mi| {
-                    let r = results
-                        .iter()
-                        .find(|((s, m), _)| *s == si && *m == mi)
-                        .map(|(_, r)| r)
-                        .expect("ran");
-                    100.0 * r.icr.unrecoverable_load_fraction()
-                })
-                .collect(),
-        })
-        .collect();
+    let series = unrecoverable_sweep(
+        opts,
+        &[Scheme::BASE_P, Scheme::ICR_P_PS_S],
+        &models,
+        |cfg, &model| cfg.fault = Some(storm(model, 1e-2, opts.seed)),
+    );
     FigureResult {
         id: "models".into(),
         title: "§5.5 claim: the four error models behave similarly".into(),
@@ -923,52 +850,22 @@ pub fn error_models(opts: &ExpOptions) -> FigureResult {
 /// replication for low-value data. Compares unhinted ICR-P-PS (S) with a
 /// hinted variant that only replicates each app's hot region.
 pub fn hints_ablation(opts: &ExpOptions) -> FigureResult {
-    use icr_core::ReplicationHints;
     let unhinted = DataL1Config::paper_default(Scheme::ICR_P_PS_S);
-    let variants: Vec<(String, DataL1Config, Option<FaultConfig>)> =
-        vec![v("no hints", unhinted.clone()), {
-            // Hot-region blocks live at the front of each app's data
-            // segment; deny everything past the first 16KB so replication
-            // effort focuses on the data that is actually hot.
-            let mut cfg = unhinted;
-            cfg.hints = ReplicationHints::new()
-                .deny(0x1000_4000..u64::MAX)
-                .replicas(0x1000_0000..0x1000_4000, 1);
-            v("hot-only hints", cfg)
-        }];
-    let matrix = run_matrix(&APP_NAMES, &variants, opts);
-    let mut xs: Vec<String> = APP_NAMES.iter().map(|s| s.to_string()).collect();
-    xs.push("AVG".into());
-    let mut series = Vec::new();
-    for (vi, (label, _, _)) in variants.iter().enumerate() {
-        for metric in ["lwr", "miss"] {
-            let mut vals: Vec<f64> = matrix[vi]
-                .iter()
-                .map(|r| {
-                    if metric == "lwr" {
-                        r.icr.loads_with_replica()
-                    } else {
-                        r.icr.miss_rate()
-                    }
-                })
-                .collect();
-            vals.push(vals.iter().sum::<f64>() / vals.len() as f64);
-            series.push(Series {
-                label: format!("{label} ({metric})"),
-                values: vals,
-            });
-        }
-    }
-    FigureResult {
-        id: "hints".into(),
-        title: "§6 future work: software-directed replication (hot region only)".into(),
-        unit: "fraction".into(),
-        xs,
-        series,
-        notes: "hinted replication keeps most of the hot-load coverage while cutting \
-                the replica-induced miss inflation on spread-out data"
-            .into(),
-    }
+    // Hot-region blocks live at the front of each app's data segment;
+    // deny everything past the first 16KB so replication effort focuses
+    // on the data that is actually hot.
+    let mut hinted = unhinted.clone();
+    hinted.hints = ReplicationHints::new()
+        .deny(0x1000_4000..u64::MAX)
+        .replicas(0x1000_0000..0x1000_4000, 1);
+    replica_vs_miss(
+        "hints",
+        "§6 future work: software-directed replication (hot region only)",
+        "hinted replication keeps most of the hot-load coverage while cutting \
+         the replica-induced miss inflation on spread-out data",
+        &[v("no hints", unhinted), v("hot-only hints", hinted)],
+        opts,
+    )
 }
 
 // ---------------------------------------------------------------------
@@ -982,28 +879,23 @@ pub fn hints_ablation(opts: &ExpOptions) -> FigureResult {
 /// unrecoverable-load rate (under random faults at p = 10⁻²) against
 /// zero-extra-area ICR-P-PS (S).
 pub fn dupcache(opts: &ExpOptions) -> FigureResult {
-    let fault = FaultConfig {
-        model: ErrorModel::Random,
-        p_per_cycle: 1e-2,
-        seed: opts.seed,
-        max_faults: None,
-    };
-    let mut variants: Vec<(String, DataL1Config, Option<FaultConfig>)> = vec![
+    let fault = Some(storm(ErrorModel::Random, 1e-2, opts.seed));
+    let mut variants: Vec<Variant> = vec![
         (
             "BaseP".into(),
             DataL1Config::paper_default(Scheme::BASE_P),
-            Some(fault),
+            fault,
         ),
         (
             "ICR-P-PS (S), +0 area".into(),
             DataL1Config::paper_default(Scheme::ICR_P_PS_S),
-            Some(fault),
+            fault,
         ),
     ];
     for blocks in [8usize, 16, 32, 64] {
         let mut cfg = DataL1Config::paper_default(Scheme::BASE_P);
         cfg.duplication_cache = Some(blocks);
-        variants.push((format!("dup-cache {blocks} blk"), cfg, Some(fault)));
+        variants.push((format!("dup-cache {blocks} blk"), cfg, fault));
     }
     figure_over_apps(
         "dupcache",
@@ -1028,45 +920,30 @@ pub fn stability(opts: &ExpOptions) -> FigureResult {
     use crate::stats::Summary;
     const SEEDS: u64 = 5;
     let schemes = [
-        ("BaseECC", Scheme::BASE_ECC),
-        ("ICR-P-PS (S)", Scheme::ICR_P_PS_S),
-        ("ICR-ECC-PS (S)", Scheme::ICR_ECC_PS_S),
+        Scheme::BASE_P,
+        Scheme::BASE_ECC,
+        Scheme::ICR_P_PS_S,
+        Scheme::ICR_ECC_PS_S,
     ];
-    // (scheme index incl. BaseP at 0, app, seed) jobs.
-    let jobs: Vec<(usize, usize, u64)> = (0..=schemes.len())
-        .flat_map(|s| (0..APP_NAMES.len()).flat_map(move |a| (0..SEEDS).map(move |k| (s, a, k))))
+    // Seed-major columns, so each seed's eight apps sit side by side.
+    let cols: Vec<(u64, &str)> = (0..SEEDS)
+        .flat_map(|k| APP_NAMES.map(|app| (opts.seed.wrapping_add(k.wrapping_mul(7919)), app)))
         .collect();
-    let results = opts.pool().run(jobs, |(s, a, k)| {
-        let scheme = if s == 0 {
-            Scheme::BASE_P
-        } else {
-            schemes[s - 1].1
-        };
-        let cfg = SimConfig::paper(
-            APP_NAMES[a],
+    let grid = run_grid(opts, &schemes, &cols, |&scheme, &(seed, app)| {
+        SimConfig::paper(
+            app,
             DataL1Config::paper_default(scheme),
             opts.instructions,
-            opts.seed.wrapping_add(k.wrapping_mul(7919)),
-        );
-        ((s, a, k), Engine::global().run(&cfg).pipeline.cycles)
+            seed,
+        )
     });
-    let cycles = |s: usize, a: usize, k: u64| -> u64 {
-        results
-            .iter()
-            .find(|((rs, ra, rk), _)| *rs == s && *ra == a && *rk == k)
-            .map(|(_, c)| *c)
-            .expect("ran")
-    };
     // Per-seed 8-app average of normalized cycles, summarised per scheme.
     let mut series = Vec::new();
-    for (si, (label, _)) in schemes.iter().enumerate() {
-        let samples: Vec<f64> = (0..SEEDS)
-            .map(|k| {
-                (0..APP_NAMES.len())
-                    .map(|a| cycles(si + 1, a, k) as f64 / cycles(0, a, k) as f64)
-                    .sum::<f64>()
-                    / APP_NAMES.len() as f64
-            })
+    for (scheme, row) in schemes.iter().zip(&grid).skip(1) {
+        let label = scheme.name();
+        let samples: Vec<f64> = ratio(row, &grid[0], cycles)
+            .chunks(APP_NAMES.len())
+            .map(|apps| apps.iter().sum::<f64>() / apps.len() as f64)
             .collect();
         let summary = Summary::from_samples(&samples);
         series.push(Series {
@@ -1096,54 +973,19 @@ pub fn stability(opts: &ExpOptions) -> FigureResult {
 /// heavy random fault storm, for BaseECC (where scrubbing prevents
 /// double-bit accumulation) and ICR-P-PS (S).
 pub fn scrub(opts: &ExpOptions) -> FigureResult {
-    use crate::simulator::ScrubConfig;
-    let fault = FaultConfig {
-        model: ErrorModel::Random,
-        p_per_cycle: 2e-2,
-        seed: opts.seed,
-        max_faults: None,
-    };
     let intervals: [Option<u64>; 4] = [None, Some(20_000), Some(4_000), Some(500)];
-    let schemes = [
-        ("BaseECC", Scheme::BASE_ECC),
-        ("ICR-P-PS (S)", Scheme::ICR_P_PS_S),
-    ];
-    let jobs: Vec<(usize, usize)> = (0..schemes.len())
-        .flat_map(|s| (0..intervals.len()).map(move |i| (s, i)))
-        .collect();
-    let results = opts.pool().run(jobs, |(s, i)| {
-        let mut cfg = SimConfig::paper(
-            "vortex",
-            DataL1Config::paper_default(schemes[s].1),
-            opts.instructions,
-            opts.seed,
-        );
-        cfg.fault = Some(fault);
-        if let Some(interval) = intervals[i] {
-            cfg.scrub = Some(ScrubConfig {
+    let series = unrecoverable_sweep(
+        opts,
+        &[Scheme::BASE_ECC, Scheme::ICR_P_PS_S],
+        &intervals,
+        |cfg, interval| {
+            cfg.fault = Some(storm(ErrorModel::Random, 2e-2, opts.seed));
+            cfg.scrub = interval.map(|interval| ScrubConfig {
                 interval,
                 lines_per_step: 64,
             });
-        }
-        ((s, i), Engine::global().run(&cfg))
-    });
-    let series = schemes
-        .iter()
-        .enumerate()
-        .map(|(si, (label, _))| Series {
-            label: (*label).into(),
-            values: (0..intervals.len())
-                .map(|ii| {
-                    let r = results
-                        .iter()
-                        .find(|((s, i), _)| *s == si && *i == ii)
-                        .map(|(_, r)| r)
-                        .expect("ran");
-                    100.0 * r.icr.unrecoverable_load_fraction()
-                })
-                .collect(),
-        })
-        .collect();
+        },
+    );
     FigureResult {
         id: "scrub".into(),
         title: "Extension: background scrubbing vs unrecoverable loads (p=2e-2)".into(),
@@ -1165,6 +1007,20 @@ pub fn scrub(opts: &ExpOptions) -> FigureResult {
 // Extension: out-of-order window vs the ECC penalty
 // ---------------------------------------------------------------------
 
+/// One series per scheme after the first, labelled with it: per column,
+/// its cycles over the first scheme's (BaseP's) in the same column.
+fn cycles_over_base(schemes: &[Scheme], grid: &Grid) -> Vec<Series> {
+    schemes
+        .iter()
+        .zip(grid)
+        .skip(1)
+        .map(|(s, row)| Series {
+            label: s.name(),
+            values: ratio(row, &grid[0], cycles),
+        })
+        .collect()
+}
+
 /// How much of the ECC latency the out-of-order window hides: sweeps the
 /// RUU size and reports BaseECC's and ICR-ECC-PS (S)'s slowdown over
 /// BaseP at each point. The paper's RUU is 16; wider windows absorb more
@@ -1172,49 +1028,20 @@ pub fn scrub(opts: &ExpOptions) -> FigureResult {
 /// microarchitectural sensitivity behind the whole comparison.
 pub fn window(opts: &ExpOptions) -> FigureResult {
     let ruu_sizes = [8usize, 16, 32, 64];
-    let schemes = [
-        ("BaseP", Scheme::BASE_P),
-        ("BaseECC", Scheme::BASE_ECC),
-        ("ICR-ECC-PS (S)", Scheme::ICR_ECC_PS_S),
-    ];
-    let jobs: Vec<(usize, usize)> = (0..ruu_sizes.len())
-        .flat_map(|r| (0..schemes.len()).map(move |s| (r, s)))
-        .collect();
-    let results = opts.pool().run(jobs, |(r, s)| {
-        let mut cfg = SimConfig::paper(
-            "gzip",
-            DataL1Config::paper_default(schemes[s].1),
-            opts.instructions,
-            opts.seed,
-        );
-        cfg.cpu.ruu_size = ruu_sizes[r];
-        cfg.cpu.lsq_size = (ruu_sizes[r] / 2).max(4);
-        ((r, s), Engine::global().run(&cfg).pipeline.cycles)
+    let schemes = [Scheme::BASE_P, Scheme::BASE_ECC, Scheme::ICR_ECC_PS_S];
+    let grid = run_grid(opts, &schemes, &ruu_sizes, |&scheme, &ruu| {
+        let dl1 = DataL1Config::paper_default(scheme);
+        let mut cfg = SimConfig::paper("gzip", dl1, opts.instructions, opts.seed);
+        cfg.cpu.ruu_size = ruu;
+        cfg.cpu.lsq_size = (ruu / 2).max(4);
+        cfg
     });
-    let cycles = |r: usize, s: usize| -> u64 {
-        results
-            .iter()
-            .find(|((rr, rs), _)| *rr == r && *rs == s)
-            .map(|(_, c)| *c)
-            .expect("ran")
-    };
-    let series = schemes
-        .iter()
-        .enumerate()
-        .skip(1)
-        .map(|(si, (label, _))| Series {
-            label: (*label).into(),
-            values: (0..ruu_sizes.len())
-                .map(|ri| cycles(ri, si) as f64 / cycles(ri, 0) as f64)
-                .collect(),
-        })
-        .collect();
     FigureResult {
         id: "window".into(),
         title: "Extension: RUU size vs the ECC slowdown (gzip)".into(),
         unit: "cycles / BaseP cycles at same RUU".into(),
         xs: ruu_sizes.iter().map(|r| format!("RUU {r}")).collect(),
-        series,
+        series: cycles_over_base(&schemes, &grid),
         notes: "with the ECC port-occupancy model, BaseECC stays *throughput*-bound: a                 wider window speeds BaseP up more than BaseECC, so the relative ECC                 penalty persists — latency can be hidden, bandwidth cannot"
             .into(),
     }
@@ -1230,59 +1057,29 @@ pub fn window(opts: &ExpOptions) -> FigureResult {
 /// misses are mostly re-fetches of recently-touched rows, so open-page
 /// timing softens their cost.
 pub fn dram(opts: &ExpOptions) -> FigureResult {
-    use icr_mem::RowBufferConfig;
-    let apps = ["mcf", "art"];
-    let schemes = [
-        ("BaseP", Scheme::BASE_P),
-        ("BaseECC", Scheme::BASE_ECC),
-        ("ICR-P-PS (S)", Scheme::ICR_P_PS_S),
-    ];
-    let jobs: Vec<(usize, usize, bool)> = (0..apps.len())
-        .flat_map(|a| (0..schemes.len()).flat_map(move |s| [false, true].map(move |rb| (a, s, rb))))
+    let schemes = [Scheme::BASE_P, Scheme::BASE_ECC, Scheme::ICR_P_PS_S];
+    let memories: Vec<(&str, Option<RowBufferConfig>)> = ["mcf", "art"]
+        .into_iter()
+        .flat_map(|app| [(app, None), (app, Some(RowBufferConfig::default_2003()))])
         .collect();
-    let results = opts.pool().run(jobs, |(a, s, rb)| {
-        let mut cfg = SimConfig::paper(
-            apps[a],
-            DataL1Config::paper_default(schemes[s].1),
-            opts.instructions,
-            opts.seed,
-        );
-        if rb {
-            cfg.hierarchy.memory_row_buffer = Some(RowBufferConfig::default_2003());
-        }
-        ((a, s, rb), Engine::global().run(&cfg).pipeline.cycles)
+    let grid = run_grid(opts, &schemes, &memories, |&scheme, &(app, row_buffer)| {
+        let dl1 = DataL1Config::paper_default(scheme);
+        let mut cfg = SimConfig::paper(app, dl1, opts.instructions, opts.seed);
+        cfg.hierarchy.memory_row_buffer = row_buffer;
+        cfg
     });
-    let cycles = |a: usize, s: usize, rb: bool| -> u64 {
-        results
-            .iter()
-            .find(|((ra, rs, rrb), _)| *ra == a && *rs == s && *rrb == rb)
-            .map(|(_, c)| *c)
-            .expect("ran")
-    };
-    let mut xs = Vec::new();
-    for app in apps {
-        xs.push(format!("{app} flat"));
-        xs.push(format!("{app} open-page"));
-    }
-    let series = schemes
-        .iter()
-        .enumerate()
-        .skip(1)
-        .map(|(si, (label, _))| Series {
-            label: (*label).into(),
-            values: (0..apps.len())
-                .flat_map(|a| {
-                    [false, true].map(|rb| cycles(a, si, rb) as f64 / cycles(a, 0, rb) as f64)
-                })
-                .collect(),
-        })
-        .collect();
     FigureResult {
         id: "dram".into(),
         title: "Extension: flat vs open-page DRAM under the headline schemes".into(),
         unit: "cycles / BaseP cycles (same memory model)".into(),
-        xs,
-        series,
+        xs: memories
+            .iter()
+            .map(|(app, row_buffer)| match row_buffer {
+                None => format!("{app} flat"),
+                Some(_) => format!("{app} open-page"),
+            })
+            .collect(),
+        series: cycles_over_base(&schemes, &grid),
         notes: "the scheme ordering must survive a more realistic memory system".into(),
     }
 }
@@ -1302,19 +1099,10 @@ pub fn exposure(opts: &ExpOptions) -> FigureResult {
         "vulnerable words (of 2048)",
         "BaseP exposes its whole dirty footprint; ICR covers it with replicas;          SEC-DED schemes expose nothing to single-bit strikes",
         &[
-            v("BaseP", DataL1Config::paper_default(Scheme::BASE_P)),
-            v(
-                "ICR-P-PS (S)",
-                DataL1Config::paper_default(Scheme::ICR_P_PS_S),
-            ),
-            v(
-                "ICR-P-PS (LS)",
-                DataL1Config::paper_default(Scheme::ICR_P_PS_LS),
-            ),
-            v(
-                "ICR-ECC-PS (S)",
-                DataL1Config::paper_default(Scheme::ICR_ECC_PS_S),
-            ),
+            paper(Scheme::BASE_P),
+            paper(Scheme::ICR_P_PS_S),
+            paper(Scheme::ICR_P_PS_LS),
+            paper(Scheme::ICR_ECC_PS_S),
         ],
         opts,
         |r, _| r.avg_vulnerable_words,
@@ -1337,23 +1125,11 @@ pub fn vuln(opts: &ExpOptions) -> FigureResult {
         "P(survived | strike on a valid word)",
         "single-pass AVF accounting; cross-validated against the           Monte-Carlo campaign in icr-sim/tests/vuln_validation.rs",
         &[
-            v("BaseP", DataL1Config::paper_default(Scheme::BASE_P)),
-            v(
-                "BaseECC",
-                DataL1Config::paper_default(Scheme::BASE_ECC),
-            ),
-            v(
-                "ICR-P-PS (S)",
-                DataL1Config::paper_default(Scheme::ICR_P_PS_S),
-            ),
-            v(
-                "ICR-P-PP (S)",
-                DataL1Config::paper_default(Scheme::ICR_P_PP_S),
-            ),
-            v(
-                "ICR-ECC-PS (S)",
-                DataL1Config::paper_default(Scheme::ICR_ECC_PS_S),
-            ),
+            paper(Scheme::BASE_P),
+            paper(Scheme::BASE_ECC),
+            paper(Scheme::ICR_P_PS_S),
+            paper(Scheme::ICR_P_PP_S),
+            paper(Scheme::ICR_ECC_PS_S),
         ],
         opts,
         |r, _| r.exposure.one_shot_survived(),
@@ -1370,57 +1146,35 @@ pub fn vuln(opts: &ExpOptions) -> FigureResult {
 /// The PP schemes' primary/replica *comparison* catches what parity
 /// cannot — the NMR coverage the paper alludes to in §1.
 pub fn sdc(opts: &ExpOptions) -> FigureResult {
-    let fault = FaultConfig {
-        model: ErrorModel::Adjacent,
-        p_per_cycle: 1e-2,
-        seed: opts.seed,
-        max_faults: None,
-    };
-    let mk = |scheme: Scheme| {
+    let fault = Some(storm(ErrorModel::Adjacent, 1e-2, opts.seed));
+    let variants: Vec<Variant> = [
+        Scheme::BASE_P,
+        Scheme::ICR_P_PS_S,
+        Scheme::ICR_P_PP_S,
+        Scheme::BASE_ECC,
+    ]
+    .into_iter()
+    .map(|scheme| {
         let mut cfg = DataL1Config::paper_default(scheme);
         cfg.oracle = true;
-        cfg
-    };
-    let variants: Vec<(String, DataL1Config, Option<FaultConfig>)> = vec![
-        ("BaseP".into(), mk(Scheme::BASE_P), Some(fault)),
-        ("ICR-P-PS (S)".into(), mk(Scheme::ICR_P_PS_S), Some(fault)),
-        ("ICR-P-PP (S)".into(), mk(Scheme::ICR_P_PP_S), Some(fault)),
-        ("BaseECC".into(), mk(Scheme::BASE_ECC), Some(fault)),
-    ];
-    let matrix = run_matrix(&APP_NAMES, &variants, opts);
-    let mut xs: Vec<String> = APP_NAMES.iter().map(|s| s.to_string()).collect();
-    xs.push("AVG".into());
-    let mut series = Vec::new();
-    for (vi, (label, _, _)) in variants.iter().enumerate() {
-        let mut sdc: Vec<f64> = matrix[vi]
-            .iter()
-            .map(|r| r.icr.silent_corruptions as f64)
-            .collect();
-        sdc.push(sdc.iter().sum::<f64>() / sdc.len() as f64);
-        series.push(Series {
-            label: format!("{label} silent"),
-            values: sdc,
-        });
-    }
-    // One extra series: how many aliased errors PP's compare caught.
-    let mut caught: Vec<f64> = matrix[2]
-        .iter()
-        .map(|r| r.icr.errors_caught_by_compare as f64)
-        .collect();
-    caught.push(caught.iter().sum::<f64>() / caught.len() as f64);
-    series.push(Series {
-        label: "PP compare catches".into(),
-        values: caught,
+        (scheme.name(), cfg, fault)
+    })
+    .collect();
+    let grid = run_apps(opts, &variants, &APP_NAMES);
+    let silent = variants.iter().zip(&grid).map(|((label, ..), row)| {
+        let values = each(row, |r| r.icr.silent_corruptions as f64);
+        (format!("{label} silent"), values)
     });
-    FigureResult {
-        id: "sdc".into(),
-        title: "Extension: silent corruption under adjacent-bit faults (p=1e-2)".into(),
-        unit: "silently consumed corruptions (count)".into(),
-        xs,
-        series,
-        notes: "parity-based schemes consume same-byte double flips silently; the PP                 compare converts them into detected (and often recovered) errors;                 SEC-DED detects all double flips outright"
-            .into(),
-    }
+    // One extra series: how many aliased errors PP's compare caught.
+    let caught = each(&grid[2], |r| r.icr.errors_caught_by_compare as f64);
+    app_figure(
+        "sdc",
+        "Extension: silent corruption under adjacent-bit faults (p=1e-2)",
+        "silently consumed corruptions (count)",
+        "parity-based schemes consume same-byte double flips silently; the PP                 compare converts them into detected (and often recovered) errors;                 SEC-DED detects all double flips outright",
+        &APP_NAMES,
+        silent.chain([("PP compare catches".into(), caught)]),
+    )
 }
 
 // ---------------------------------------------------------------------
@@ -1437,46 +1191,25 @@ pub fn sdc(opts: &ExpOptions) -> FigureResult {
 /// `icr-exp all` figure set — and its pinned golden digest — stays
 /// byte-identical; run this via `icr-exp isa`.
 pub fn isa_matrix(opts: &ExpOptions) -> FigureResult {
-    let apps = icr_trace::apps::ISA_APP_NAMES;
     let variants = [
-        v("BaseP", DataL1Config::paper_default(Scheme::BASE_P)),
-        v("BaseECC", DataL1Config::paper_default(Scheme::BASE_ECC)),
-        v(
-            "ICR-P-PS (LS)",
-            DataL1Config::paper_default(Scheme::ICR_P_PS_LS),
-        ),
-        v(
-            "ICR-ECC-PP (LS)",
-            DataL1Config::paper_default(Scheme::ICR_ECC_PP_LS),
-        ),
+        paper(Scheme::BASE_P),
+        paper(Scheme::BASE_ECC),
+        paper(Scheme::ICR_P_PS_LS),
+        paper(Scheme::ICR_ECC_PP_LS),
     ];
-    let matrix = run_matrix(&apps, &variants, opts);
-    let baseline = &matrix[0];
-    let mut series = Vec::new();
-    for (vi, (label, _, _)) in variants.iter().enumerate() {
-        let mut values: Vec<f64> = (0..apps.len())
-            .map(|a| matrix[vi][a].pipeline.ipc() / baseline[a].pipeline.ipc())
-            .collect();
-        let avg = values.iter().sum::<f64>() / values.len() as f64;
-        values.push(avg);
-        series.push(Series {
-            label: label.clone(),
-            values,
-        });
-    }
-    let mut xs: Vec<String> = apps.iter().map(|s| s.to_string()).collect();
-    xs.push("AVG".into());
-    FigureResult {
-        id: "isa".into(),
-        title: "Extension: scheme matrix over execution-driven RV32IM kernels".into(),
-        unit: "IPC relative to BaseP".into(),
-        xs,
-        series,
-        notes: "traces come from interpreting real programs to completion rather than \
-                from synthetic profiles; short kernels may retire before the \
-                instruction budget"
-            .into(),
-    }
+    let grid = run_apps(opts, &variants, &ISA_APP_NAMES);
+    app_figure(
+        "isa",
+        "Extension: scheme matrix over execution-driven RV32IM kernels",
+        "IPC relative to BaseP",
+        "traces come from interpreting real programs to completion rather than \
+         from synthetic profiles; short kernels may retire before the \
+         instruction budget",
+        &ISA_APP_NAMES,
+        versus_first(&variants, &grid, |r, base| {
+            r.pipeline.ipc() / base.pipeline.ipc()
+        }),
+    )
 }
 
 // ---------------------------------------------------------------------
@@ -1497,73 +1230,51 @@ pub fn isa_matrix(opts: &ExpOptions) -> FigureResult {
 /// `icr-exp spill`.
 pub fn spill_matrix(opts: &ExpOptions) -> FigureResult {
     let variants = [
-        v(
-            "ICR-P-PS (S)",
-            DataL1Config::paper_default(Scheme::ICR_P_PS_S),
-        ),
+        paper(Scheme::ICR_P_PS_S),
         v(
             "ICR-P-PS (S) +L2",
             DataL1Config::paper_default(Scheme::ICR_P_PS_S_L2),
         ),
-        v(
-            "ICR-ECC-PS (S)",
-            DataL1Config::paper_default(Scheme::ICR_ECC_PS_S),
-        ),
+        paper(Scheme::ICR_ECC_PS_S),
         v(
             "ICR-ECC-PS (S) +L2",
             DataL1Config::paper_default(Scheme::ICR_ECC_PS_S_L2),
         ),
     ];
-    let matrix = run_matrix(&APP_NAMES, &variants, opts);
-    let mut xs: Vec<String> = APP_NAMES.iter().map(|s| s.to_string()).collect();
-    xs.push("AVG".into());
-    let mut series = Vec::new();
-    for (vi, (label, _, _)) in variants.iter().enumerate() {
-        let mut survived: Vec<f64> = matrix[vi]
-            .iter()
-            .map(|r| r.exposure.one_shot_survived())
-            .collect();
-        survived.push(survived.iter().sum::<f64>() / survived.len() as f64);
-        series.push(Series {
-            label: format!("{label} survival"),
-            values: survived,
-        });
-    }
+    let grid = run_apps(opts, &variants, &APP_NAMES);
+    let rows = || variants.iter().zip(&grid);
+    let survival = rows().map(|((label, ..), row)| {
+        let values = each(row, |r| r.exposure.one_shot_survived());
+        (format!("{label} survival"), values)
+    });
     // The spill variants' extra coverage, in raw event counts: replicas
     // that only existed because the region took them, and load misses a
     // spilled copy answered.
-    for (vi, (label, _, _)) in variants.iter().enumerate() {
-        let spills: u64 = matrix[vi].iter().map(|r| r.icr.spills_created).sum();
-        if spills == 0 {
-            continue;
-        }
-        for (tag, metric) in [
-            (
-                "spills",
-                (|r: &SimResult| r.icr.spills_created) as fn(&SimResult) -> u64,
-            ),
-            ("spill serves", |r: &SimResult| r.icr.misses_served_by_spill),
-        ] {
-            let mut counts: Vec<f64> = matrix[vi].iter().map(|r| metric(r) as f64).collect();
-            counts.push(counts.iter().sum::<f64>() / counts.len() as f64);
-            series.push(Series {
-                label: format!("{label} {tag}"),
-                values: counts,
-            });
-        }
-    }
-    FigureResult {
-        id: "spill".into(),
-        title: "Extension: spill-to-L2 replica placement vs dL1-only".into(),
-        unit: "P(survived | strike on a valid word); counts for event series".into(),
-        xs,
-        series,
-        notes: "the +L2 variants spill replicas that found no dead dL1 block into a \
-                replica-aware L2 region (verified read-back on dL1 load misses, \
-                invalidation on dirty writeback), so their survival can only meet or \
-                beat the dL1-only scheme at the cost of L2-latency recoveries"
-            .into(),
-    }
+    let events = rows()
+        .filter(|(_, row)| row.iter().any(|r| r.icr.spills_created > 0))
+        .flat_map(|((label, ..), row)| {
+            [
+                (
+                    format!("{label} spills"),
+                    each(row, |r| r.icr.spills_created as f64),
+                ),
+                (
+                    format!("{label} spill serves"),
+                    each(row, |r| r.icr.misses_served_by_spill as f64),
+                ),
+            ]
+        });
+    app_figure(
+        "spill",
+        "Extension: spill-to-L2 replica placement vs dL1-only",
+        "P(survived | strike on a valid word); counts for event series",
+        "the +L2 variants spill replicas that found no dead dL1 block into a \
+         replica-aware L2 region (verified read-back on dL1 load misses, \
+         invalidation on dirty writeback), so their survival can only meet or \
+         beat the dL1-only scheme at the cost of L2-latency recoveries",
+        &APP_NAMES,
+        survival.chain(events),
+    )
 }
 
 /// One figure runner with its id, as listed by [`figure_runners`].

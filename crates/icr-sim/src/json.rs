@@ -7,6 +7,7 @@
 //! `--json <path>` convention the three binaries converge on: a path
 //! writes a file, `-` writes stdout, and both receive identical bytes.
 
+use icr_core::Scheme;
 use std::io::Write;
 
 /// A parsed JSON value.
@@ -279,6 +280,19 @@ pub fn esc(s: &str) -> String {
     }
     out.push('"');
     out
+}
+
+/// The `"schemes"` and `"apps"` members with which every scheme × app
+/// report echoes its spec, indented for the spec object and without a
+/// trailing comma or newline.
+pub(crate) fn matrix_echo(schemes: &[Scheme], apps: &[String]) -> String {
+    let names: Vec<String> = schemes.iter().map(|s| esc(&s.name())).collect();
+    let apps: Vec<String> = apps.iter().map(|a| esc(a)).collect();
+    format!(
+        "    \"schemes\": [{}],\n    \"apps\": [{}]",
+        names.join(", "),
+        apps.join(", ")
+    )
 }
 
 /// Renders a float as a JSON number; non-finite values become `null`.

@@ -117,28 +117,23 @@ pub struct VulnReport {
 pub fn run_vuln(spec: &VulnSpec) -> VulnReport {
     spec.validate();
     let pool = Pool::new(spec.threads);
-    let jobs: Vec<(Scheme, String)> = spec
-        .schemes
-        .iter()
-        .flat_map(|&s| spec.apps.iter().map(move |a| (s, a.clone())))
-        .collect();
     // The engine memoizes each cell: one a figure runner already
     // produced (or a repeated sweep) costs one cache hit.
-    let cells = pool.run(jobs, |(scheme, app)| {
+    let grid = pool.run_grid(&spec.schemes, &spec.apps, |&scheme, app| {
         let dl1 = DataL1Config::paper_default(scheme);
-        let mut cfg = SimConfig::paper(&app, dl1, spec.instructions, spec.seed);
+        let mut cfg = SimConfig::paper(app, dl1, spec.instructions, spec.seed);
         cfg.vuln_arrival_p = spec.arrival_p;
         let r = Engine::global().run(&cfg);
         VulnCell {
             scheme,
-            app,
+            app: app.clone(),
             cycles: r.pipeline.cycles,
             windows: r.exposure.clone(),
         }
     });
     VulnReport {
         spec: spec.clone(),
-        cells,
+        cells: grid.into_iter().flatten().collect(),
     }
 }
 
@@ -207,20 +202,8 @@ impl VulnReport {
     /// of timing or host information, so two runs of the same spec
     /// produce byte-identical files.
     pub fn to_json(&self) -> String {
-        use crate::json::{esc, num};
+        use crate::json::{esc, matrix_echo, num};
         let spec = &self.spec;
-        let schemes = spec
-            .schemes
-            .iter()
-            .map(|s| esc(&s.name()))
-            .collect::<Vec<_>>()
-            .join(", ");
-        let apps = spec
-            .apps
-            .iter()
-            .map(|a| esc(a))
-            .collect::<Vec<_>>()
-            .join(", ");
         let mut out = String::new();
         out.push_str("{\n  \"vuln\": {\n");
         out.push_str(&format!("    \"seed\": {},\n", spec.seed));
@@ -241,9 +224,8 @@ impl VulnReport {
             "    \"clock_hz\": {},\n",
             num(spec.model.clock_hz)
         ));
-        out.push_str(&format!("    \"schemes\": [{schemes}],\n"));
-        out.push_str(&format!("    \"apps\": [{apps}]\n"));
-        out.push_str("  },\n  \"cells\": [\n");
+        out.push_str(&matrix_echo(&spec.schemes, &spec.apps));
+        out.push_str("\n  },\n  \"cells\": [\n");
         for (i, cell) in self.cells.iter().enumerate() {
             let w = &cell.windows;
             out.push_str("    {\n");

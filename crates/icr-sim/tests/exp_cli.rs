@@ -94,6 +94,15 @@ fn table1_exits_0() {
 }
 
 #[test]
+fn json_on_table1_exits_2() {
+    // table1 is text only; accepting --json would exit 0 and write nothing.
+    assert_usage_error(
+        &["table1", "--json", "-"],
+        "--json does not apply to table1",
+    );
+}
+
+#[test]
 fn audit_restricted_to_one_spill_scheme_exits_0() {
     // The lockstep audit over a single L2-spill descriptor: the checker
     // panics (non-zero exit) on any divergence, so success here is the

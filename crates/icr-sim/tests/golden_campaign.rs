@@ -4,6 +4,9 @@
 //! the earlier batch-round engine, so a uniform report — with and
 //! without early stopping — must keep exactly those bytes.
 //!
+//! The checkpoint fingerprint is pinned here too: checkpoint headers
+//! carry it, so a value that moves orphans every existing checkpoint.
+//!
 //! Regenerate (only when a change *deliberately* alters campaign output)
 //! with:
 //!
@@ -13,7 +16,7 @@
 //! ```
 
 use icr_core::Scheme;
-use icr_sim::{run_campaign, CampaignSpec};
+use icr_sim::{run_campaign, CampaignSpec, ShardedCampaignSpec};
 
 /// FNV-1a over the document bytes.
 fn fnv(bytes: &[u8]) -> u64 {
@@ -55,9 +58,30 @@ fn report_json(target_ci_width: Option<f64>) -> String {
 const GOLDEN_PLAIN: u64 = 0x1c31_7ba3_fcae_cac8; // 2292 bytes, 0 stopped early
 const GOLDEN_EARLY_STOP: u64 = 0xbdb1_ff83_f0bc_9d8f; // 2197 bytes, 3 stopped early
 
+/// The uniform and the importance-sampled sharded spec whose
+/// fingerprints are pinned.
+fn fingerprint_specs() -> [(&'static str, ShardedCampaignSpec); 2] {
+    let mut importance = spec(Some(CI_WIDTH));
+    importance.importance = true;
+    [
+        ("GOLDEN_FP_UNIFORM", ShardedCampaignSpec::new(spec(None), 4)),
+        (
+            "GOLDEN_FP_IMPORTANCE",
+            ShardedCampaignSpec::new(importance, 4),
+        ),
+    ]
+}
+
+/// Recorded before the fingerprint destructured `CampaignSpec`.
+const GOLDEN_FP_UNIFORM: u64 = 0x963f_303b_5e6f_b20c;
+const GOLDEN_FP_IMPORTANCE: u64 = 0xe520_327c_952b_d677;
+
 #[test]
 #[ignore = "fixture recorder, run explicitly with --ignored"]
 fn record_golden_campaign_digests() {
+    for (name, spec) in fingerprint_specs() {
+        println!("const {name}: u64 = {:#018x};", spec.fingerprint());
+    }
     for (name, width) in [
         ("GOLDEN_PLAIN", None),
         ("GOLDEN_EARLY_STOP", Some(CI_WIDTH)),
@@ -93,4 +117,12 @@ fn early_stopped_campaign_report_bytes_are_pinned() {
         GOLDEN_EARLY_STOP,
         "the early-stopped plain campaign report changed"
     );
+}
+
+#[test]
+fn checkpoint_fingerprints_are_pinned() {
+    let pinned = [GOLDEN_FP_UNIFORM, GOLDEN_FP_IMPORTANCE];
+    for ((name, spec), want) in fingerprint_specs().into_iter().zip(pinned) {
+        assert_eq!(spec.fingerprint(), want, "{name} moved");
+    }
 }

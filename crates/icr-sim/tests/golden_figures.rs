@@ -8,6 +8,10 @@
 //! reduced instruction budget so the whole matrix fits in tier-1 time)
 //! and compares bytes.
 //!
+//! The same budget pins the outputs no `all` digest covers: the `isa`
+//! and `spill` matrices (kept out of `all`) and the `VulnReport` and
+//! `AuditReport` JSON of a small scheme × app spec.
+//!
 //! Regenerate (only when a PR *deliberately* changes figure output)
 //! with:
 //!
@@ -16,7 +20,9 @@
 //!     --ignored record_golden_digest --nocapture
 //! ```
 
-use icr_sim::experiment::{all_figures, figure_runners, ExpOptions};
+use icr_core::Scheme;
+use icr_sim::experiment::{all_figures, figure_runners, isa_matrix, spill_matrix, ExpOptions};
+use icr_sim::{run_audit, run_vuln, AuditSpec, VulnSpec};
 use icr_trace::apps::{APP_NAMES, EXTENDED_APP_NAMES};
 
 /// The budget the pin runs at. Small enough for debug-mode tier-1,
@@ -35,15 +41,18 @@ fn fnv(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Builds the exact document `icr-exp all --json` writes, at the test
-/// budget.
-fn all_json_document() -> String {
-    let opts = ExpOptions {
+fn golden_opts() -> ExpOptions {
+    ExpOptions {
         instructions: GOLDEN_INSTRUCTIONS,
         seed: GOLDEN_SEED,
         threads: 0,
-    };
-    let body = all_figures(&opts)
+    }
+}
+
+/// Builds the exact document `icr-exp all --json` writes, at the test
+/// budget.
+fn all_json_document() -> String {
+    let body = all_figures(&golden_opts())
         .iter()
         .map(|f| f.to_json())
         .collect::<Vec<_>>()
@@ -55,6 +64,36 @@ fn all_json_document() -> String {
 /// figure matrix's bytes moved.
 const GOLDEN_DIGEST: u64 = 0x0e9b_bc95_d77e_6ac3; // 29 figures, 25060 bytes
 
+/// The schemes and apps of the small vuln/audit pin: a parity and an
+/// ECC replicating scheme next to BaseP, one spill descriptor, and two
+/// apps with different locality.
+fn pin_schemes() -> Vec<Scheme> {
+    vec![
+        Scheme::BASE_P,
+        Scheme::ICR_P_PS_S,
+        Scheme::ICR_ECC_PP_LS,
+        Scheme::ICR_P_PS_S_L2,
+    ]
+}
+
+fn pin_apps() -> Vec<String> {
+    vec!["gzip".into(), "mcf".into()]
+}
+
+/// The outputs outside the `all` document, each by name, at the test
+/// budget.
+fn side_documents() -> [(&'static str, String); 4] {
+    let opts = golden_opts();
+    let vuln = VulnSpec::new(pin_schemes(), pin_apps(), GOLDEN_INSTRUCTIONS, GOLDEN_SEED);
+    let audit = AuditSpec::new(pin_schemes(), pin_apps(), GOLDEN_INSTRUCTIONS, GOLDEN_SEED);
+    [
+        ("GOLDEN_ISA", isa_matrix(&opts).to_json()),
+        ("GOLDEN_SPILL", spill_matrix(&opts).to_json()),
+        ("GOLDEN_VULN", run_vuln(&vuln).to_json()),
+        ("GOLDEN_AUDIT", run_audit(&audit).to_json()),
+    ]
+}
+
 #[test]
 #[ignore = "fixture recorder, run explicitly with --ignored"]
 fn record_golden_digest() {
@@ -65,6 +104,13 @@ fn record_golden_digest() {
         doc.matches("\"id\":").count(),
         doc.len()
     );
+    for (name, doc) in side_documents() {
+        println!(
+            "const {name}: u64 = {:#018x}; // {} bytes",
+            fnv(doc.as_bytes()),
+            doc.len()
+        );
+    }
 }
 
 #[test]
@@ -77,6 +123,21 @@ fn default_figure_matrix_bytes_are_pinned() {
          join via EXTENDED_APP_NAMES without touching the default matrix \
          (re-record only if the figure change is deliberate)"
     );
+}
+
+/// Recorded before the figure, vuln and audit matrices shared one grid
+/// helper; these move only if those outputs' bytes moved.
+const GOLDEN_ISA: u64 = 0x3c41_183b_f981_2d3f; // 656 bytes
+const GOLDEN_SPILL: u64 = 0x2b8e_fdee_a4a7_cfa3; // 1647 bytes
+const GOLDEN_VULN: u64 = 0x173e_4f91_41cc_ba33; // 6831 bytes
+const GOLDEN_AUDIT: u64 = 0x139b_c3bd_2c77_f54a; // 951 bytes
+
+#[test]
+fn side_matrix_bytes_are_pinned() {
+    let pinned = [GOLDEN_ISA, GOLDEN_SPILL, GOLDEN_VULN, GOLDEN_AUDIT];
+    for ((name, doc), want) in side_documents().into_iter().zip(pinned) {
+        assert_eq!(fnv(doc.as_bytes()), want, "the {name} document changed");
+    }
 }
 
 /// The roster invariants behind the pin: the paper's eight apps are

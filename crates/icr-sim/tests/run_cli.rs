@@ -185,3 +185,19 @@ fn unwritable_json_destination_exits_1() {
         "diagnostic missing from stderr:\n{stderr}"
     );
 }
+
+#[test]
+fn fault_and_seed_flags_commute() {
+    // The injector seed derives from the workload seed, so it must not
+    // depend on whether `--seed` comes before or after `--fault`.
+    let common = ["gzip", "basep", "--insts", "20000", "--json", "-"];
+    let fault_first = run(&[&common[..], &["--fault", "0.001", "--seed", "7"]].concat());
+    let seed_first = run(&[&common[..], &["--seed", "7", "--fault", "0.001"]].concat());
+    assert!(fault_first.status.success(), "run failed: {fault_first:?}");
+    assert!(seed_first.status.success(), "run failed: {seed_first:?}");
+    assert_eq!(
+        String::from_utf8_lossy(&fault_first.stdout),
+        String::from_utf8_lossy(&seed_first.stdout),
+        "flag order changed the report"
+    );
+}
