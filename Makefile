@@ -3,12 +3,13 @@
 
 CARGO ?= cargo
 
-.PHONY: verify check build test fmt fmt-check clippy doc bench-build bench bench-engine bench-engine-build bench-all bench-all-build bench-all-gate bench-isa bench-isa-build bench-campaign bench-campaign-build bench-importance bench-importance-build bench-spill trace-roundtrip campaign campaign-resume campaign-fanout campaign-plain audit isa-audit clean
+.PHONY: verify check build test fmt fmt-check clippy doc bench-build bench bench-engine bench-engine-build bench-all bench-all-build bench-all-gate bench-isa bench-isa-build bench-campaign bench-campaign-build bench-importance bench-importance-build bench-spill bench-spill-check trace-roundtrip campaign campaign-resume campaign-fanout campaign-plain audit isa-audit clean
 
 ## Full verification: build + all tests + formatting + lints + docs,
 ## plus a build-only check of the bench targets and of the end-to-end
 ## benchmark package under benchmark/, the dL1-vs-spill
-## placement benchmark (fast enough to run, not just build), a lockstep
+## placement benchmark (fast enough to run, not just build; its record
+## goes under target/, so verify leaves the tree clean), a lockstep
 ## audit of the full scheme × app matrix — ten paper presets plus two
 ## L2-spill descriptors — against the icr-check reference model, a
 ## byte-identical trace save/replay round-trip through icr-run, a
@@ -16,7 +17,7 @@ CARGO ?= cargo
 ## two-worker fan-out whose merge must be byte-identical to the
 ## single-process run, and a plain (in-memory) campaign whose report
 ## must match the checkpointed run's.
-verify: build test fmt-check clippy doc bench-build bench-engine-build bench-all-build bench-isa-build bench-campaign-build bench-importance-build bench-spill trace-roundtrip campaign-resume campaign-fanout campaign-plain audit
+verify: build test fmt-check clippy doc bench-build bench-engine-build bench-all-build bench-isa-build bench-campaign-build bench-importance-build bench-spill-check trace-roundtrip campaign-resume campaign-fanout campaign-plain audit
 	@echo "verify: OK"
 
 ## Tier-1 gate (ROADMAP.md): release build + quiet tests.
@@ -205,6 +206,11 @@ campaign-plain:
 ## dL1-only run. Cheap enough that `verify` runs it outright.
 bench-spill:
 	$(CARGO) bench -p icr-bench --bench spill
+
+## The same bench and assertions with the record written under target/,
+## so `verify` leaves the tracked BENCH_spill.json untouched.
+bench-spill-check:
+	ICR_BENCH_OUT=$(CURDIR)/target/BENCH_spill.json $(CARGO) bench -p icr-bench --bench spill
 
 ## Lockstep reference-model audit: every dL1 access of the full paper
 ## scheme × app matrix diffed against the naive icr-check model. The

@@ -1,10 +1,11 @@
 //! Microbenchmarks of the building blocks: the coding substrate, the
-//! cache structures, the workload generator and the full pipeline. These
-//! bound how fast the figure regeneration can go and catch performance
-//! regressions in the hot paths.
+//! cache structures, the workload generator, the out-of-order core on its
+//! own and the full pipeline. These bound how fast the figure regeneration
+//! can go and catch performance regressions in the hot paths.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use icr_core::{DataL1, DataL1Config, Scheme};
+use icr_cpu::{CpuConfig, PerfectMemory, Pipeline};
 use icr_ecc::{ByteParity, ProtectedWord, Protection, SecDed};
 use icr_mem::{
     AccessKind, Addr, BlockAddr, Cache, CacheGeometry, DataBlock, HierarchyConfig, MemoryBackend,
@@ -95,6 +96,24 @@ fn bench_pipeline(c: &mut Criterion) {
     let mut g = c.benchmark_group("pipeline");
     g.sample_size(10);
     g.throughput(Throughput::Elements(20_000));
+    // The core alone: no dL1, every access a single cycle, so a core
+    // regression shows here apart from the memory side of `run_sim`.
+    for app in ["gzip", "mcf"] {
+        let trace: Vec<_> = TraceGenerator::new(apps::profile(app), 42)
+            .take(20_000)
+            .collect();
+        g.bench_function(format!("core_20k_{app}_perfect_memory"), |b| {
+            b.iter(|| {
+                let mut cpu = Pipeline::new(CpuConfig::default());
+                let stats = cpu.run(
+                    trace.iter().copied(),
+                    &mut PerfectMemory,
+                    &mut PerfectMemory,
+                );
+                black_box(stats.cycles)
+            })
+        });
+    }
     for scheme in [Scheme::BASE_P, Scheme::ICR_P_PS_S] {
         g.bench_function(format!("sim_20k_insts_{}", scheme.name()), |b| {
             b.iter(|| {

@@ -7,6 +7,10 @@
 //! make bench-spill         # or: cargo bench -p icr-bench --bench spill
 //! ```
 //!
+//! `ICR_BENCH_OUT=PATH` writes the record to `PATH` instead, with every
+//! assertion unchanged; `make verify` runs it that way so a verification
+//! pass leaves the tracked file alone.
+//!
 //! The spill tier buys replica coverage for blocks the dL1 has no dead
 //! way for, at the cost of region bookkeeping on replication, writeback
 //! and eviction. This bench makes both sides of that trade visible in
@@ -70,7 +74,9 @@ fn time_cell(scheme: Scheme, app: &str) -> (f64, icr_sim::SimResult) {
 }
 
 fn main() {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_spill.json");
+    let path = std::env::var("ICR_BENCH_OUT").unwrap_or_else(|_| {
+        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_spill.json").to_string()
+    });
 
     let mut rows = Vec::new();
     let mut total_dl1 = 0.0f64;
@@ -120,7 +126,7 @@ fn main() {
         num(total_spill),
         rows.join(","),
     );
-    std::fs::write(path, format!("{json}\n")).expect("write BENCH_spill.json");
+    std::fs::write(&path, format!("{json}\n")).expect("write the spill record");
     println!(
         "total: dL1-only {:.3}ms, spill {:.3}ms ({:.2}x) -> {path}",
         total_dl1 * 1e3,

@@ -1,5 +1,9 @@
 //! Machine configuration — Table 1 of the paper.
 
+/// The largest RUU the core schedules: it tracks the window with one bit
+/// per entry in a `u64`.
+pub const MAX_RUU_SIZE: usize = 64;
+
 /// Superscalar-core parameters (defaults reproduce Table 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CpuConfig {
@@ -9,7 +13,8 @@ pub struct CpuConfig {
     pub issue_width: usize,
     /// Instructions committed per cycle.
     pub commit_width: usize,
-    /// Register update unit (reorder buffer) entries (paper: 16).
+    /// Register update unit (reorder buffer) entries (paper: 16); at most
+    /// [`MAX_RUU_SIZE`].
     pub ruu_size: usize,
     /// Load/store queue entries (paper: 8).
     pub lsq_size: usize,
@@ -74,6 +79,9 @@ impl CpuConfig {
         if self.fetch_width == 0 || self.issue_width == 0 || self.commit_width == 0 {
             return Err("pipeline widths must be positive".into());
         }
+        if self.ruu_size > MAX_RUU_SIZE {
+            return Err(format!("RUU cannot exceed {MAX_RUU_SIZE} entries"));
+        }
         if self.lsq_size > self.ruu_size {
             return Err("LSQ cannot out-size the RUU".into());
         }
@@ -121,6 +129,23 @@ mod tests {
             ..Default::default()
         };
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn ruu_is_bounded_by_the_slot_mask() {
+        let at_bound = CpuConfig {
+            ruu_size: MAX_RUU_SIZE,
+            ..Default::default()
+        };
+        at_bound.validate().unwrap();
+        let over = CpuConfig {
+            ruu_size: MAX_RUU_SIZE + 1,
+            ..Default::default()
+        };
+        assert_eq!(
+            over.validate(),
+            Err("RUU cannot exceed 64 entries".to_string())
+        );
     }
 
     #[test]

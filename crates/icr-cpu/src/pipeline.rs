@@ -10,13 +10,41 @@
 //! store-to-load forwarding and non-blocking loads — is modelled per cycle,
 //! which is what lets the superscalar core *hide* part of the dL1 latency,
 //! the effect the paper's Figure 9 turns on.
+//!
+//! # The scheduler
+//!
+//! The RUU is a ring of `ruu_size` slots, at most [`MAX_RUU_SIZE`] (64), so
+//! that any set of entries is one `u64` with a bit per slot. Each entry's
+//! state lives in three such masks (Waiting, Issued, Done); two more mark
+//! the resident stores and the mispredicted branches. Nothing is found by
+//! scanning the window:
+//!
+//! - **Dispatch** records in `dep[slot]` the producers the entry must wait
+//!   for, as slot bits: the latest writer of each source register that is
+//!   not yet Done and, for a load, every resident store to the same 8-byte
+//!   word that is not yet Done. `fwd[slot]` records all of a load's
+//!   resident same-word stores; every resident store is older than it.
+//! - **Writeback** walks the Issued mask, moves the finished slots to Done,
+//!   and clears their bits from every `dep` mask.
+//! - **Commit** pops the head while its Done bit is set. A retiring store
+//!   clears its bit from the Waiting loads' `fwd` masks.
+//! - **Issue** takes the Waiting slots whose `dep` is empty, rotated right
+//!   by the head slot so that bit 0 is the oldest, and starts them in that
+//!   order while functional units last. A load whose `fwd` is not empty
+//!   forwards in one cycle instead of calling the dL1.
+//!
+//! A load therefore waits while any older same-word store in the RUU has
+//! not executed, and forwards when any such store is still in the RUU.
+//! The masks reproduce a per-cycle scan of the window exactly;
+//! `tests/reference_core.rs` runs that scan next to this core and
+//! requires the same statistics and the same sequence of
+//! `fetch`/`load`/`store` calls, argument for argument.
 
 use crate::bpred::{Btb, Combined, DirPredictor};
-use crate::config::CpuConfig;
+use crate::config::{CpuConfig, MAX_RUU_SIZE};
 use crate::fu::{op_latency, FuPool};
 use crate::mem::{DataMemory, InstrMemory};
-use icr_trace::{Inst, OpClass};
-use std::collections::VecDeque;
+use icr_trace::{Inst, OpClass, Reg};
 
 /// Aggregate results of a pipeline run.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -64,24 +92,6 @@ impl PipelineStats {
             self.mispredicts as f64 / self.branches as f64
         }
     }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EntryState {
-    Waiting,
-    Issued { done_at: u64 },
-    Done,
-}
-
-#[derive(Debug, Clone)]
-struct Entry {
-    inst: Inst,
-    seq: u64,
-    state: EntryState,
-    /// Producer sequence numbers this entry waits on (snapshot at dispatch).
-    deps: [Option<u64>; 2],
-    mispredicted: bool,
-    load_latency: u64,
 }
 
 /// The out-of-order core.
@@ -141,201 +151,160 @@ impl Pipeline {
         let mut trace = trace.into_iter().peekable();
         let cfg = self.config;
         let mut stats = PipelineStats::default();
-        let mut ruu: VecDeque<Entry> = VecDeque::with_capacity(cfg.ruu_size);
-        let mut head_seq: u64 = 0;
-        let mut next_seq: u64 = 0;
-        // Latest producer of each architectural register, by sequence.
-        let mut reg_producer: [Option<u64>; 64] = [None; 64];
+        // The RUU: a ring of `ruu_size` slots, the oldest entry at `head`.
+        let mut head = 0usize;
+        let mut len = 0usize;
+        // Per-slot state of the resident entries.
+        let mut op = [OpClass::IntAlu; MAX_RUU_SIZE];
+        let mut addr = [0u64; MAX_RUU_SIZE];
+        let mut dest: [Option<Reg>; MAX_RUU_SIZE] = [None; MAX_RUU_SIZE];
+        let mut done_at = [0u64; MAX_RUU_SIZE];
+        let mut load_latency = [0u64; MAX_RUU_SIZE];
+        // Slots a Waiting entry still waits on: register producers and,
+        // for a load, older same-word stores that are not Done.
+        let mut dep = [0u64; MAX_RUU_SIZE];
+        // A Waiting load's older same-word stores still in the RUU.
+        let mut fwd = [0u64; MAX_RUU_SIZE];
+        // Slot masks: the three entry states, resident stores, and
+        // mispredicted branches.
+        let mut waiting = 0u64;
+        let mut issued = 0u64;
+        let mut done = 0u64;
+        let mut stores = 0u64;
+        let mut mispredicted = 0u64;
+        // Latest producer of each architectural register, by slot.
+        let mut reg_producer: [Option<usize>; 64] = [None; 64];
         let mut fu = FuPool::from_config(&cfg);
         let mut cycle: u64 = 0;
         // Front-end control.
         let mut fetch_resume: u64 = 0;
-        let mut fetch_halted_by: Option<u64> = None;
+        let mut fetch_halted_by: Option<usize> = None;
         let mut commit_blocked_until: u64 = 0;
-        // Memory ops resident in the RUU (the LSQ occupancy), maintained
-        // incrementally instead of rescanning the RUU per fetch.
+        // Memory ops resident in the RUU (the LSQ occupancy).
         let mut mem_in_flight: usize = 0;
-        // Incremental occupancy bookkeeping, so the writeback and issue
-        // scans run only on cycles where they can transition something:
-        // how many entries are Issued and the earliest cycle any of them
-        // completes (u64::MAX when none), and how many are Waiting.
-        let mut issued_cnt: usize = 0;
+        // The earliest `done_at` over Issued slots (u64::MAX when none).
         let mut next_done: u64 = u64::MAX;
-        let mut waiting_cnt: usize = 0;
-
-        let entry_done = |ruu: &VecDeque<Entry>, head: u64, seq: u64| -> bool {
-            if seq < head {
-                return true; // already committed
-            }
-            match ruu.get((seq - head) as usize) {
-                Some(e) => e.state == EntryState::Done,
-                None => true,
-            }
-        };
 
         loop {
             // ---- Writeback: finish execution, resolve branches. ----
-            // The scan can only transition entries when some Issued op has
-            // reached its completion cycle; `next_done` tracks the
-            // earliest one, so most cycles skip the scan outright.
-            let mut wrote_back = 0usize;
-            if issued_cnt > 0 && next_done <= cycle {
-                let mut resolved_halt: Option<u64> = None;
+            let mut completed = 0u64;
+            if next_done <= cycle {
                 let mut remaining_next = u64::MAX;
-                for e in ruu.iter_mut() {
-                    if let EntryState::Issued { done_at } = e.state {
-                        if done_at <= cycle {
-                            e.state = EntryState::Done;
-                            wrote_back += 1;
-                            issued_cnt -= 1;
-                            if e.mispredicted && fetch_halted_by == Some(e.seq) {
-                                resolved_halt = Some(done_at + cfg.mispredict_penalty);
-                            }
-                        } else {
-                            remaining_next = remaining_next.min(done_at);
-                        }
+                for s in slots(issued) {
+                    if done_at[s] <= cycle {
+                        completed |= 1 << s;
+                    } else {
+                        remaining_next = remaining_next.min(done_at[s]);
                     }
                 }
                 next_done = remaining_next;
-                if let Some(resume) = resolved_halt {
+                issued &= !completed;
+                done |= completed;
+                // Clearing every slot's mask costs less than walking the
+                // Waiting ones; the others are rewritten at dispatch.
+                for d in &mut dep[..cfg.ruu_size] {
+                    *d &= !completed;
+                }
+                if let Some(b) = fetch_halted_by.filter(|&b| completed & 1 << b != 0) {
                     fetch_halted_by = None;
-                    fetch_resume = fetch_resume.max(resume);
+                    fetch_resume = fetch_resume.max(done_at[b] + cfg.mispredict_penalty);
                 }
             }
 
             // ---- Commit: retire completed head entries in order. ----
             let mut committed_now = 0;
             if cycle >= commit_blocked_until {
-                while committed_now < cfg.commit_width {
-                    let Some(head) = ruu.front() else { break };
-                    if head.state != EntryState::Done {
-                        break;
-                    }
-                    let e = ruu.pop_front().expect("front exists");
-                    head_seq = e.seq + 1;
+                while committed_now < cfg.commit_width && done & 1 << head != 0 {
+                    let s = head;
+                    done &= !(1 << s);
+                    head = if s + 1 == cfg.ruu_size { 0 } else { s + 1 };
+                    len -= 1;
                     stats.committed += 1;
-                    if e.inst.op.is_mem() {
-                        mem_in_flight -= 1;
-                    }
                     committed_now += 1;
-                    match e.inst.op {
+                    match op[s] {
                         OpClass::Load => {
+                            mem_in_flight -= 1;
                             stats.loads += 1;
-                            stats.load_latency_sum += e.load_latency;
+                            stats.load_latency_sum += load_latency[s];
                         }
                         OpClass::Store => {
+                            mem_in_flight -= 1;
                             stats.stores += 1;
+                            stores &= !(1 << s);
+                            for w in slots(waiting) {
+                                fwd[w] &= !(1 << s);
+                            }
                             // The dL1 write (and any ICR replication)
                             // happens at retire.
-                            let lat = dmem.store(e.inst.mem_addr.expect("store has addr"), cycle);
+                            let lat = dmem.store(addr[s], cycle);
                             if lat > 1 {
                                 commit_blocked_until = cycle + lat - 1;
                             }
                         }
                         OpClass::Branch => {
                             stats.branches += 1;
-                            if e.mispredicted {
-                                stats.mispredicts += 1;
-                            }
+                            stats.mispredicts += mispredicted >> s & 1;
                         }
                         _ => {}
                     }
                     // Retire the register mapping if this was the last
                     // producer.
-                    if let Some(d) = e.inst.dest {
-                        if reg_producer[d.0 as usize] == Some(e.seq) {
+                    if let Some(d) = dest[s] {
+                        if reg_producer[d.0 as usize] == Some(s) {
                             reg_producer[d.0 as usize] = None;
                         }
                     }
-                    if e.inst.op == OpClass::Store && commit_blocked_until > cycle {
+                    if op[s] == OpClass::Store && commit_blocked_until > cycle {
                         break; // a stalled store blocks younger commits
                     }
                 }
             }
 
             // ---- Issue: start ready waiting entries, oldest first. ----
-            // Skipped when nothing is Waiting; the FU pool's per-cycle
-            // counters only matter to `try_claim`, so resetting them is
-            // deferred to cycles that can actually issue.
-            let mut issued = 0;
-            let waiting_at_start = waiting_cnt;
-            if waiting_at_start > 0 {
+            // Rotating the ready mask right by `head` puts the slots in
+            // age order from bit 0, because the ring fits in the word.
+            let mut issued_now = 0;
+            if waiting != 0 {
                 fu.new_cycle();
-                let mut waiting_seen = 0;
-                for i in 0..ruu.len() {
-                    if issued == cfg.issue_width || waiting_seen == waiting_at_start {
+                let ready = dep[..cfg.ruu_size]
+                    .iter()
+                    .enumerate()
+                    .fold(0u64, |m, (s, &d)| m | u64::from(d == 0) << s)
+                    & waiting;
+                for age in slots(ready.rotate_right(head as u32)) {
+                    if issued_now == cfg.issue_width {
                         break;
                     }
-                    if ruu[i].state != EntryState::Waiting {
+                    let s = (age + head) % MAX_RUU_SIZE;
+                    if !fu.try_claim(op[s]) {
                         continue;
                     }
-                    waiting_seen += 1;
-                    let deps_ready = ruu[i]
-                        .deps
-                        .iter()
-                        .flatten()
-                        .all(|&d| entry_done(&ruu, head_seq, d));
-                    if !deps_ready {
-                        continue;
-                    }
-                    // Loads must respect older same-word stores (no
-                    // speculation past unresolved conflicting stores; forward
-                    // from completed ones).
-                    let mut load_forwarded = false;
-                    if ruu[i].inst.op == OpClass::Load {
-                        let my_word = ruu[i].inst.mem_addr.expect("load has addr") >> 3;
-                        let my_seq = ruu[i].seq;
-                        let mut blocked = false;
-                        for e in ruu.iter() {
-                            if e.seq >= my_seq {
-                                break;
-                            }
-                            if e.inst.op == OpClass::Store
-                                && e.inst.mem_addr.map(|a| a >> 3) == Some(my_word)
-                            {
-                                if e.state == EntryState::Done {
-                                    load_forwarded = true; // will forward
-                                } else {
-                                    blocked = true; // store not executed yet
-                                    break;
-                                }
-                            }
-                        }
-                        if blocked {
-                            continue;
-                        }
-                    }
-                    if !fu.try_claim(ruu[i].inst.op) {
-                        continue;
-                    }
-                    let lat = match ruu[i].inst.op {
+                    let lat = match op[s] {
                         OpClass::Load => {
-                            let lat = if load_forwarded {
+                            // Forward from an older same-word store still
+                            // in the RUU (all of them are Done by now).
+                            let lat = if fwd[s] != 0 {
                                 1
                             } else {
-                                dmem.load(ruu[i].inst.mem_addr.expect("load has addr"), cycle)
+                                dmem.load(addr[s], cycle)
                             };
-                            ruu[i].load_latency = lat;
+                            load_latency[s] = lat;
                             lat
                         }
                         op => op_latency(op),
                     };
-                    let done_at = cycle + lat;
-                    ruu[i].state = EntryState::Issued { done_at };
-                    issued += 1;
-                    waiting_cnt -= 1;
-                    issued_cnt += 1;
-                    next_done = next_done.min(done_at);
+                    done_at[s] = cycle + lat;
+                    waiting &= !(1 << s);
+                    issued |= 1 << s;
+                    issued_now += 1;
+                    next_done = next_done.min(done_at[s]);
                 }
             }
 
             // ---- Fetch/dispatch: bring in new instructions. ----
             let mut fetched = 0;
             if fetch_halted_by.is_none() && cycle >= fetch_resume {
-                while fetched < cfg.fetch_width {
-                    if ruu.len() >= cfg.ruu_size {
-                        break;
-                    }
+                while fetched < cfg.fetch_width && len < cfg.ruu_size {
                     let Some(next) = trace.peek() else { break };
                     if next.op.is_mem() && mem_in_flight >= cfg.lsq_size {
                         break;
@@ -352,40 +321,58 @@ impl Pipeline {
                         fetch_resume = cycle + flat - 1;
                         ends_group = true;
                     }
-                    let seq = next_seq;
-                    next_seq += 1;
-                    let deps = [
-                        inst.srcs[0].and_then(|r| reg_producer[r.0 as usize]),
-                        inst.srcs[1].and_then(|r| reg_producer[r.0 as usize]),
-                    ];
-                    let mut mispredicted = false;
+                    let s = (head + len) % cfg.ruu_size;
+                    len += 1;
+                    let producers = inst
+                        .srcs
+                        .iter()
+                        .flatten()
+                        .filter_map(|r| reg_producer[r.0 as usize])
+                        .fold(0u64, |m, p| m | 1 << p);
+                    let mut same_word_stores = 0u64;
+                    if inst.op.is_mem() {
+                        let a = inst.mem_addr.expect("memory op has an address");
+                        addr[s] = a;
+                        if inst.op == OpClass::Load {
+                            // Every resident store is older than the load.
+                            same_word_stores = slots(stores)
+                                .filter(|&st| addr[st] >> 3 == a >> 3)
+                                .fold(0u64, |m, st| m | 1 << st);
+                        }
+                    }
+                    fwd[s] = same_word_stores;
+                    dep[s] = (producers | same_word_stores) & !done;
+                    let mut mispredict = false;
                     if inst.op == OpClass::Branch {
                         let pred_taken = self.bpred.predict(inst.pc);
                         let pred_target = self.btb.lookup(inst.pc);
-                        mispredicted = pred_taken != inst.taken
+                        mispredict = pred_taken != inst.taken
                             || (inst.taken && pred_target != Some(inst.target));
                         self.bpred.update(inst.pc, inst.taken);
                         if inst.taken {
                             self.btb.update(inst.pc, inst.target);
                             ends_group = true; // taken branch ends the group
                         }
-                        if mispredicted {
-                            fetch_halted_by = Some(seq);
+                        if mispredict {
+                            fetch_halted_by = Some(s);
                             ends_group = true;
                         }
                     }
                     if let Some(d) = inst.dest {
-                        reg_producer[d.0 as usize] = Some(seq);
+                        reg_producer[d.0 as usize] = Some(s);
                     }
-                    ruu.push_back(Entry {
-                        inst,
-                        seq,
-                        state: EntryState::Waiting,
-                        deps,
-                        mispredicted,
-                        load_latency: 0,
-                    });
-                    waiting_cnt += 1;
+                    op[s] = inst.op;
+                    dest[s] = inst.dest;
+                    let bit = 1u64 << s;
+                    mispredicted = if mispredict {
+                        mispredicted | bit
+                    } else {
+                        mispredicted & !bit
+                    };
+                    if inst.op == OpClass::Store {
+                        stores |= bit;
+                    }
+                    waiting |= bit;
                     fetched += 1;
                     if ends_group {
                         break;
@@ -396,22 +383,18 @@ impl Pipeline {
             // ---- Idle-cycle skip. ----
             // A cycle that wrote back, committed, issued and fetched
             // nothing leaves the whole machine state untouched: every
-            // per-cycle scan above is then a pure function of time, and
-            // re-running it yields the same nothing until the next timed
-            // event. Jump straight there. The only timed events are an
-            // in-flight op completing (its `done_at`), a stalled store's
-            // commit block expiring over an already-Done head, and the
-            // front end's `fetch_resume`; everything else can only change
-            // as a consequence of one of those. This is a pure wall-clock
-            // optimisation — `cycle` takes exactly the values at which the
-            // naive loop would have done work, so results are bit-exact.
-            if wrote_back == 0 && committed_now == 0 && issued == 0 && fetched == 0 {
-                // `next_done` is exactly min done_at over Issued entries
-                // (u64::MAX when none) — no rescan needed.
+            // stage above is then a pure function of time, and re-running
+            // it yields the same nothing until the next timed event. Jump
+            // straight there. The only timed events are an in-flight op
+            // completing (`next_done`), a stalled store's commit block
+            // expiring over an already-Done head, and the front end's
+            // `fetch_resume`; everything else can only change as a
+            // consequence of one of those. `cycle` takes exactly the
+            // values at which a cycle-by-cycle loop would do work, so
+            // results are bit-exact.
+            if completed == 0 && committed_now == 0 && issued_now == 0 && fetched == 0 {
                 let mut event = next_done;
-                if commit_blocked_until > cycle
-                    && ruu.front().is_some_and(|h| h.state == EntryState::Done)
-                {
+                if commit_blocked_until > cycle && done & 1 << head != 0 {
                     event = event.min(commit_blocked_until);
                 }
                 if fetch_halted_by.is_none() && fetch_resume > cycle && trace.peek().is_some() {
@@ -424,7 +407,7 @@ impl Pipeline {
             }
 
             cycle += 1;
-            if ruu.is_empty() && trace.peek().is_none() {
+            if len == 0 && trace.peek().is_none() {
                 break;
             }
             // Safety valve: a cycle-level model must always make progress;
@@ -437,6 +420,17 @@ impl Pipeline {
         stats.cycles = cycle;
         stats
     }
+}
+
+/// The set bits of `mask`, lowest first.
+fn slots(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let s = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            s
+        })
+    })
 }
 
 #[cfg(test)]

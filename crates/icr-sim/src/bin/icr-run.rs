@@ -22,8 +22,9 @@
 //!   --trace-out PATH   save the workload trace this run consumed in the
 //!                      icr-trace disk format (.icrt)
 //!   --trace-in PATH    replay a saved .icrt trace instead of generating
-//!                      or interpreting the workload; the file's app and
-//!                      seed must match the command line
+//!                      or interpreting the workload; the file's app,
+//!                      seed and length must match the command line (an
+//!                      isa:* kernel's file may be shorter than --insts)
 //! ```
 //!
 //! Invalid command-line input exits with code 2 and a diagnostic;
@@ -184,6 +185,17 @@ fn main() -> ExitCode {
                 "--trace-in {path}: trace is for app {:?} seed {}, \
                  but the command line says app {app:?} seed {seed}",
                 stored.app, stored.seed
+            );
+            return ExitCode::FAILURE;
+        }
+        // Nor simulate a trace of another length under this `--insts`.
+        // A synthetic trace is exactly its budget long; only an `isa:*`
+        // kernel may retire to completion before the budget runs out.
+        let held = stored.insts.len() as u64;
+        if held > instructions || (held < instructions && !app.starts_with("isa:")) {
+            eprintln!(
+                "--trace-in {path}: trace holds {held} instructions, \
+                 but the command line says --insts {instructions}"
             );
             return ExitCode::FAILURE;
         }

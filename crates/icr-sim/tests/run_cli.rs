@@ -164,6 +164,57 @@ fn mismatched_trace_in_exits_1() {
 }
 
 #[test]
+fn trace_in_of_another_length_exits_1() {
+    // A saved trace replays only under the budget it was recorded at:
+    // shorter or longer than --insts, it would be simulated under a
+    // label it does not match.
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let path = dir.join(format!("icr_run_len_{}.icrt", std::process::id()));
+    let path = path.to_str().expect("utf-8 temp path");
+    let saved = run(&["gzip", "basep", "--insts", "3000", "--trace-out", path]);
+    assert!(saved.status.success(), "trace-out run failed: {saved:?}");
+    for insts in ["200000", "2000"] {
+        let out = run(&["gzip", "basep", "--insts", insts, "--trace-in", path]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "--insts {insts}: a 3000-instruction trace must be refused\nstderr: {stderr}"
+        );
+        assert!(
+            stderr.contains("3000 instructions") && stderr.contains(&format!("--insts {insts}")),
+            "--insts {insts}: diagnostic must name both counts:\n{stderr}"
+        );
+    }
+    let replay = run(&["gzip", "basep", "--insts", "3000", "--trace-in", path]);
+    assert!(
+        replay.status.success(),
+        "same-length replay failed: {replay:?}"
+    );
+    std::fs::remove_file(path).expect("remove saved trace");
+}
+
+#[test]
+fn isa_trace_in_may_end_before_the_budget() {
+    // An execution-driven kernel retires to completion (isa:qsort in
+    // about 36k instructions), so its saved trace is legitimately shorter
+    // than a larger budget and replays byte-identically under it.
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let path = dir.join(format!("icr_run_isa_len_{}.icrt", std::process::id()));
+    let path = path.to_str().expect("utf-8 temp path");
+    let common = ["isa:qsort", "basep", "--insts", "100000", "--json", "-"];
+    let live = run(&[&common[..], &["--trace-out", path]].concat());
+    assert!(live.status.success(), "trace-out run failed: {live:?}");
+    let replay = run(&[&common[..], &["--trace-in", path]].concat());
+    assert!(
+        replay.status.success(),
+        "shorter isa replay failed: {replay:?}"
+    );
+    assert_eq!(live.stdout, replay.stdout, "replay changed the report");
+    std::fs::remove_file(path).expect("remove saved trace");
+}
+
+#[test]
 fn unwritable_json_destination_exits_1() {
     let out = run(&[
         "gzip",
