@@ -1,14 +1,16 @@
 //! Microbenchmarks of the building blocks: the coding substrate, the
 //! cache structures, the workload generator, the out-of-order core on its
-//! own and the full pipeline. These bound how fast the figure regeneration
-//! can go and catch performance regressions in the hot paths.
+//! own, the full pipeline and the per-run set-up of the memory side.
+//! These bound how fast the figure regeneration can go and catch
+//! performance regressions in the hot paths.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use icr_core::{DataL1, DataL1Config, Scheme};
 use icr_cpu::{CpuConfig, PerfectMemory, Pipeline};
 use icr_ecc::{ByteParity, ProtectedWord, Protection, SecDed};
 use icr_mem::{
-    AccessKind, Addr, BlockAddr, Cache, CacheGeometry, DataBlock, HierarchyConfig, MemoryBackend,
+    AccessKind, Addr, BlockAddr, Cache, CacheGeometry, DataBlock, HierarchyConfig, InstrCache,
+    MemoryBackend,
 };
 use icr_sim::{run_sim, SimConfig};
 use icr_trace::{apps, TraceGenerator};
@@ -54,6 +56,17 @@ fn bench_cache(c: &mut Criterion) {
         let addr = BlockAddr(0x1000);
         cache.fill(addr, DataBlock::pristine(addr, 8), false);
         b.iter(|| black_box(cache.lookup(black_box(addr), AccessKind::Read)))
+    });
+    // A streaming miss: every read is a new block, so each one misses the
+    // L2, fetches pristine data from memory and fills (evicting once the
+    // L2 is warm) — the block path below every dL1 miss.
+    g.bench_function("l2_read_block_miss", |b| {
+        let mut backend = MemoryBackend::new(&HierarchyConfig::default());
+        let mut next = 0u64;
+        b.iter(|| {
+            next += 64;
+            black_box(backend.read_block(black_box(BlockAddr(next))))
+        })
     });
     g.bench_function("dl1_load_hit_basep", |b| {
         let mut backend = MemoryBackend::new(&HierarchyConfig::default());
@@ -125,5 +138,30 @@ fn bench_pipeline(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_ecc, bench_cache, bench_trace, bench_pipeline);
+/// Per-run set-up of the paper machine's memory side: every `run_sim`
+/// builds and drops one dL1, one L2 backend (L2, main memory, replica
+/// region) and one iL1.
+fn bench_setup(c: &mut Criterion) {
+    let mut g = c.benchmark_group("sim");
+    let hierarchy = HierarchyConfig::default();
+    let dl1 = DataL1Config::paper_default(Scheme::ICR_P_PS_S);
+    g.bench_function("build_paper_machine", |b| {
+        b.iter(|| {
+            let d = DataL1::new(black_box(dl1.clone()));
+            let m = MemoryBackend::new(black_box(&hierarchy));
+            let i = InstrCache::new(black_box(&hierarchy));
+            black_box((&d, &m, &i));
+        })
+    });
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_ecc,
+    bench_cache,
+    bench_trace,
+    bench_pipeline,
+    bench_setup
+);
 criterion_main!(benches);

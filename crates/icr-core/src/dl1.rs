@@ -42,7 +42,7 @@ use crate::side_cache::DuplicationCache;
 use crate::stats::IcrStats;
 use crate::victim::{CandidateLine, VictimPolicy};
 use icr_ecc::{CheckOutcome, ProtectedWord, Protection};
-use icr_mem::{Addr, BlockAddr, CacheGeometry, DataBlock, LruQueue, MemoryBackend, WriteBuffer};
+use icr_mem::{Addr, BlockAddr, CacheGeometry, DataBlock, LruArray, MemoryBackend, WriteBuffer};
 use icr_vuln::{Arrival, ExposureLedger, ExposureWindows, LaunderKind, ProtState, VulnClass};
 
 /// Write policy of the dL1.
@@ -258,7 +258,9 @@ impl DataL1ConfigBuilder {
 /// in one flat array with `words_per_block` entries per slot. Hot scans —
 /// tag match, replica probes, victim candidate passes, and the batch
 /// decay tick in [`DataL1::export_lines`] — walk short contiguous runs
-/// of these vectors instead of striding over per-line structs.
+/// of these vectors instead of striding over per-line structs. Recency
+/// is one flat [`LruArray`] for all sets, and the oracle's shadow is a
+/// second word array indexed like `words`, so no access allocates.
 #[derive(Debug, Clone)]
 struct LineArrays {
     assoc: usize,
@@ -276,12 +278,17 @@ struct LineArrays {
     prot: Vec<Protection>,
     /// Flat word storage: word `i` of slot `sl` is `words[sl * words_per_block + i]`.
     words: Vec<ProtectedWord>,
-    /// Per-set recency queues (most-recently-used first).
-    lru: Vec<LruQueue>,
+    /// Oracle shadow (empty unless `config.oracle`): the architecturally
+    /// true value of every word of a resident primary, indexed like
+    /// `words`. Written at fill and store, read at load; an evicted
+    /// slot's entries go stale harmlessly until its next fill.
+    shadow: Vec<u64>,
+    /// Every set's recency order (most-recently-used first).
+    lru: LruArray,
 }
 
 impl LineArrays {
-    fn new(g: CacheGeometry) -> Self {
+    fn new(g: CacheGeometry, oracle: bool) -> Self {
         let slots = g.num_sets() * g.associativity();
         LineArrays {
             assoc: g.associativity(),
@@ -293,9 +300,12 @@ impl LineArrays {
             last_access: vec![0; slots],
             prot: vec![Protection::Parity; slots],
             words: vec![ProtectedWord::default(); slots * g.words_per_block()],
-            lru: (0..g.num_sets())
-                .map(|_| LruQueue::new(g.associativity()))
-                .collect(),
+            shadow: if oracle {
+                vec![0; slots * g.words_per_block()]
+            } else {
+                Vec::new()
+            },
+            lru: LruArray::new(g.num_sets(), g.associativity()),
         }
     }
 
@@ -321,9 +331,20 @@ impl LineArrays {
         &mut self.words[slot * self.words_per_block..][..self.words_per_block]
     }
 
+    /// The stored data bits of `slot`, check bits dropped.
     fn plain_data(&self, slot: usize) -> DataBlock {
         let ws = &self.words[slot * self.words_per_block..][..self.words_per_block];
-        DataBlock::from_words(ws.iter().map(|w| w.data()).collect())
+        let mut data = DataBlock::zeroed(self.words_per_block);
+        for (i, w) in ws.iter().enumerate() {
+            data.set_word(i, w.data());
+        }
+        data
+    }
+
+    /// The oracle's true value of word `word` of `slot`.
+    #[inline]
+    fn shadow_mut(&mut self, slot: usize, word: usize) -> &mut u64 {
+        &mut self.shadow[slot * self.words_per_block + word]
     }
 
     /// Way of `set` holding the primary of `block`, if resident — one
@@ -418,9 +439,6 @@ pub struct DataL1 {
     write_buffer: Option<WriteBuffer>,
     duplication: Option<DuplicationCache>,
     stats: IcrStats,
-    /// Oracle shadow of resident blocks' true contents (when
-    /// `config.oracle`): the reference loads are compared against.
-    shadow: std::collections::HashMap<BlockAddr, Vec<u64>>,
     /// Round-robin position of the background scrubber.
     scrub_cursor: usize,
     /// Reusable scratch for replica-victim selection (one set's worth of
@@ -460,7 +478,7 @@ impl DataL1 {
             .validate()
             .unwrap_or_else(|e| panic!("invalid dL1 config: {e}"));
         let g = config.geometry;
-        let lines = LineArrays::new(g);
+        let lines = LineArrays::new(g, config.oracle);
         let write_buffer = match config.write_policy {
             WritePolicy::WriteBack => None,
             WritePolicy::WriteThrough { buffer_entries } => {
@@ -469,14 +487,15 @@ impl DataL1 {
                 Some(WriteBuffer::new(buffer_entries, 6))
             }
         };
-        let duplication = config.duplication_cache.map(DuplicationCache::new);
+        let duplication = config
+            .duplication_cache
+            .map(|blocks| DuplicationCache::new(blocks, g.words_per_block()));
         DataL1 {
             config,
             lines,
             write_buffer,
             duplication,
             stats: IcrStats::default(),
-            shadow: std::collections::HashMap::new(),
             scrub_cursor: 0,
             victim_scratch: Vec::new(),
             mask_scratch: Vec::new(),
@@ -632,38 +651,42 @@ impl DataL1 {
         self.lines.primary_way(s, block).map(|w| (s, w))
     }
 
-    /// All replica locations of `block`, searched over the placement's
-    /// candidate sets (the only places a replica can live).
-    fn find_replicas(&self, block: BlockAddr) -> Vec<(usize, usize)> {
+    /// The replica of `block` in the placement's `attempt`-th candidate
+    /// set, if any. A set holds at most one replica of a block
+    /// (replication skips sets that already hold one), so walking
+    /// `attempt` over the placement's attempts visits every replica, in
+    /// candidate-set order, without collecting them. Callers index by
+    /// attempt rather than iterate so they can mutate the cache between
+    /// visits.
+    #[inline]
+    fn replica_in(&self, block: BlockAddr, attempt: usize) -> Option<(usize, usize)> {
         let g = self.config.geometry;
-        let home = g.set_index(block);
-        let mut out = Vec::new();
-        for set in self.config.placement.candidate_sets_iter(g, home) {
-            let base = set.0 * self.lines.assoc;
-            for w in 0..self.lines.assoc {
-                let sl = base + w;
-                if self.lines.valid[sl] && self.lines.is_replica[sl] && self.lines.addr[sl] == block
-                {
-                    out.push((set.0, w));
-                }
-            }
-        }
-        out
+        let set = self
+            .config
+            .placement
+            .candidate_set(g, g.set_index(block), attempt)
+            .0;
+        self.lines.replica_way(set, block).map(|w| (set, w))
     }
 
-    /// The first replica location of `block` in candidate-set order —
-    /// identical to `find_replicas(block).first()`, without the
-    /// allocation. This is the copy the parallel-lookup (`PP`) load path
-    /// reads on every replicated hit.
+    /// Number of candidate sets (placement attempts) a replica walk visits.
+    fn replica_attempts(&self) -> usize {
+        self.config.placement.attempts.len()
+    }
+
+    /// All replica locations of `block`, in candidate-set order.
+    #[cfg(test)]
+    fn find_replicas(&self, block: BlockAddr) -> Vec<(usize, usize)> {
+        (0..self.replica_attempts())
+            .filter_map(|a| self.replica_in(block, a))
+            .collect()
+    }
+
+    /// The first replica location of `block` in candidate-set order. This
+    /// is the copy the parallel-lookup (`PP`) load path reads on every
+    /// replicated hit.
     fn first_replica(&self, block: BlockAddr) -> Option<(usize, usize)> {
-        let g = self.config.geometry;
-        let home = g.set_index(block);
-        for set in self.config.placement.candidate_sets_iter(g, home) {
-            if let Some(w) = self.lines.replica_way(set.0, block) {
-                return Some((set.0, w));
-            }
-        }
-        None
+        (0..self.replica_attempts()).find_map(|a| self.replica_in(block, a))
     }
 
     /// `true` when `block` currently has at least one replica.
@@ -807,7 +830,7 @@ impl DataL1 {
     ///
     /// Panics if `set` is out of range.
     pub fn lru_order(&self, set: usize) -> &[usize] {
-        self.lines.lru[set].mru_to_lru()
+        self.lines.lru.mru_to_lru(set)
     }
 
     /// Number of data words currently *vulnerable* to a single-bit
@@ -955,7 +978,6 @@ impl DataL1 {
             }
         } else {
             self.stats.cache.evictions += 1;
-            self.shadow.remove(&addr);
             if dirty {
                 self.stats.writebacks += 1;
                 self.stats.cache.writebacks += 1;
@@ -968,7 +990,10 @@ impl DataL1 {
                 }
             }
             if !self.config.keep_replicas_on_evict {
-                for (rs, rw) in self.find_replicas(addr) {
+                for attempt in 0..self.replica_attempts() {
+                    let Some((rs, rw)) = self.replica_in(addr, attempt) else {
+                        continue;
+                    };
                     let rslot = self.lines.slot(rs, rw);
                     self.lines.valid[rslot] = false;
                     self.exposure.end_line(rslot, now);
@@ -997,7 +1022,7 @@ impl DataL1 {
         let s = g.set_index(block).0;
         let way = match self.lines.invalid_way(s) {
             Some(w) => w,
-            None => self.lines.lru[s].victim(),
+            None => self.lines.lru.victim(s),
         };
         self.evict_line(s, way, now, backend);
         // Protection depends on whether replicas survived a previous
@@ -1017,14 +1042,15 @@ impl DataL1 {
         for (i, w) in self.lines.words_mut(slot).iter_mut().enumerate() {
             *w = ProtectedWord::encode(data.word(i), protection);
         }
-        self.lines.lru[s].touch(way);
+        self.lines.lru.touch(s, way);
         let state = self.exposure_state(s, way);
         self.exposure.begin_line(slot, state, now);
         self.stats.cache.fills += 1;
         self.stats.l1_write_ops += 1;
         self.count_code_op(protection);
         if self.config.oracle {
-            self.shadow.insert(block, data.words().to_vec());
+            let wpb = self.lines.words_per_block;
+            self.lines.shadow[slot * wpb..][..wpb].copy_from_slice(data.words());
         }
         (s, way)
     }
@@ -1054,7 +1080,7 @@ impl DataL1 {
         for pass in self.config.victim.passes() {
             mask.clear();
             mask.extend(candidates.iter().map(pass));
-            if let Some(w) = self.lines.lru[set].victim_among(&mask) {
+            if let Some(w) = self.lines.lru.victim_among(set, &mask) {
                 chosen = Some(w);
                 break;
             }
@@ -1094,14 +1120,8 @@ impl DataL1 {
             return false;
         }
         let base = self.ensure_spill_ledger(backend);
-        let pslot = self.lines.slot(ps, pw);
-        let wpb = self.lines.words_per_block;
-        let words: Vec<ProtectedWord> = (0..wpb)
-            .map(|i| {
-                ProtectedWord::encode(self.lines.words[pslot * wpb + i].data(), Protection::Parity)
-            })
-            .collect();
-        let ins = backend.replica_region_mut().insert(block, words);
+        let data = self.lines.plain_data(self.lines.slot(ps, pw));
+        let ins = backend.replica_region_mut().insert(block, data.words());
         if let Some((eblock, eslot)) = ins.evicted {
             self.spilled.remove(&eblock);
             self.exposure.end_line(base + eslot, now);
@@ -1159,9 +1179,7 @@ impl DataL1 {
         };
         let g = self.config.geometry;
         let home = g.set_index(block);
-        // The candidate list maps 1:1 over the placement's attempts, so
-        // its length is known without materialising it.
-        let n_attempts = self.config.placement.attempts.len();
+        let n_attempts = self.replica_attempts();
         // Software hints can deny replication or demand more copies; the
         // attempt list still bounds how many placements can be tried.
         let max = self
@@ -1173,15 +1191,9 @@ impl DataL1 {
             return; // software opted this range out: no attempt is made
         }
 
-        // Count existing replicas the same way find_replicas walks them —
-        // per candidate set (at most one replica of a block per set) —
-        // without collecting the locations.
-        let mut count = 0;
-        for target in self.config.placement.candidate_sets_iter(g, home) {
-            if self.lines.replica_way(target.0, block).is_some() {
-                count += 1;
-            }
-        }
+        let mut count = (0..n_attempts)
+            .filter(|&a| self.replica_in(block, a).is_some())
+            .count();
         let had_none = count == 0;
         let count_before = count;
         let spills = self.config.scheme.spills_to_l2();
@@ -1190,7 +1202,7 @@ impl DataL1 {
             if count >= max {
                 break;
             }
-            let target = g.set_at_distance(home, self.config.placement.attempts[attempt]);
+            let target = self.config.placement.candidate_set(g, home, attempt);
             // One replica per set: skip sets that already hold one.
             if self.lines.replica_way(target.0, block).is_some() {
                 continue;
@@ -1213,7 +1225,7 @@ impl DataL1 {
                     self.lines.words[rslot * wpb + i] =
                         ProtectedWord::encode(v, Protection::Parity);
                 }
-                self.lines.lru[target.0].touch(way);
+                self.lines.lru.touch(target.0, way);
                 self.exposure.begin_line(rslot, ProtState::Replica, now);
                 self.stats.replicas_created += 1;
                 self.stats.l1_write_ops += 1;
@@ -1271,8 +1283,10 @@ impl DataL1 {
         let slot = self.lines.slot(set, way);
         let sequential = self.config.scheme.lookup() == Some(ReplicaLookup::Sequential);
         // 1. Try the replicas.
-        let replicas = self.find_replicas(block);
-        for (rs, rw) in replicas {
+        for attempt in 0..self.replica_attempts() {
+            let Some((rs, rw)) = self.replica_in(block, attempt) else {
+                continue;
+            };
             // Sequential lookup pays an extra read now; parallel lookup
             // already read the replica.
             if sequential {
@@ -1354,9 +1368,7 @@ impl DataL1 {
         // The corruption has been *acknowledged*; fold it into the oracle
         // so later loads of this word are not double-counted as silent.
         if self.config.oracle {
-            if let Some(sh) = self.shadow.get_mut(&block) {
-                sh[word] = bad;
-            }
+            *self.lines.shadow_mut(slot, word) = bad;
         }
         0
     }
@@ -1383,7 +1395,10 @@ impl DataL1 {
             }
             self.exposure.refresh_line(slot, now);
             // Refresh the replica from the restored primary too.
-            for (rs, rw) in self.find_replicas(block) {
+            for attempt in 0..self.replica_attempts() {
+                let Some((rs, rw)) = self.replica_in(block, attempt) else {
+                    continue;
+                };
                 let rslot = self.lines.slot(rs, rw);
                 for i in 0..data.len() {
                     *self.lines.word_mut(rslot, i) =
@@ -1401,15 +1416,16 @@ impl DataL1 {
         self.stats.unrecoverable_loads += 1;
         let bad = self.lines.word(slot, word).data();
         self.exposure.refresh_word(slot, word, now);
-        for (rs, rw) in self.find_replicas(block) {
+        for attempt in 0..self.replica_attempts() {
+            let Some((rs, rw)) = self.replica_in(block, attempt) else {
+                continue;
+            };
             let rslot = self.lines.slot(rs, rw);
             *self.lines.word_mut(rslot, word) = ProtectedWord::encode(bad, Protection::Parity);
             self.exposure.refresh_word(rslot, word, now);
         }
         if self.config.oracle {
-            if let Some(sh) = self.shadow.get_mut(&block) {
-                sh[word] = bad;
-            }
+            *self.lines.shadow_mut(slot, word) = bad;
         }
         0
     }
@@ -1543,7 +1559,7 @@ impl DataL1 {
                 self.stats.read_hits_with_replica += 1;
             }
             let slot = self.lines.slot(s, w);
-            self.lines.lru[s].touch(w);
+            self.lines.lru.touch(s, w);
             self.lines.last_access[slot] = now;
             // The check performed on the accessed word: it consumes the
             // word's open exposure window. A strike anywhere in it would
@@ -1637,12 +1653,11 @@ impl DataL1 {
             // different from the architectural truth is silent corruption.
             if self.config.oracle && !error_handled {
                 let got = self.lines.word(slot, word).data();
-                if let Some(sh) = self.shadow.get_mut(&block) {
-                    if sh[word] != got {
-                        self.stats.silent_corruptions += 1;
-                        // Count each consumed corruption once.
-                        sh[word] = got;
-                    }
+                let truth = self.lines.shadow_mut(slot, word);
+                if *truth != got {
+                    self.stats.silent_corruptions += 1;
+                    // Count each consumed corruption once.
+                    *truth = got;
                 }
             }
             self.port_free_at = now + port_wait + self.check_occupancy(line_protection);
@@ -1657,7 +1672,7 @@ impl DataL1 {
                     // The replica was just useful: refresh its recency so
                     // it keeps playing victim-cache for this block.
                     let rslot = self.lines.slot(rs, rw);
-                    self.lines.lru[rs].touch(rw);
+                    self.lines.lru.touch(rs, rw);
                     self.lines.last_access[rslot] = now;
                     let data = self.lines.plain_data(rslot);
                     // The replica's stored bits are trusted into the new
@@ -1688,7 +1703,8 @@ impl DataL1 {
                     .expect("spilled set mirrors region occupancy");
                 let base_slot = self.spill_base.expect("spilled implies ledger attached");
                 let wpb = g.words_per_block();
-                let mut values = Vec::with_capacity(wpb);
+                let mut data = DataBlock::zeroed(wpb);
+                let mut verified = 0;
                 for i in 0..wpb {
                     self.stats.parity_ops += 1;
                     // The read-back observes each region word: a strike
@@ -1698,15 +1714,15 @@ impl DataL1 {
                         .consume_word(base_slot + rslot, i, VulnClass::ByRefetch, now);
                     let mut w = *backend.replica_region().word(rslot, i);
                     if w.check_and_correct().data_is_good() {
-                        values.push(w.data());
+                        data.set_word(i, w.data());
+                        verified += 1;
                     } else {
                         self.stats.errors_detected += 1;
                         break;
                     }
                 }
-                if values.len() == wpb {
+                if verified == wpb {
                     self.stats.misses_served_by_spill += 1;
-                    let data = DataBlock::from_words(values);
                     self.fill_primary(block, &data, false, now, backend);
                     if self
                         .config
@@ -1777,20 +1793,17 @@ impl DataL1 {
                 *self.lines.word_mut(slot, word) = ProtectedWord::encode(value, protection);
                 self.lines.dirty[slot] = !write_through;
                 self.lines.last_access[slot] = now;
-                self.lines.lru[s].touch(w);
+                self.lines.lru.touch(s, w);
                 self.exposure.refresh_word(slot, word, now);
                 self.sync_exposure(s, w, now);
                 self.stats.l1_write_ops += 1;
                 self.count_code_op(protection);
                 if self.config.oracle {
-                    if let Some(sh) = self.shadow.get_mut(&block) {
-                        sh[word] = value;
-                    }
+                    *self.lines.shadow_mut(slot, word) = value;
                 }
                 if let Some(dup) = &mut self.duplication {
                     if !dup.update_word(block, word, value) {
-                        let data = self.lines.plain_data(slot);
-                        dup.record(block, &data);
+                        dup.record(block, self.lines.plain_data(slot).words());
                         self.stats.l1_write_ops += 1;
                         self.stats.parity_ops += 1;
                     }
@@ -1810,13 +1823,10 @@ impl DataL1 {
                 self.stats.l1_write_ops += 1;
                 self.count_code_op(protection);
                 if self.config.oracle {
-                    if let Some(sh) = self.shadow.get_mut(&block) {
-                        sh[word] = value;
-                    }
+                    *self.lines.shadow_mut(slot, word) = value;
                 }
                 if let Some(dup) = &mut self.duplication {
-                    let data = self.lines.plain_data(slot);
-                    dup.record(block, &data);
+                    dup.record(block, self.lines.plain_data(slot).words());
                     self.stats.l1_write_ops += 1;
                     self.stats.parity_ops += 1;
                 }
@@ -1827,22 +1837,17 @@ impl DataL1 {
             }
         }
 
-        // Keep every replica coherent with the store — the same
-        // candidate-set walk as `find_replicas`, without collecting.
+        // Keep every replica coherent with the store.
         if self.config.scheme.replicates() && resident.is_some() {
-            let home = g.set_index(block);
-            for attempt in 0..self.config.placement.attempts.len() {
-                let rs = g
-                    .set_at_distance(home, self.config.placement.attempts[attempt])
-                    .0;
-                let Some(rw) = self.lines.replica_way(rs, block) else {
+            for attempt in 0..self.replica_attempts() {
+                let Some((rs, rw)) = self.replica_in(block, attempt) else {
                     continue;
                 };
                 let rslot = self.lines.slot(rs, rw);
                 *self.lines.word_mut(rslot, word) =
                     ProtectedWord::encode(value, Protection::Parity);
                 self.lines.last_access[rslot] = now;
-                self.lines.lru[rs].touch(rw);
+                self.lines.lru.touch(rs, rw);
                 self.exposure.refresh_word(rslot, word, now);
                 self.stats.replica_updates += 1;
                 self.stats.l1_write_ops += 1;

@@ -97,19 +97,26 @@ impl PlacementPolicy {
     /// The candidate sets for the replicas of a block whose primary lives
     /// in `home`, in attempt order.
     pub fn candidate_sets(&self, geometry: CacheGeometry, home: SetIndex) -> Vec<SetIndex> {
-        self.candidate_sets_iter(geometry, home).collect()
+        (0..self.attempts.len())
+            .map(|attempt| self.candidate_set(geometry, home, attempt))
+            .collect()
     }
 
-    /// [`Self::candidate_sets`] as an iterator, for per-access paths that
-    /// cannot afford an allocation.
-    pub fn candidate_sets_iter(
+    /// The candidate set of the `attempt`-th placement attempt for a block
+    /// whose primary lives in `home`. Per-access paths index attempts
+    /// through this rather than collect [`Self::candidate_sets`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `attempt` is not below the number of attempts.
+    #[inline]
+    pub fn candidate_set(
         &self,
         geometry: CacheGeometry,
         home: SetIndex,
-    ) -> impl Iterator<Item = SetIndex> + '_ {
-        self.attempts
-            .iter()
-            .map(move |&k| geometry.set_at_distance(home, k))
+        attempt: usize,
+    ) -> SetIndex {
+        geometry.set_at_distance(home, self.attempts[attempt])
     }
 
     /// Validates the policy.

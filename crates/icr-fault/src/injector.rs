@@ -679,13 +679,8 @@ mod tests {
         let mut backend = MemoryBackend::new(&HierarchyConfig::default());
         let mut dl1 = DataL1::new(DataL1Config::paper_default(Scheme::ICR_P_PS_S_L2));
         let block = icr_mem::BlockAddr(0x1000_0000);
-        let words: Vec<_> = backend
-            .golden_block(block)
-            .words()
-            .iter()
-            .map(|&w| icr_ecc::ProtectedWord::encode(w, icr_ecc::Protection::Parity))
-            .collect();
-        backend.replica_region_mut().insert(block, words);
+        let data = backend.golden_block(block);
+        backend.replica_region_mut().insert(block, data.words());
         let before: Vec<u64> = backend.replica_region().export_lru_order()[0].1.clone();
 
         let mut inj = FaultInjector::new(ErrorModel::Direct, 1.0, 21).with_log();

@@ -1,6 +1,14 @@
 //! Addresses and cache geometry: how a byte address splits into
 //! tag / set-index / block-offset for a given cache shape.
+//!
+//! Every dimension of a [`CacheGeometry`] is a power of two, so the split
+//! is shifts and masks: the shift amounts come from `trailing_zeros` of
+//! the stored sizes, and distance-k set arithmetic wraps with
+//! `& (num_sets - 1)`. The geometry still stores the three sizes
+//! themselves, because its `Debug` form is part of the simulation
+//! configuration's run-memo key.
 
+use crate::block::MAX_BLOCK_BYTES;
 use std::fmt;
 
 /// A byte address in the simulated machine.
@@ -75,8 +83,9 @@ impl CacheGeometry {
     /// # Panics
     ///
     /// Panics unless `size_bytes`, `associativity` and `block_bytes` are
-    /// powers of two, `block_bytes >= 8`, and the cache holds at least one
-    /// set (`size_bytes >= associativity * block_bytes`).
+    /// powers of two, `8 <= block_bytes <=` [`MAX_BLOCK_BYTES`], and the
+    /// cache holds at least one set
+    /// (`size_bytes >= associativity * block_bytes`).
     pub fn new(size_bytes: usize, associativity: usize, block_bytes: usize) -> Self {
         assert!(size_bytes.is_power_of_two(), "size must be a power of two");
         assert!(
@@ -86,6 +95,10 @@ impl CacheGeometry {
         assert!(
             block_bytes.is_power_of_two() && block_bytes >= 8,
             "block size must be a power of two of at least 8 bytes"
+        );
+        assert!(
+            block_bytes <= MAX_BLOCK_BYTES,
+            "block size {block_bytes} B exceeds the {MAX_BLOCK_BYTES} B block bound"
         );
         assert!(
             size_bytes >= associativity * block_bytes,
@@ -114,47 +127,67 @@ impl CacheGeometry {
     }
 
     /// Number of sets.
+    #[inline]
     pub fn num_sets(self) -> usize {
-        self.size_bytes / (self.associativity * self.block_bytes)
+        self.size_bytes >> (self.associativity.trailing_zeros() + self.block_bits())
     }
 
     /// Number of 64-bit words in one block.
+    #[inline]
     pub fn words_per_block(self) -> usize {
-        self.block_bytes / 8
+        self.block_bytes >> 3
+    }
+
+    /// log2 of the block size: the width of the block-offset field.
+    #[inline]
+    fn block_bits(self) -> u32 {
+        self.block_bytes.trailing_zeros()
+    }
+
+    /// log2 of the number of sets: the width of the set-index field.
+    #[inline]
+    fn set_bits(self) -> u32 {
+        self.size_bytes.trailing_zeros() - self.associativity.trailing_zeros() - self.block_bits()
     }
 
     /// Clears the offset bits of a byte address, yielding its block address.
+    #[inline]
     pub fn block_addr(self, addr: Addr) -> BlockAddr {
         BlockAddr(addr.0 & !(self.block_bytes as u64 - 1))
     }
 
     /// The set a block maps to.
+    #[inline]
     pub fn set_index(self, block: BlockAddr) -> SetIndex {
-        let idx = (block.0 / self.block_bytes as u64) as usize & (self.num_sets() - 1);
-        SetIndex(idx)
+        SetIndex((block.0 >> self.block_bits()) as usize & (self.num_sets() - 1))
     }
 
     /// The tag of a block (the address bits above the set index).
+    #[inline]
     pub fn tag(self, block: BlockAddr) -> u64 {
-        block.0 / self.block_bytes as u64 / self.num_sets() as u64
+        block.0 >> (self.block_bits() + self.set_bits())
     }
 
     /// Index of the 64-bit word within its block that `addr` falls into.
+    #[inline]
     pub fn word_index(self, addr: Addr) -> usize {
-        ((addr.0 as usize) & (self.block_bytes - 1)) / 8
+        ((addr.0 as usize) & (self.block_bytes - 1)) >> 3
     }
 
     /// Reassembles a block address from a tag and set index (inverse of
     /// [`tag`](Self::tag) + [`set_index`](Self::set_index)).
+    #[inline]
     pub fn block_addr_from_parts(self, tag: u64, set: SetIndex) -> BlockAddr {
-        BlockAddr((tag * self.num_sets() as u64 + set.0 as u64) * self.block_bytes as u64)
+        BlockAddr(((tag << self.set_bits()) | set.0 as u64) << self.block_bits())
     }
 
     /// The set at signed distance `k` from `set`, wrapping modulo the number
-    /// of sets — the paper's "distance-k" replica placement.
+    /// of sets — the paper's "distance-k" replica placement. The number of
+    /// sets divides 2^64, so a wrapping add and a mask give the Euclidean
+    /// remainder for every `k`.
+    #[inline]
     pub fn set_at_distance(self, set: SetIndex, k: isize) -> SetIndex {
-        let n = self.num_sets() as isize;
-        SetIndex(((set.0 as isize + k).rem_euclid(n)) as usize)
+        SetIndex(set.0.wrapping_add(k as usize) & (self.num_sets() - 1))
     }
 }
 
@@ -238,6 +271,19 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn non_power_of_two_size_panics() {
         CacheGeometry::new(1000, 4, 64);
+    }
+
+    #[test]
+    fn block_bound_admits_128_byte_blocks() {
+        let g = CacheGeometry::new(16 * 1024, 4, MAX_BLOCK_BYTES);
+        assert_eq!(g.words_per_block(), 16);
+        assert_eq!(g.num_sets(), 32);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the 128 B block bound")]
+    fn geometries_beyond_the_block_bound_panic() {
+        CacheGeometry::new(16 * 1024, 4, 2 * MAX_BLOCK_BYTES);
     }
 
     #[test]

@@ -2,10 +2,15 @@
 //! data storage — used for the L2 and the instruction L1. (The data L1,
 //! with its replicas and protection codes, lives in `icr-core` and builds
 //! on the same geometry/LRU primitives.)
+//!
+//! Storage is flat: one `valid`, `dirty` and `tags` entry per slot
+//! (`set * ways + way`), every slot's words in one array, and every set's
+//! recency in one [`LruArray`]. Building a cache is a handful of
+//! allocations whatever its size, and no access allocates.
 
 use crate::addr::{BlockAddr, CacheGeometry, SetIndex};
 use crate::block::DataBlock;
-use crate::lru::LruQueue;
+use crate::lru::LruArray;
 use crate::stats::CacheStats;
 
 /// Whether a lookup models a read or a write, for stats purposes.
@@ -28,20 +33,6 @@ pub struct Evicted {
     pub dirty: bool,
 }
 
-#[derive(Debug, Clone)]
-struct Line {
-    valid: bool,
-    dirty: bool,
-    tag: u64,
-    data: DataBlock,
-}
-
-#[derive(Debug, Clone)]
-struct Set {
-    lines: Vec<Line>,
-    lru: LruQueue,
-}
-
 /// Set-associative write-back cache storing real block data.
 ///
 /// ```
@@ -57,7 +48,14 @@ struct Set {
 pub struct Cache {
     geometry: CacheGeometry,
     hit_latency: u64,
-    sets: Vec<Set>,
+    ways: usize,
+    words_per_block: usize,
+    valid: Vec<bool>,
+    dirty: Vec<bool>,
+    tags: Vec<u64>,
+    /// Word `i` of slot `sl` is `words[sl * words_per_block + i]`.
+    words: Vec<u64>,
+    lru: LruArray,
     stats: CacheStats,
 }
 
@@ -65,24 +63,17 @@ impl Cache {
     /// Creates an empty cache with the given shape and hit latency.
     pub fn new(geometry: CacheGeometry, hit_latency: u64) -> Self {
         let ways = geometry.associativity();
-        let words = geometry.words_per_block();
-        let sets = (0..geometry.num_sets())
-            .map(|_| Set {
-                lines: (0..ways)
-                    .map(|_| Line {
-                        valid: false,
-                        dirty: false,
-                        tag: 0,
-                        data: DataBlock::zeroed(words),
-                    })
-                    .collect(),
-                lru: LruQueue::new(ways),
-            })
-            .collect();
+        let slots = geometry.num_sets() * ways;
         Cache {
             geometry,
             hit_latency,
-            sets,
+            ways,
+            words_per_block: geometry.words_per_block(),
+            valid: vec![false; slots],
+            dirty: vec![false; slots],
+            tags: vec![0; slots],
+            words: vec![0; slots * geometry.words_per_block()],
+            lru: LruArray::new(geometry.num_sets(), ways),
             stats: CacheStats::default(),
         }
     }
@@ -102,19 +93,54 @@ impl Cache {
         &self.stats
     }
 
-    fn set_of(&self, addr: BlockAddr) -> SetIndex {
-        self.geometry.set_index(addr)
+    /// The (set, way) holding `addr`, if resident.
+    #[inline]
+    fn find(&self, addr: BlockAddr) -> Option<(usize, usize)> {
+        let tag = self.geometry.tag(addr);
+        let set = self.geometry.set_index(addr).0;
+        let base = set * self.ways;
+        (0..self.ways)
+            .find(|&w| self.valid[base + w] && self.tags[base + w] == tag)
+            .map(|w| (set, w))
     }
 
-    fn find_way(&self, addr: BlockAddr) -> Option<usize> {
-        let tag = self.geometry.tag(addr);
-        let set = &self.sets[self.set_of(addr).0];
-        set.lines.iter().position(|l| l.valid && l.tag == tag)
+    #[inline]
+    fn block_words(&self, slot: usize) -> &[u64] {
+        &self.words[slot * self.words_per_block..][..self.words_per_block]
+    }
+
+    #[inline]
+    fn block_words_mut(&mut self, slot: usize) -> &mut [u64] {
+        &mut self.words[slot * self.words_per_block..][..self.words_per_block]
+    }
+
+    /// Copies `data` into `slot`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data` is not one block of this cache's size.
+    fn store_block(&mut self, slot: usize, data: &DataBlock) {
+        assert_eq!(data.len(), self.words_per_block, "block size mismatch");
+        self.block_words_mut(slot).copy_from_slice(data.words());
+    }
+
+    /// The valid block in `slot`, leaving the slot invalid. (An invalid
+    /// slot's other fields are never read before its next fill rewrites
+    /// them.)
+    fn take_block(&mut self, set: usize, slot: usize) -> Evicted {
+        self.valid[slot] = false;
+        Evicted {
+            addr: self
+                .geometry
+                .block_addr_from_parts(self.tags[slot], SetIndex(set)),
+            data: DataBlock::from_words(self.block_words(slot)),
+            dirty: self.dirty[slot],
+        }
     }
 
     /// `true` when the block is resident (no state change, no stats).
     pub fn contains(&self, addr: BlockAddr) -> bool {
-        self.find_way(addr).is_some()
+        self.find(addr).is_some()
     }
 
     /// Records a read hit on a line the caller *knows* is resident and
@@ -130,7 +156,7 @@ impl Cache {
     /// Looks the block up, updating LRU and stats. Returns `true` on hit.
     /// On a write hit, the line is marked dirty.
     pub fn lookup(&mut self, addr: BlockAddr, kind: AccessKind) -> bool {
-        let hit = self.find_way(addr);
+        let hit = self.find(addr);
         match kind {
             AccessKind::Read => {
                 self.stats.read_accesses += 1;
@@ -145,65 +171,64 @@ impl Cache {
                 }
             }
         }
-        if let Some(way) = hit {
-            let set_idx = self.set_of(addr).0;
-            let set = &mut self.sets[set_idx];
-            set.lru.touch(way);
-            if kind == AccessKind::Write {
-                set.lines[way].dirty = true;
-            }
-            true
-        } else {
-            false
+        let Some((set, way)) = hit else {
+            return false;
+        };
+        self.lru.touch(set, way);
+        if kind == AccessKind::Write {
+            self.dirty[set * self.ways + way] = true;
         }
+        true
     }
 
     /// Reads a word of a resident block, updating LRU.
     ///
     /// Returns `None` when the block is not resident.
     pub fn read_word(&mut self, addr: BlockAddr, word: usize) -> Option<u64> {
-        let way = self.find_way(addr)?;
-        let set_idx = self.set_of(addr).0;
-        let set = &mut self.sets[set_idx];
-        set.lru.touch(way);
-        Some(set.lines[way].data.word(word))
+        let (set, way) = self.find(addr)?;
+        self.lru.touch(set, way);
+        Some(self.block_words(set * self.ways + way)[word])
     }
 
     /// Writes a word of a resident block, marking it dirty.
     ///
     /// Returns `false` when the block is not resident.
     pub fn write_word(&mut self, addr: BlockAddr, word: usize, value: u64) -> bool {
-        let Some(way) = self.find_way(addr) else {
+        let Some((set, way)) = self.find(addr) else {
             return false;
         };
-        let set_idx = self.set_of(addr).0;
-        let set = &mut self.sets[set_idx];
-        set.lru.touch(way);
-        set.lines[way].data.set_word(word, value);
-        set.lines[way].dirty = true;
+        self.lru.touch(set, way);
+        let slot = set * self.ways + way;
+        self.block_words_mut(slot)[word] = value;
+        self.dirty[slot] = true;
         true
     }
 
     /// Reads a whole resident block without disturbing LRU (used when an
     /// upper level refetches after an error).
-    pub fn peek_block(&self, addr: BlockAddr) -> Option<&DataBlock> {
-        let way = self.find_way(addr)?;
-        Some(&self.sets[self.set_of(addr).0].lines[way].data)
+    pub fn peek_block(&self, addr: BlockAddr) -> Option<DataBlock> {
+        let (set, way) = self.find(addr)?;
+        Some(DataBlock::from_words(
+            self.block_words(set * self.ways + way),
+        ))
     }
 
     /// Overwrites a resident block's data in place, marking it dirty
     /// (a full-block writeback arriving from an upper level).
     ///
     /// Returns `false` when the block is not resident.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data` is not one block of this cache's size.
     pub fn update_block(&mut self, addr: BlockAddr, data: DataBlock) -> bool {
-        let Some(way) = self.find_way(addr) else {
+        let Some((set, way)) = self.find(addr) else {
             return false;
         };
-        let set_idx = self.set_of(addr).0;
-        let set = &mut self.sets[set_idx];
-        set.lru.touch(way);
-        set.lines[way].data = data;
-        set.lines[way].dirty = true;
+        self.lru.touch(set, way);
+        let slot = set * self.ways + way;
+        self.store_block(slot, &data);
+        self.dirty[slot] = true;
         true
     }
 
@@ -214,71 +239,45 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if the block is already resident (fill implies a prior miss).
+    /// Panics if the block is already resident (fill implies a prior miss),
+    /// or if `data` is not one block of this cache's size.
     pub fn fill(&mut self, addr: BlockAddr, data: DataBlock, dirty: bool) -> Option<Evicted> {
         assert!(
-            self.find_way(addr).is_none(),
+            self.find(addr).is_none(),
             "fill of already-resident block {addr}"
         );
         self.stats.fills += 1;
-        let tag = self.geometry.tag(addr);
-        let set_idx = self.set_of(addr).0;
-        let geometry = self.geometry;
-        let set = &mut self.sets[set_idx];
-
+        let set = self.geometry.set_index(addr).0;
+        let base = set * self.ways;
         // Prefer an invalid way; otherwise evict LRU.
-        let way = match set.lines.iter().position(|l| !l.valid) {
-            Some(w) => w,
-            None => set.lru.victim(),
-        };
-        let line = &mut set.lines[way];
-        let evicted = if line.valid {
+        let way = (0..self.ways)
+            .find(|&w| !self.valid[base + w])
+            .unwrap_or_else(|| self.lru.victim(set));
+        let slot = base + way;
+        let evicted = self.valid[slot].then(|| {
             self.stats.evictions += 1;
-            if line.dirty {
+            if self.dirty[slot] {
                 self.stats.writebacks += 1;
             }
-            Some(Evicted {
-                addr: geometry.block_addr_from_parts(line.tag, SetIndex(set_idx)),
-                data: std::mem::replace(&mut line.data, DataBlock::zeroed(0)),
-                dirty: line.dirty,
-            })
-        } else {
-            None
-        };
-        *line = Line {
-            valid: true,
-            dirty,
-            tag,
-            data,
-        };
-        set.lru.touch(way);
+            self.take_block(set, slot)
+        });
+        self.store_block(slot, &data);
+        self.valid[slot] = true;
+        self.dirty[slot] = dirty;
+        self.tags[slot] = self.geometry.tag(addr);
+        self.lru.touch(set, way);
         evicted
     }
 
     /// Invalidates a block if resident, returning it (for flush modelling).
     pub fn invalidate(&mut self, addr: BlockAddr) -> Option<Evicted> {
-        let way = self.find_way(addr)?;
-        let set_idx = self.set_of(addr).0;
-        let geometry = self.geometry;
-        let set = &mut self.sets[set_idx];
-        let line = &mut set.lines[way];
-        line.valid = false;
-        Some(Evicted {
-            addr: geometry.block_addr_from_parts(line.tag, SetIndex(set_idx)),
-            data: std::mem::replace(
-                &mut line.data,
-                DataBlock::zeroed(geometry.words_per_block()),
-            ),
-            dirty: std::mem::take(&mut line.dirty),
-        })
+        let (set, way) = self.find(addr)?;
+        Some(self.take_block(set, set * self.ways + way))
     }
 
     /// Number of valid blocks currently resident.
     pub fn resident_blocks(&self) -> usize {
-        self.sets
-            .iter()
-            .map(|s| s.lines.iter().filter(|l| l.valid).count())
-            .sum()
+        self.valid.iter().filter(|&&v| v).count()
     }
 }
 
@@ -354,8 +353,8 @@ mod tests {
         c.fill(a, blk(0), false);
         let mut d = DataBlock::zeroed(8);
         d.set_word(0, 7);
-        assert!(c.update_block(a, d.clone()));
-        assert_eq!(c.peek_block(a), Some(&d));
+        assert!(c.update_block(a, d));
+        assert_eq!(c.peek_block(a), Some(d));
         // Evicting it now reports dirty.
         c.fill(BlockAddr(128), blk(128), false);
         c.lookup(BlockAddr(128), AccessKind::Read);
@@ -384,6 +383,12 @@ mod tests {
         c.fill(BlockAddr(0), blk(0), false);
         c.fill(BlockAddr(64), blk(64), false);
         assert_eq!(c.resident_blocks(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "block size mismatch")]
+    fn fill_of_a_wrong_sized_block_panics() {
+        small().fill(BlockAddr(0), DataBlock::zeroed(4), false);
     }
 
     #[test]

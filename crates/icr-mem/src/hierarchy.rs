@@ -3,14 +3,21 @@
 //!
 //! The data L1 itself is deliberately *not* here — every dL1 variant
 //! (BaseP, BaseECC, all ICR schemes) lives in `icr-core` and plugs into
-//! [`MemoryBackend::read_block`] / [`MemoryBackend::write_block`].
+//! [`MemoryBackend::read_block`] / [`MemoryBackend::write_block`]. Blocks
+//! cross these calls as inline [`DataBlock`] values, so serving a miss or
+//! absorbing a write-back never allocates; the L2, the iL1 and the L2
+//! replica region each keep their data in flat per-cache arrays.
+//!
+//! Block sizes are tied together: an iL1 block must fit in one L2 block
+//! ([`HierarchyConfig::validate`]), and the dL1's block must equal the
+//! L2's, because a dL1 miss or write-back moves exactly one L2 block.
 
 use crate::addr::{Addr, BlockAddr, CacheGeometry};
 use crate::block::DataBlock;
 use crate::cache::{AccessKind, Cache};
 use crate::memory::MainMemory;
 use crate::stats::CacheStats;
-use icr_ecc::ProtectedWord;
+use icr_ecc::{ProtectedWord, Protection};
 
 /// Shapes and latencies of the memory system (Table 1 of the paper).
 ///
@@ -34,11 +41,11 @@ pub struct HierarchyConfig {
     /// Optional DRAM open-page model; `None` (default) keeps the paper's
     /// flat latency.
     pub memory_row_buffer: Option<crate::memory::RowBufferConfig>,
-    /// Capacity (in dL1-sized blocks) of the replica-aware L2 region
-    /// that spill-to-L2 schemes use ([`L2ReplicaRegion`]). The region
-    /// is inert — allocated but never touched — under every scheme
-    /// whose replica tier is dL1-only. Default 256 blocks (16KB, 1/16
-    /// of the paper's L2).
+    /// Capacity (in blocks of the size the dL1 and L2 share) of the
+    /// replica-aware L2 region that spill-to-L2 schemes use
+    /// ([`L2ReplicaRegion`]). The region is inert — allocated but never
+    /// touched — under every scheme whose replica tier is dL1-only.
+    /// Default 256 blocks (16KB, 1/16 of the paper's L2).
     pub l2_replica_blocks: usize,
 }
 
@@ -63,6 +70,27 @@ impl HierarchyConfig {
         HierarchyConfigBuilder {
             config: HierarchyConfig::default(),
         }
+    }
+
+    /// Validates the relation between the cache shapes. Each shape
+    /// already respects the block bound ([`crate::MAX_BLOCK_BYTES`]),
+    /// which [`CacheGeometry::new`] enforces.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when an iL1 block is larger than an L2 block: an
+    /// iL1 miss fills from the one L2 block that contains it.
+    pub fn validate(&self) -> Result<(), String> {
+        let (l1i, l2) = (
+            self.l1i_geometry.block_bytes(),
+            self.l2_geometry.block_bytes(),
+        );
+        if l1i > l2 {
+            return Err(format!(
+                "the iL1 block ({l1i} B) must not be larger than the L2 block ({l2} B)"
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -139,7 +167,8 @@ pub struct RegionInsert {
 ///
 /// Slots are **stable**: a copy keeps its slot index for its whole
 /// residency, so slot `i` maps 1:1 onto exposure-ledger line
-/// `dl1_slots + i`. Recency is tracked with per-slot stamps; at
+/// `dl1_slots + i`. Every slot's words live in one flat array, written
+/// in place. Recency is tracked with per-slot stamps; at
 /// capacity the lowest-stamped (least-recently *written*) entry is
 /// displaced. Inserts and in-place word updates refresh the stamp;
 /// reads (miss service, recovery) deliberately do not, so the
@@ -147,19 +176,23 @@ pub struct RegionInsert {
 #[derive(Debug, Clone)]
 pub struct L2ReplicaRegion {
     capacity: usize,
+    words_per_block: usize,
     blocks: Vec<Option<BlockAddr>>,
-    words: Vec<Vec<ProtectedWord>>,
+    /// Word `i` of slot `s` is `words[s * words_per_block + i]`.
+    words: Vec<ProtectedWord>,
     stamps: Vec<u64>,
     tick: u64,
 }
 
 impl L2ReplicaRegion {
-    /// An empty region with `capacity` block slots.
-    pub fn new(capacity: usize) -> Self {
+    /// An empty region with `capacity` slots of `words_per_block`-word
+    /// blocks.
+    pub fn new(capacity: usize, words_per_block: usize) -> Self {
         L2ReplicaRegion {
             capacity,
+            words_per_block,
             blocks: vec![None; capacity],
-            words: vec![Vec::new(); capacity],
+            words: vec![ProtectedWord::default(); capacity * words_per_block],
             stamps: vec![0; capacity],
             tick: 0,
         }
@@ -197,7 +230,11 @@ impl L2ReplicaRegion {
     /// Panics if `slot` is empty.
     pub fn words(&self, slot: usize) -> &[ProtectedWord] {
         assert!(self.blocks[slot].is_some(), "read of empty region slot");
-        &self.words[slot]
+        &self.words[slot * self.words_per_block..][..self.words_per_block]
+    }
+
+    fn word_mut(&mut self, slot: usize, word: usize) -> &mut ProtectedWord {
+        &mut self.words[slot * self.words_per_block..][..self.words_per_block][word]
     }
 
     /// One stored word of the copy in `slot`.
@@ -205,15 +242,18 @@ impl L2ReplicaRegion {
         &self.words(slot)[word]
     }
 
-    /// Inserts a copy of `block`, reusing the lowest-indexed free slot
-    /// or displacing the least-recently-written entry at capacity.
-    /// `block` must not already be resident.
+    /// Inserts a parity-protected copy of `block`'s `data` words,
+    /// reusing the lowest-indexed free slot or displacing the
+    /// least-recently-written entry at capacity. `block` must not
+    /// already be resident.
     ///
     /// # Panics
     ///
-    /// Panics on a duplicate insert or a zero-capacity region.
-    pub fn insert(&mut self, block: BlockAddr, words: Vec<ProtectedWord>) -> RegionInsert {
+    /// Panics on a duplicate insert, a zero-capacity region, or `data`
+    /// that is not one block of the region's size.
+    pub fn insert(&mut self, block: BlockAddr, data: &[u64]) -> RegionInsert {
         assert!(self.capacity > 0, "insert into a zero-capacity region");
+        assert_eq!(data.len(), self.words_per_block, "block size mismatch");
         assert!(
             self.slot_of(block).is_none(),
             "duplicate region insert of {block}"
@@ -228,7 +268,10 @@ impl L2ReplicaRegion {
             }
         };
         self.blocks[slot] = Some(block);
-        self.words[slot] = words;
+        let wpb = self.words_per_block;
+        for (w, &value) in self.words[slot * wpb..][..wpb].iter_mut().zip(data) {
+            *w = ProtectedWord::encode(value, Protection::Parity);
+        }
         self.tick += 1;
         self.stamps[slot] = self.tick;
         RegionInsert { slot, evicted }
@@ -242,7 +285,7 @@ impl L2ReplicaRegion {
     /// Panics if `slot` is empty.
     pub fn update_word(&mut self, slot: usize, word: usize, value: ProtectedWord) {
         assert!(self.blocks[slot].is_some(), "update of empty region slot");
-        self.words[slot][word] = value;
+        *self.word_mut(slot, word) = value;
         self.tick += 1;
         self.stamps[slot] = self.tick;
     }
@@ -251,7 +294,6 @@ impl L2ReplicaRegion {
     pub fn invalidate(&mut self, block: BlockAddr) -> Option<usize> {
         let slot = self.slot_of(block)?;
         self.blocks[slot] = None;
-        self.words[slot] = Vec::new();
         Some(slot)
     }
 
@@ -277,7 +319,7 @@ impl L2ReplicaRegion {
             .map(|i| {
                 (
                     self.blocks[i].unwrap().raw(),
-                    self.words[i].iter().map(|w| w.data()).collect(),
+                    self.words(i).iter().map(|w| w.data()).collect(),
                 )
             })
             .collect()
@@ -289,7 +331,7 @@ impl L2ReplicaRegion {
         if self.blocks[slot].is_none() {
             return false;
         }
-        self.words[slot][word].flip_data_bit(bit);
+        self.word_mut(slot, word).flip_data_bit(bit);
         true
     }
 
@@ -299,7 +341,7 @@ impl L2ReplicaRegion {
         if self.blocks[slot].is_none() {
             return false;
         }
-        self.words[slot][word].flip_check_bit(bit);
+        self.word_mut(slot, word).flip_check_bit(bit);
         true
     }
 }
@@ -323,7 +365,10 @@ impl MemoryBackend {
         MemoryBackend {
             l2: Cache::new(config.l2_geometry, config.l2_latency),
             memory,
-            replica_region: L2ReplicaRegion::new(config.l2_replica_blocks),
+            replica_region: L2ReplicaRegion::new(
+                config.l2_replica_blocks,
+                config.l2_geometry.words_per_block(),
+            ),
         }
     }
 
@@ -341,15 +386,11 @@ impl MemoryBackend {
     /// cycles (L2 hit latency, plus memory latency on an L2 miss).
     pub fn read_block(&mut self, addr: BlockAddr) -> (DataBlock, u64) {
         if self.l2.lookup(addr, AccessKind::Read) {
-            let data = self
-                .l2
-                .peek_block(addr)
-                .expect("hit implies resident")
-                .clone();
+            let data = self.l2.peek_block(addr).expect("hit implies resident");
             (data, self.l2.hit_latency())
         } else {
             let (data, mem_lat) = self.memory.read_block(addr);
-            if let Some(ev) = self.l2.fill(addr, data.clone(), false) {
+            if let Some(ev) = self.l2.fill(addr, data, false) {
                 if ev.dirty {
                     self.memory.write_block(ev.addr, ev.data);
                 }
@@ -401,10 +442,9 @@ impl MemoryBackend {
     /// L2 copy if resident (it may hold dirty data newer than memory),
     /// else memory contents.
     pub fn golden_block(&self, addr: BlockAddr) -> DataBlock {
-        match self.l2.peek_block(addr) {
-            Some(b) => b.clone(),
-            None => self.memory.peek_block(addr),
-        }
+        self.l2
+            .peek_block(addr)
+            .unwrap_or_else(|| self.memory.peek_block(addr))
     }
 }
 
@@ -422,7 +462,14 @@ pub struct InstrCache {
 
 impl InstrCache {
     /// Builds the instruction cache from a config.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration fails [`HierarchyConfig::validate`].
     pub fn new(config: &HierarchyConfig) -> Self {
+        config
+            .validate()
+            .unwrap_or_else(|e| panic!("invalid hierarchy config: {e}"));
         InstrCache {
             cache: Cache::new(config.l1i_geometry, config.l1i_latency),
             last_block: None,
@@ -434,7 +481,8 @@ impl InstrCache {
     /// Instruction lines are read-only, so misses never write back. Note
     /// the L1I and L2 have different block sizes in the paper's config
     /// (32B vs 64B); the fill requests the L2-sized block and installs the
-    /// 32B half containing `pc`.
+    /// 32B half containing `pc` ([`HierarchyConfig::validate`] keeps an
+    /// iL1 block within one L2 block).
     pub fn fetch(&mut self, pc: Addr, backend: &mut MemoryBackend) -> u64 {
         let g = self.cache.geometry();
         let block = g.block_addr(pc);
@@ -446,18 +494,14 @@ impl InstrCache {
         if self.cache.lookup(block, AccessKind::Read) {
             self.cache.hit_latency()
         } else {
-            let l2_block = backend.read_block(BlockAddr(
-                pc.raw() & !(backend.l2.geometry().block_bytes() as u64 - 1),
-            ));
+            let l2_bytes = backend.l2.geometry().block_bytes();
+            let (l2_block, l2_lat) =
+                backend.read_block(BlockAddr(pc.raw() & !(l2_bytes as u64 - 1)));
             // Extract this cache's block-worth of words from the L2 block.
-            let words = g.words_per_block();
-            let offset_words =
-                ((block.raw() as usize) & (backend.l2.geometry().block_bytes() - 1)) / 8;
-            let slice: Vec<u64> = (0..words)
-                .map(|i| l2_block.0.word(offset_words + i))
-                .collect();
-            self.cache.fill(block, DataBlock::from_words(slice), false);
-            self.cache.hit_latency() + l2_block.1
+            let offset_words = ((block.raw() as usize) & (l2_bytes - 1)) / 8;
+            let words = &l2_block.words()[offset_words..][..g.words_per_block()];
+            self.cache.fill(block, DataBlock::from_words(words), false);
+            self.cache.hit_latency() + l2_lat
         }
     }
 
@@ -472,25 +516,18 @@ mod tests {
     use super::*;
     use icr_ecc::Protection;
 
-    fn pwords(values: &[u64]) -> Vec<ProtectedWord> {
-        values
-            .iter()
-            .map(|&v| ProtectedWord::encode(v, Protection::Parity))
-            .collect()
-    }
-
     #[test]
     fn region_insert_fills_lowest_free_slot_then_evicts_lru() {
-        let mut r = L2ReplicaRegion::new(2);
+        let mut r = L2ReplicaRegion::new(2, 2);
         assert!(r.is_empty());
-        let a = r.insert(BlockAddr(0x100), pwords(&[1, 2]));
+        let a = r.insert(BlockAddr(0x100), &[1, 2]);
         assert_eq!((a.slot, a.evicted), (0, None));
-        let b = r.insert(BlockAddr(0x200), pwords(&[3, 4]));
+        let b = r.insert(BlockAddr(0x200), &[3, 4]);
         assert_eq!((b.slot, b.evicted), (1, None));
         assert_eq!(r.len(), 2);
         // Touch slot 0 so slot 1 becomes least-recently-written.
         r.update_word(0, 1, ProtectedWord::encode(9, Protection::Parity));
-        let c = r.insert(BlockAddr(0x300), pwords(&[5, 6]));
+        let c = r.insert(BlockAddr(0x300), &[5, 6]);
         assert_eq!(c.slot, 1);
         assert_eq!(c.evicted, Some((BlockAddr(0x200), 1)));
         assert_eq!(r.slot_of(BlockAddr(0x200)), None);
@@ -500,14 +537,14 @@ mod tests {
 
     #[test]
     fn region_invalidate_frees_the_slot_for_reuse() {
-        let mut r = L2ReplicaRegion::new(2);
-        r.insert(BlockAddr(0x100), pwords(&[1]));
-        r.insert(BlockAddr(0x200), pwords(&[2]));
+        let mut r = L2ReplicaRegion::new(2, 1);
+        r.insert(BlockAddr(0x100), &[1]);
+        r.insert(BlockAddr(0x200), &[2]);
         assert_eq!(r.invalidate(BlockAddr(0x100)), Some(0));
         assert_eq!(r.invalidate(BlockAddr(0x100)), None);
         assert_eq!(r.len(), 1);
         // The freed slot is reused before any eviction happens.
-        let ins = r.insert(BlockAddr(0x300), pwords(&[3]));
+        let ins = r.insert(BlockAddr(0x300), &[3]);
         assert_eq!((ins.slot, ins.evicted), (0, None));
         assert_eq!(
             r.occupied(),
@@ -517,10 +554,10 @@ mod tests {
 
     #[test]
     fn region_export_orders_by_write_recency_not_slot() {
-        let mut r = L2ReplicaRegion::new(3);
-        r.insert(BlockAddr(0x100), pwords(&[1]));
-        r.insert(BlockAddr(0x200), pwords(&[2]));
-        r.insert(BlockAddr(0x300), pwords(&[3]));
+        let mut r = L2ReplicaRegion::new(3, 1);
+        r.insert(BlockAddr(0x100), &[1]);
+        r.insert(BlockAddr(0x200), &[2]);
+        r.insert(BlockAddr(0x300), &[3]);
         // Rewrite the oldest: it becomes most-recently-written.
         r.update_word(0, 0, ProtectedWord::encode(11, Protection::Parity));
         let export = r.export_lru_order();
@@ -532,8 +569,8 @@ mod tests {
 
     #[test]
     fn region_bit_flips_only_touch_occupied_slots() {
-        let mut r = L2ReplicaRegion::new(2);
-        r.insert(BlockAddr(0x100), pwords(&[0]));
+        let mut r = L2ReplicaRegion::new(2, 1);
+        r.insert(BlockAddr(0x100), &[0]);
         assert!(r.flip_data_bit(0, 0, 3));
         assert_eq!(r.word(0, 0).data(), 8);
         assert!(r.flip_check_bit(0, 0, 0));
@@ -555,6 +592,26 @@ mod tests {
     }
 
     #[test]
+    fn validate_keeps_il1_blocks_within_one_l2_block() {
+        assert!(HierarchyConfig::default().validate().is_ok());
+        let same = HierarchyConfig::builder()
+            .l1i_geometry(CacheGeometry::new(16 * 1024, 1, 64))
+            .build();
+        assert!(same.validate().is_ok());
+        let wide = HierarchyConfig::builder()
+            .l1i_geometry(CacheGeometry::new(16 * 1024, 1, 128))
+            .build();
+        let err = wide.validate().unwrap_err();
+        assert!(err.contains("128 B") && err.contains("64 B"), "{err}");
+    }
+
+    #[test]
+    #[should_panic(expected = "block size mismatch")]
+    fn region_rejects_a_wrong_sized_block() {
+        L2ReplicaRegion::new(2, 2).insert(BlockAddr(0), &[1, 2, 3]);
+    }
+
+    #[test]
     fn l2_miss_costs_memory_latency() {
         let mut b = MemoryBackend::new(&HierarchyConfig::default());
         let a = BlockAddr(0x1000);
@@ -572,7 +629,7 @@ mod tests {
         let a = BlockAddr(0x2000);
         let mut d = DataBlock::zeroed(8);
         d.set_word(0, 0xAA);
-        let lat = b.write_block(a, d.clone());
+        let lat = b.write_block(a, d);
         assert_eq!(lat, 6);
         let (read, _) = b.read_block(a);
         assert_eq!(read, d);
@@ -584,7 +641,7 @@ mod tests {
         let a = BlockAddr(0x3000);
         let mut d = DataBlock::zeroed(8);
         d.set_word(1, 0xBB);
-        b.write_block(a, d.clone());
+        b.write_block(a, d);
         assert_eq!(b.golden_block(a), d);
         // An untouched address reads pristine.
         let other = BlockAddr(0x9000);
@@ -602,8 +659,8 @@ mod tests {
         let a = BlockAddr(0);
         let mut d = DataBlock::zeroed(8);
         d.set_word(0, 0xCC);
-        b.write_block(a, d.clone()); // dirty in L2
-                                     // Conflict: same set (stride = 128 bytes), evicts `a` to memory.
+        b.write_block(a, d); // dirty in L2
+                             // Conflict: same set (stride = 128 bytes), evicts `a` to memory.
         let (_, _) = b.read_block(BlockAddr(128));
         assert_eq!(b.memory_writes(), 1);
         assert_eq!(b.golden_block(a), d);

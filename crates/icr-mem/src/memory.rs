@@ -149,7 +149,7 @@ impl MainMemory {
     pub fn peek_block(&self, addr: BlockAddr) -> DataBlock {
         self.written
             .get(&addr)
-            .cloned()
+            .copied()
             .unwrap_or_else(|| DataBlock::pristine(addr, self.words_per_block))
     }
 
@@ -197,7 +197,7 @@ mod tests {
         let a = BlockAddr(0x4000);
         let mut d = DataBlock::zeroed(8);
         d.set_word(3, 0xABCD);
-        m.write_block(a, d.clone());
+        m.write_block(a, d);
         assert_eq!(m.read_block(a).0, d);
         assert_eq!(m.writes(), 1);
     }

@@ -419,8 +419,20 @@ impl InstrMemory for ImemPort {
 ///
 /// # Panics
 ///
-/// Panics on an invalid configuration or unknown application name.
+/// Panics on an invalid configuration or unknown application name. An
+/// invalid configuration includes a hierarchy that fails
+/// [`HierarchyConfig::validate`] and a dL1 whose block size differs from
+/// the L2's: a dL1 miss fills, and a write-back replaces, exactly one L2
+/// block.
 pub fn run_sim(config: &SimConfig) -> SimResult {
+    let (dl1_block, l2_block) = (
+        config.dl1.geometry.block_bytes(),
+        config.hierarchy.l2_geometry.block_bytes(),
+    );
+    assert!(
+        dl1_block == l2_block,
+        "invalid sim config: dL1 block size {dl1_block} B differs from the L2 block size {l2_block} B"
+    );
     // Make the execution-driven `isa:*` kernels resolvable everywhere a
     // simulation can start; install() is idempotent and cheap.
     icr_isa::install();
@@ -595,6 +607,61 @@ mod tests {
             "ICR-P-PS(S) should be near BaseP, got {overhead:.3}x"
         );
         assert!(i.icr.loads_with_replica() > 0.0);
+    }
+
+    /// A gzip run on a 16KB/4-way dL1 with `block_bytes` blocks under
+    /// the default hierarchy (64 B L2 blocks).
+    fn dl1_with_block(block_bytes: usize) -> SimResult {
+        let dl1 = DataL1Config::builder(Scheme::ICR_P_PS_S)
+            .geometry(icr_mem::CacheGeometry::new(16 * 1024, 4, block_bytes))
+            .build();
+        run_sim(&SimConfig::paper("gzip", dl1, 200_000, 1))
+    }
+
+    #[test]
+    #[should_panic(expected = "dL1 block size 32 B differs from the L2 block size 64 B")]
+    fn dl1_blocks_smaller_than_l2_blocks_are_rejected() {
+        dl1_with_block(32);
+    }
+
+    #[test]
+    #[should_panic(expected = "dL1 block size 128 B differs from the L2 block size 64 B")]
+    fn dl1_blocks_larger_than_l2_blocks_are_rejected() {
+        dl1_with_block(128);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid hierarchy config: the iL1 block (128 B)")]
+    fn il1_blocks_larger_than_l2_blocks_are_rejected() {
+        let cfg = SimConfig::builder("gzip", DataL1Config::paper_default(Scheme::BASE_P))
+            .hierarchy(
+                HierarchyConfig::builder()
+                    .l1i_geometry(icr_mem::CacheGeometry::new(16 * 1024, 1, 128))
+                    .build(),
+            )
+            .instructions(2_000)
+            .build();
+        run_sim(&cfg);
+    }
+
+    /// The largest block the bound admits runs end to end, dirty L2
+    /// evictions included (a small L2 forces them).
+    #[test]
+    fn blocks_at_the_bound_run_with_l2_writebacks() {
+        let h = HierarchyConfig::builder()
+            .l2_geometry(icr_mem::CacheGeometry::new(32 * 1024, 4, 128))
+            .build();
+        let dl1 = DataL1Config::builder(Scheme::ICR_P_PS_S)
+            .geometry(icr_mem::CacheGeometry::new(16 * 1024, 4, 128))
+            .build();
+        let cfg = SimConfig::builder("gzip", dl1)
+            .hierarchy(h)
+            .instructions(20_000)
+            .seed(1)
+            .build();
+        let r = run_sim(&cfg);
+        assert_eq!(r.pipeline.committed, 20_000);
+        assert!(r.memory_writes > 0, "dirty 128 B L2 blocks reach memory");
     }
 
     #[test]
