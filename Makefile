@@ -3,11 +3,11 @@
 
 CARGO ?= cargo
 
-.PHONY: verify check build test fmt fmt-check clippy doc bench-build bench bench-engine bench-engine-build bench-all bench-all-build bench-all-gate bench-isa bench-isa-build bench-campaign bench-campaign-build bench-importance bench-importance-build bench-spill bench-spill-check trace-roundtrip campaign campaign-resume campaign-fanout campaign-plain audit isa-audit clean
+.PHONY: verify check build test fmt fmt-check clippy doc bench-build bench bench-all bench-all-gate bench-isa bench-campaign bench-importance bench-spill bench-spill-check trace-roundtrip campaign campaign-resume campaign-fanout campaign-plain audit isa-audit clean
 
 ## Full verification: build + all tests + formatting + lints + docs,
-## plus a build-only check of the bench targets and of the end-to-end
-## benchmark package under benchmark/, the dL1-vs-spill
+## plus a build-only check of every icr-bench target and of the
+## end-to-end benchmark package under benchmark/, the dL1-vs-spill
 ## placement benchmark (fast enough to run, not just build; its record
 ## goes under target/, so verify leaves the tree clean), a lockstep
 ## audit of the full scheme × app matrix — ten paper presets plus two
@@ -17,7 +17,7 @@ CARGO ?= cargo
 ## two-worker fan-out whose merge must be byte-identical to the
 ## single-process run, and a plain (in-memory) campaign whose report
 ## must match the checkpointed run's.
-verify: build test fmt-check clippy doc bench-build bench-engine-build bench-all-build bench-isa-build bench-campaign-build bench-importance-build bench-spill-check trace-roundtrip campaign-resume campaign-fanout campaign-plain audit
+verify: build test fmt-check clippy doc bench-build bench-spill-check trace-roundtrip campaign-resume campaign-fanout campaign-plain audit
 	@echo "verify: OK"
 
 ## Tier-1 gate (ROADMAP.md): release build + quiet tests.
@@ -44,34 +44,24 @@ clippy:
 doc:
 	RUSTDOCFLAGS="-D warnings" $(CARGO) doc --no-deps --workspace
 
-## Compile the end-to-end benchmark package (its own workspace, which
-## imports icr_sim's experiment, engine and pool APIs) without running it.
+## Compile every icr-bench target (criterion and standalone alike) and
+## the end-to-end benchmark package (its own workspace, which imports
+## icr_sim's experiment, engine and pool APIs) without running them.
 bench-build:
+	$(CARGO) bench -p icr-bench --no-run
 	$(CARGO) build --release --offline --manifest-path benchmark/Cargo.toml
 
 ## Criterion benchmarks (confined to the bench crate).
 bench:
 	$(CARGO) bench -p icr-bench
 
-## Engine smoke benchmark: cold vs warm fig9, writes BENCH_engine.json.
-bench-engine:
-	$(CARGO) bench -p icr-bench --bench engine
-
-## Compile the engine benchmark without running it (used by `verify`).
-bench-engine-build:
-	$(CARGO) bench -p icr-bench --bench engine --no-run
-
 ## Full-matrix cold benchmark: every figure through the pipelined
 ## scheduler, per-figure seconds + trajectory to BENCH_all.json.
 bench-all:
 	$(CARGO) bench -p icr-bench --bench all
 
-## Compile the full-matrix benchmark without running it (used by `verify`).
-bench-all-build:
-	$(CARGO) bench -p icr-bench --bench all --no-run
-
-## CI regression gate: fail if the cold total regresses >20% over the
-## committed BENCH_all.json baseline.
+## CI regression gate: fail, writing nothing, if the cold total regresses
+## >20% over the committed BENCH_all.json value.
 bench-all-gate:
 	ICR_BENCH_GATE=1 $(CARGO) bench -p icr-bench --bench all
 
@@ -80,10 +70,6 @@ bench-all-gate:
 ## recorded to BENCH_isa.json. Asserts replay beats re-interpreting.
 bench-isa:
 	$(CARGO) bench -p icr-bench --bench isa
-
-## Compile the ISA benchmark without running it (used by `verify`).
-bench-isa-build:
-	$(CARGO) bench -p icr-bench --bench isa --no-run
 
 ## Save a trace with --trace-out, replay it with --trace-in, and require
 ## the two simulation reports to be byte-identical — once for an
@@ -143,20 +129,12 @@ campaign-resume:
 bench-campaign:
 	$(CARGO) bench -p icr-bench --bench campaign
 
-## Compile the campaign benchmark without running it (used by `verify`).
-bench-campaign-build:
-	$(CARGO) bench -p icr-bench --bench campaign --no-run
-
 ## Trials-to-target benchmark for importance-sampled fault injection:
 ## uniform vs forced-arrival + site-tilted proposal to the same Wilson
 ## CI width, recorded to BENCH_importance.json. Asserts the importance
 ## leg needs 3x fewer trials on at least half the cells.
 bench-importance:
 	$(CARGO) bench -p icr-bench --bench importance
-
-## Compile the importance benchmark without running it (used by `verify`).
-bench-importance-build:
-	$(CARGO) bench -p icr-bench --bench importance --no-run
 
 ## Multi-host fan-out smoke: the same sharded campaign run once in a
 ## single process and once as two --worker halves into separate
@@ -210,7 +188,7 @@ bench-spill:
 ## The same bench and assertions with the record written under target/,
 ## so `verify` leaves the tracked BENCH_spill.json untouched.
 bench-spill-check:
-	ICR_BENCH_OUT=$(CURDIR)/target/BENCH_spill.json $(CARGO) bench -p icr-bench --bench spill
+	ICR_BENCH_OUT=$(CURDIR)/target $(CARGO) bench -p icr-bench --bench spill
 
 ## Lockstep reference-model audit: every dL1 access of the full paper
 ## scheme × app matrix diffed against the naive icr-check model. The

@@ -1,82 +1,31 @@
 //! Full-matrix benchmark: regenerate every figure cold (empty run cache
 //! and workload store) through the figure-granularity pipeline, and
-//! record per-figure plus total wall-clock to `BENCH_all.json` at the
-//! repository root.
+//! record the total wall-clock (`value`, `total_cold_s`) plus one row
+//! per figure to `BENCH_all.json` at the repository root.
 //!
 //! ```text
 //! make bench-all           # or: cargo bench -p icr-bench --bench all
+//! make bench-all-gate      # the same run, gated first
 //! ```
 //!
-//! The file is tracked: each PR refreshes it, and the `history` array
-//! carries the last few totals forward so the cold-time trajectory is
-//! readable without walking git history. Environment knobs:
+//! The file is tracked: each PR refreshes it, and its `history` carries
+//! the cold-time trajectory forward. With `ICR_BENCH_GATE` set, the run
+//! first compares its total with the committed `value` and, if it is
+//! more than [`icr_bench::GATE_PCT`] percent slower, fails without
+//! writing anything. This is the CI regression gate.
 //!
-//! * `ICR_BENCH_LABEL` — label for the new history entry (default: the
-//!   short git revision, else `local`).
-//! * `ICR_BENCH_GATE` — when set, exit non-zero if the new total cold
-//!   time regresses more than `ICR_BENCH_GATE_PCT` percent (default 20)
-//!   over the committed baseline. This is the CI regression gate.
-//!
-//! Not a criterion target for the same reason as the engine bench: the
-//! interesting quantity is one *cold* pass, which repeated iterations
-//! would erase. Per-figure times are measured inside the pipelined
-//! scheduler, so a figure whose cells were memoized by an earlier
-//! figure is credited with its warm (near-zero) cost — exactly what the
-//! end-to-end `icr-exp all` run pays.
+//! Not a criterion target: the interesting quantity is one *cold* pass,
+//! which repeated iterations would erase (every iteration after the
+//! first would be served by the run cache). Per-figure times are
+//! measured inside the pipelined scheduler, so a figure whose cells
+//! were memoized by an earlier figure is credited with its warm
+//! (near-zero) cost — exactly what the end-to-end `icr-exp all` run
+//! pays.
 
+use icr_bench::{cold_time_gate, count, finish, number, obj, text, Record};
 use icr_sim::exec::Pool;
 use icr_sim::experiment::{figure_runners, ExpOptions};
-use icr_sim::json::{esc, num};
 use std::time::Instant;
-
-/// Extracts the number following `"key":` in a one-line JSON document.
-/// A scan, not a parser — the file is machine-written by this bench.
-fn extract_num(doc: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let at = doc.find(&pat)? + pat.len();
-    let rest = &doc[at..];
-    let end = rest
-        .find(|c: char| !matches!(c, '0'..='9' | '-' | '+' | '.' | 'e' | 'E'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Extracts the `[...]` array following `"history":`, brackets included.
-fn extract_history(doc: &str) -> Option<&str> {
-    let at = doc.find("\"history\":[")? + "\"history\":".len();
-    let rest = &doc[at..];
-    let mut depth = 0usize;
-    for (i, c) in rest.char_indices() {
-        match c {
-            '[' => depth += 1,
-            ']' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(&rest[..=i]);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-fn label() -> String {
-    if let Ok(l) = std::env::var("ICR_BENCH_LABEL") {
-        return l;
-    }
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "local".into())
-}
-
-const HISTORY_KEEP: usize = 20;
 
 fn main() {
     let opts = ExpOptions {
@@ -84,10 +33,6 @@ fn main() {
         seed: 42,
         threads: 0,
     };
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_all.json");
-    let prev = std::fs::read_to_string(path).ok();
-    let prev_total = prev.as_deref().and_then(|d| extract_num(d, "total_cold_s"));
-
     let runners = figure_runners();
     let ids: Vec<&'static str> = runners.iter().map(|(id, _)| *id).collect();
     let mut elapsed = vec![0.0f64; runners.len()];
@@ -101,39 +46,6 @@ fn main() {
     let total_s = t.elapsed().as_secs_f64();
     assert_eq!(results.len(), ids.len());
 
-    let figures: Vec<String> = ids
-        .iter()
-        .zip(&elapsed)
-        .map(|(id, s)| format!("{{\"id\":{},\"cold_s\":{}}}", esc(id), num(*s)))
-        .collect();
-
-    // Carry the previous history forward, appending this run.
-    let mut history: Vec<String> = prev
-        .as_deref()
-        .and_then(extract_history)
-        .map(|h| h.trim_start_matches('[').trim_end_matches(']'))
-        .into_iter()
-        .flat_map(split_history_entries)
-        .collect();
-    history.push(format!(
-        "{{\"label\":{},\"total_cold_s\":{}}}",
-        esc(&label()),
-        num(total_s)
-    ));
-    if history.len() > HISTORY_KEEP {
-        history.drain(..history.len() - HISTORY_KEEP);
-    }
-
-    let json = format!(
-        "{{\"bench\":\"all\",\"instructions\":{},\"threads\":{},\"total_cold_s\":{},\"figures\":[{}],\"history\":[{}]}}",
-        opts.instructions,
-        Pool::new(opts.threads).threads(),
-        num(total_s),
-        figures.join(","),
-        history.join(","),
-    );
-    std::fs::write(path, format!("{json}\n")).expect("write BENCH_all.json");
-
     let mut slowest: Vec<(&str, f64)> = ids.iter().copied().zip(elapsed.iter().copied()).collect();
     slowest.sort_by(|a, b| b.1.total_cmp(&a.1));
     let top: Vec<String> = slowest
@@ -142,53 +54,29 @@ fn main() {
         .map(|(id, s)| format!("{id} {s:.2}s"))
         .collect();
     println!(
-        "all figures cold in {total_s:.2}s (slowest: {}) -> {path}",
+        "all figures cold in {total_s:.2}s (slowest: {})",
         top.join(", ")
     );
 
-    if std::env::var_os("ICR_BENCH_GATE").is_some() {
-        let pct: f64 = std::env::var("ICR_BENCH_GATE_PCT")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(20.0);
-        match prev_total {
-            Some(base) if total_s > base * (1.0 + pct / 100.0) => {
-                eprintln!(
-                    "cold-time regression gate: {total_s:.2}s is more than {pct}% over \
-                     the committed baseline {base:.2}s"
-                );
-                std::process::exit(1);
-            }
-            Some(base) => println!("gate ok: {total_s:.2}s vs baseline {base:.2}s (limit +{pct}%)"),
-            None => println!("gate skipped: no committed baseline to compare against"),
+    let record = Record {
+        bench: "all",
+        metric: "total_cold_s",
+        value: total_s,
+        unit: "s",
+        params: obj([
+            ("instructions", count(opts.instructions)),
+            ("threads", count(Pool::new(opts.threads).threads() as u64)),
+        ]),
+        rows: ids
+            .iter()
+            .zip(&elapsed)
+            .map(|(id, s)| obj([("id", text(id)), ("cold_s", number(*s))]))
+            .collect(),
+    };
+    finish(record, |baseline| {
+        match std::env::var_os("ICR_BENCH_GATE") {
+            Some(_) => cold_time_gate(total_s, baseline),
+            None => Ok(()),
         }
-    }
-}
-
-/// Splits the comma-joined `{...}` entries of a flat history array.
-/// Entries contain no nested braces, so a brace-depth scan suffices.
-fn split_history_entries(inner: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut depth = 0usize;
-    let mut start = None;
-    for (i, c) in inner.char_indices() {
-        match c {
-            '{' => {
-                if depth == 0 {
-                    start = Some(i);
-                }
-                depth += 1;
-            }
-            '}' => {
-                depth -= 1;
-                if depth == 0 {
-                    if let Some(s) = start.take() {
-                        out.push(inner[s..=i].to_string());
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    out
+    });
 }

@@ -2,8 +2,9 @@
 //! time the same campaign shape through the sharded runner with
 //! checkpointing off (in-memory only) and on (one digest-verified file
 //! per shard), plus a pure resume pass over the completed checkpoint
-//! set, and record shard throughput and the overhead to
-//! `BENCH_campaign.json` at the repository root.
+//! set, and record the overhead (`value`, `checkpoint_overhead_pct`)
+//! plus one row per leg to `BENCH_campaign.json` at the repository
+//! root.
 //!
 //! ```text
 //! make bench-campaign      # or: cargo bench -p icr-bench --bench campaign
@@ -18,12 +19,12 @@
 //! Not a criterion target: the execution engine memoizes completed
 //! cells process-wide, so repeated iterations of one campaign would
 //! time the cache, not the work. Instead each repetition uses a fresh
-//! master seed per leg (cold by construction) and the best-of-3
-//! minimum is recorded, mirroring `BENCH_isa.json`; the `history`
-//! array carries prior totals forward like `BENCH_all.json`.
+//! master seed per leg (cold by construction), the legs of one
+//! repetition run back to back so host noise hits them alike, and each
+//! leg's best-of-3 minimum is recorded.
 
+use icr_bench::{count, finish, number, obj, text, Record, ScratchDir};
 use icr_core::Scheme;
-use icr_sim::json::{esc, num};
 use icr_sim::{run_sharded_campaign, CampaignSpec, ShardedCampaignSpec};
 use std::time::Instant;
 
@@ -32,7 +33,6 @@ const TRIALS_PER_CELL: u64 = 300;
 const SHARD_SIZE: u64 = 50;
 const INSTRUCTIONS: u64 = 20_000;
 const OVERHEAD_LIMIT_PCT: f64 = 5.0;
-const HISTORY_KEEP: usize = 20;
 
 /// One campaign shape per (leg, repetition), distinguished only by the
 /// master seed: every leg must execute cold, and the engine memoizes on
@@ -49,71 +49,8 @@ fn spec(master_seed: u64) -> ShardedCampaignSpec {
     ShardedCampaignSpec::new(base, SHARD_SIZE)
 }
 
-fn label() -> String {
-    if let Ok(l) = std::env::var("ICR_BENCH_LABEL") {
-        return l;
-    }
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "local".into())
-}
-
-/// Extracts the `[...]` array following `"history":`, brackets included.
-fn extract_history(doc: &str) -> Option<&str> {
-    let at = doc.find("\"history\":[")? + "\"history\":".len();
-    let rest = &doc[at..];
-    let mut depth = 0usize;
-    for (i, c) in rest.char_indices() {
-        match c {
-            '[' => depth += 1,
-            ']' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(&rest[..=i]);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-/// Splits the comma-joined `{...}` entries of a flat history array.
-fn split_history_entries(inner: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut depth = 0usize;
-    let mut start = None;
-    for (i, c) in inner.char_indices() {
-        match c {
-            '{' => {
-                if depth == 0 {
-                    start = Some(i);
-                }
-                depth += 1;
-            }
-            '}' => {
-                depth -= 1;
-                if depth == 0 {
-                    if let Some(s) = start.take() {
-                        out.push(inner[s..=i].to_string());
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    out
-}
-
 fn main() {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_campaign.json");
-    let scratch = std::env::temp_dir().join(format!("icr-bench-campaign-{}", std::process::id()));
+    let scratch = ScratchDir::new("campaign").expect("bench scratch dir");
 
     let total_trials =
         TRIALS_PER_CELL * spec(0).base.schemes.len() as u64 * spec(0).base.apps.len() as u64;
@@ -132,7 +69,7 @@ fn main() {
 
         // Leg 2: identical shape, one digest-verified checkpoint file
         // (write + fsync + rename + dir fsync) per completed shard.
-        let dir = scratch.join(format!("rep{rep}"));
+        let dir = scratch.path().join(format!("rep{rep}"));
         let t = Instant::now();
         let report =
             run_sharded_campaign(&spec(2_000 + rep), Some(&dir), false).expect("checkpointed leg");
@@ -148,7 +85,6 @@ fn main() {
         resume_s = resume_s.min(t.elapsed().as_secs_f64());
         assert!(report.complete && report.shards_resumed == shards && report.quarantined == 0);
     }
-    std::fs::remove_dir_all(&scratch).ok();
 
     let overhead_pct = (ckpt_s - plain_s) / plain_s * 100.0;
     let trials_per_s = total_trials as f64 / ckpt_s;
@@ -165,38 +101,22 @@ fn main() {
         resume_s
     );
 
-    let prev = std::fs::read_to_string(path).ok();
-    let mut history: Vec<String> = prev
-        .as_deref()
-        .and_then(extract_history)
-        .map(|h| h.trim_start_matches('[').trim_end_matches(']'))
-        .into_iter()
-        .flat_map(split_history_entries)
-        .collect();
-    history.push(format!(
-        "{{\"label\":{},\"checkpointed_s\":{},\"overhead_pct\":{}}}",
-        esc(&label()),
-        num(ckpt_s),
-        num(overhead_pct),
-    ));
-    if history.len() > HISTORY_KEEP {
-        history.drain(..history.len() - HISTORY_KEEP);
-    }
-
-    let json = format!(
-        "{{\"bench\":\"campaign\",\"trials\":{total_trials},\"instructions\":{INSTRUCTIONS},\
-         \"shard_size\":{SHARD_SIZE},\"in_memory_s\":{},\"checkpointed_s\":{},\"resume_s\":{},\
-         \"trials_per_s\":{},\"checkpoint_overhead_pct\":{},\"history\":[{}]}}",
-        num(plain_s),
-        num(ckpt_s),
-        num(resume_s),
-        num(trials_per_s),
-        num(overhead_pct),
-        history.join(","),
-    );
-    std::fs::write(path, format!("{json}\n")).expect("write BENCH_campaign.json");
-    println!("-> {path}");
-
+    let record = Record {
+        bench: "campaign",
+        metric: "checkpoint_overhead_pct",
+        value: overhead_pct,
+        unit: "%",
+        params: obj([
+            ("trials", count(total_trials)),
+            ("instructions", count(INSTRUCTIONS)),
+            ("shard_size", count(SHARD_SIZE)),
+        ]),
+        rows: vec![
+            obj([("leg", text("in_memory")), ("wall_s", number(plain_s))]),
+            obj([("leg", text("checkpointed")), ("wall_s", number(ckpt_s))]),
+            obj([("leg", text("resume")), ("wall_s", number(resume_s))]),
+        ],
+    };
     assert!(
         overhead_pct < OVERHEAD_LIMIT_PCT,
         "checkpointing cost {overhead_pct:.2}% of campaign wall time — over the \
@@ -208,4 +128,5 @@ fn main() {
         "resuming a finished campaign ({resume_s:.3}s) must beat re-running it \
          ({plain_s:.3}s) — checkpoint verification is not earning its keep"
     );
+    finish(record, |_| Ok(()));
 }

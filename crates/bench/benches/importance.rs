@@ -1,8 +1,8 @@
 //! Trials-to-target benchmark for importance-sampled fault injection:
 //! run the same campaign matrix to the same Wilson 95% CI width twice —
-//! uniform injection vs the exposure-tilted proposal — and record how
-//! many trials each cell needed in `BENCH_importance.json` at the
-//! repository root.
+//! uniform injection vs the exposure-tilted proposal — and record the
+//! overall trial ratio (`value`, `overall_speedup`) plus the trials
+//! each cell needed in `BENCH_importance.json` at the repository root.
 //!
 //! ```text
 //! make bench-importance    # or: cargo bench -p icr-bench --bench importance
@@ -28,8 +28,8 @@
 //! repetition uses fresh master seeds and the per-cell trial counts are
 //! summed across repetitions before the speedup is formed.
 
+use icr_bench::{count, finish, number, obj, text, Record};
 use icr_core::Scheme;
-use icr_sim::json::{esc, num};
 use icr_sim::{run_campaign, CampaignSpec};
 
 const REPS: u64 = 3;
@@ -42,7 +42,6 @@ const INSTRUCTIONS: u64 = 3_000;
 const P_PER_CYCLE: f64 = 2.5e-5;
 const TARGET_CI_WIDTH: f64 = 0.06;
 const SPEEDUP_GATE: f64 = 3.0;
-const HISTORY_KEEP: usize = 20;
 
 /// One campaign per (leg, repetition): both legs of a repetition share
 /// a master seed (same workloads, same estimand — the importance leg
@@ -64,71 +63,7 @@ fn spec(master_seed: u64, importance: bool) -> CampaignSpec {
     spec
 }
 
-fn label() -> String {
-    if let Ok(l) = std::env::var("ICR_BENCH_LABEL") {
-        return l;
-    }
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "local".into())
-}
-
-/// Extracts the `[...]` array following `"history":`, brackets included.
-fn extract_history(doc: &str) -> Option<&str> {
-    let at = doc.find("\"history\":[")? + "\"history\":".len();
-    let rest = &doc[at..];
-    let mut depth = 0usize;
-    for (i, c) in rest.char_indices() {
-        match c {
-            '[' => depth += 1,
-            ']' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(&rest[..=i]);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-/// Splits the comma-joined `{...}` entries of a flat history array.
-fn split_history_entries(inner: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut depth = 0usize;
-    let mut start = None;
-    for (i, c) in inner.char_indices() {
-        match c {
-            '{' => {
-                if depth == 0 {
-                    start = Some(i);
-                }
-                depth += 1;
-            }
-            '}' => {
-                depth -= 1;
-                if depth == 0 {
-                    if let Some(s) = start.take() {
-                        out.push(inner[s..=i].to_string());
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    out
-}
-
 fn main() {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_importance.json");
-
     // Per-cell trial totals across repetitions, cells in report order.
     let mut cell_names: Vec<String> = Vec::new();
     let mut uniform_trials: Vec<u64> = Vec::new();
@@ -158,7 +93,7 @@ fn main() {
         }
     }
 
-    let mut cells_json = Vec::new();
+    let mut rows = Vec::new();
     let mut winners = 0usize;
     println!(
         "trials to a {TARGET_CI_WIDTH} Wilson width ({INSTRUCTIONS} insts, \
@@ -173,13 +108,12 @@ fn main() {
             "  {name:<24} uniform {:>6}  importance {:>6}  ({speedup:.2}x)",
             uniform_trials[i], importance_trials[i]
         );
-        cells_json.push(format!(
-            "{{\"cell\":{},\"uniform_trials\":{},\"importance_trials\":{},\"speedup\":{}}}",
-            esc(name),
-            uniform_trials[i],
-            importance_trials[i],
-            num(speedup),
-        ));
+        rows.push(obj([
+            ("cell", text(name)),
+            ("uniform_trials", count(uniform_trials[i])),
+            ("importance_trials", count(importance_trials[i])),
+            ("speedup", number(speedup)),
+        ]));
     }
     let total_speedup: f64 =
         uniform_trials.iter().sum::<u64>() as f64 / importance_trials.iter().sum::<u64>() as f64;
@@ -188,40 +122,25 @@ fn main() {
         cell_names.len()
     );
 
-    let prev = std::fs::read_to_string(path).ok();
-    let mut history: Vec<String> = prev
-        .as_deref()
-        .and_then(extract_history)
-        .map(|h| h.trim_start_matches('[').trim_end_matches(']'))
-        .into_iter()
-        .flat_map(split_history_entries)
-        .collect();
-    history.push(format!(
-        "{{\"label\":{},\"overall_speedup\":{},\"cells_at_gate\":{winners}}}",
-        esc(&label()),
-        num(total_speedup),
-    ));
-    if history.len() > HISTORY_KEEP {
-        history.drain(..history.len() - HISTORY_KEEP);
-    }
-
-    let json = format!(
-        "{{\"bench\":\"importance\",\"target_ci_width\":{},\"instructions\":{INSTRUCTIONS},\
-         \"batch\":{BATCH},\"reps\":{REPS},\"speedup_gate\":{},\"overall_speedup\":{},\
-         \"cells\":[{}],\"history\":[{}]}}",
-        num(TARGET_CI_WIDTH),
-        num(SPEEDUP_GATE),
-        num(total_speedup),
-        cells_json.join(","),
-        history.join(","),
-    );
-    std::fs::write(path, format!("{json}\n")).expect("write BENCH_importance.json");
-    println!("-> {path}");
-
+    let record = Record {
+        bench: "importance",
+        metric: "overall_speedup",
+        value: total_speedup,
+        unit: "x",
+        params: obj([
+            ("target_ci_width", number(TARGET_CI_WIDTH)),
+            ("instructions", count(INSTRUCTIONS)),
+            ("batch", count(BATCH)),
+            ("reps", count(REPS)),
+            ("speedup_gate", number(SPEEDUP_GATE)),
+        ]),
+        rows,
+    };
     assert!(
         winners * 2 >= cell_names.len(),
         "importance sampling reached the target width {SPEEDUP_GATE}x faster on only \
          {winners} of {} cells — the proposal is not earning its weights",
         cell_names.len()
     );
+    finish(record, |_| Ok(()));
 }

@@ -1,15 +1,16 @@
 //! dL1-only vs L2-spill placement benchmark: time one cold simulation
 //! of each app under `ICR-P-PS (S)` and under its `ICR-P-PS-L2 (S)`
-//! spill descriptor, and record both — wall time plus the spill-region
+//! spill descriptor, and record the total spill/dL1-only time ratio
+//! (`value`) plus one row per app — wall times and the spill-region
 //! counters — to `BENCH_spill.json` at the repository root.
 //!
 //! ```text
 //! make bench-spill         # or: cargo bench -p icr-bench --bench spill
 //! ```
 //!
-//! `ICR_BENCH_OUT=PATH` writes the record to `PATH` instead, with every
-//! assertion unchanged; `make verify` runs it that way so a verification
-//! pass leaves the tracked file alone.
+//! `make verify` runs it as `bench-spill-check`, with `ICR_BENCH_OUT`
+//! pointing under `target/` and every assertion unchanged, so a
+//! verification pass leaves the tracked file alone.
 //!
 //! The spill tier buys replica coverage for blocks the dL1 has no dead
 //! way for, at the cost of region bookkeeping on replication, writeback
@@ -25,59 +26,23 @@
 //! dL1 dead way or invalidated by a writeback before their primary is
 //! re-missed, exactly like the dL1 replicas' own victim path.
 //!
-//! Not a criterion target: single cold passes measured with plain
-//! [`Instant`], file format mirroring `BENCH_isa.json` (label from
-//! `ICR_BENCH_LABEL` or the git short hash).
+//! Not a criterion target: single cold passes, measured as the best of
+//! three.
 
+use icr_bench::{best_of, count, finish, number, obj, text, Record};
 use icr_core::{DataL1Config, Scheme};
-use icr_sim::json::{esc, num};
-use icr_sim::{run_sim, SimConfig};
-use std::time::Instant;
-
-fn label() -> String {
-    if let Ok(l) = std::env::var("ICR_BENCH_LABEL") {
-        return l;
-    }
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "local".into())
-}
+use icr_sim::{run_sim, SimConfig, SimResult};
 
 const SEED: u64 = 42;
 const INSTRUCTIONS: u64 = 100_000;
 const APPS: [&str; 3] = ["gzip", "vpr", "mcf"];
 
-/// Runs `f` three times and returns (best wall-clock seconds, last
-/// result): the minimum is the standard noise-resistant estimate for a
-/// short single-pass measurement.
-fn best_of_3<T>(mut f: impl FnMut() -> T) -> (f64, T) {
-    let mut best = f64::INFINITY;
-    let mut out = None;
-    for _ in 0..3 {
-        let t = Instant::now();
-        let r = f();
-        best = best.min(t.elapsed().as_secs_f64());
-        out = Some(r);
-    }
-    (best, out.expect("ran at least once"))
-}
-
-fn time_cell(scheme: Scheme, app: &str) -> (f64, icr_sim::SimResult) {
+fn time_cell(scheme: Scheme, app: &str) -> (f64, SimResult) {
     let cfg = SimConfig::paper(app, DataL1Config::paper_default(scheme), INSTRUCTIONS, SEED);
-    best_of_3(|| run_sim(&cfg))
+    best_of(3, || run_sim(&cfg))
 }
 
 fn main() {
-    let path = std::env::var("ICR_BENCH_OUT").unwrap_or_else(|_| {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_spill.json").to_string()
-    });
-
     let mut rows = Vec::new();
     let mut total_dl1 = 0.0f64;
     let mut total_spill = 0.0f64;
@@ -85,55 +50,51 @@ fn main() {
     let mut lifecycle = 0u64;
     for app in APPS {
         let (dl1_s, _) = time_cell(Scheme::ICR_P_PS_S, app);
-        let (spill_s, r) = time_cell(Scheme::ICR_P_PS_S_L2, app);
+        let (spill_s, SimResult { icr, .. }) = time_cell(Scheme::ICR_P_PS_S_L2, app);
         println!(
             "{app:<8} dL1-only {:>8.3}ms  spill {:>8.3}ms  \
              (spills {}, served {}, invalidated {}, evicted {})",
             dl1_s * 1e3,
             spill_s * 1e3,
-            r.icr.spills_created,
-            r.icr.misses_served_by_spill,
-            r.icr.spill_invalidations,
-            r.icr.spill_evictions,
+            icr.spills_created,
+            icr.misses_served_by_spill,
+            icr.spill_invalidations,
+            icr.spill_evictions,
         );
         total_dl1 += dl1_s;
         total_spill += spill_s;
-        spills_created += r.icr.spills_created;
-        lifecycle += r.icr.spill_updates
-            + r.icr.spill_invalidations
-            + r.icr.spill_evictions
-            + r.icr.misses_served_by_spill;
-        rows.push(format!(
-            "{{\"app\":{},\"dl1_only_s\":{},\"spill_s\":{},\"spills_created\":{},\
-             \"spill_updates\":{},\"spill_invalidations\":{},\"spill_evictions\":{},\
-             \"misses_served_by_spill\":{}}}",
-            esc(app),
-            num(dl1_s),
-            num(spill_s),
-            r.icr.spills_created,
-            r.icr.spill_updates,
-            r.icr.spill_invalidations,
-            r.icr.spill_evictions,
-            r.icr.misses_served_by_spill,
-        ));
+        spills_created += icr.spills_created;
+        lifecycle += icr.spill_updates
+            + icr.spill_invalidations
+            + icr.spill_evictions
+            + icr.misses_served_by_spill;
+        rows.push(obj([
+            ("app", text(app)),
+            ("dl1_only_s", number(dl1_s)),
+            ("spill_s", number(spill_s)),
+            ("spills_created", count(icr.spills_created)),
+            ("spill_updates", count(icr.spill_updates)),
+            ("spill_invalidations", count(icr.spill_invalidations)),
+            ("spill_evictions", count(icr.spill_evictions)),
+            ("misses_served_by_spill", count(icr.misses_served_by_spill)),
+        ]));
     }
 
-    let json = format!(
-        "{{\"bench\":\"spill\",\"label\":{},\"seed\":{SEED},\"instructions\":{INSTRUCTIONS},\
-         \"total_dl1_only_s\":{},\"total_spill_s\":{},\"apps\":[{}]}}",
-        esc(&label()),
-        num(total_dl1),
-        num(total_spill),
-        rows.join(","),
-    );
-    std::fs::write(&path, format!("{json}\n")).expect("write the spill record");
     println!(
-        "total: dL1-only {:.3}ms, spill {:.3}ms ({:.2}x) -> {path}",
+        "total: dL1-only {:.3}ms, spill {:.3}ms ({:.2}x)",
         total_dl1 * 1e3,
         total_spill * 1e3,
         total_spill / total_dl1.max(1e-12)
     );
 
+    let record = Record {
+        bench: "spill",
+        metric: "spill_to_dl1_only_time",
+        value: total_spill / total_dl1,
+        unit: "x",
+        params: obj([("seed", count(SEED)), ("instructions", count(INSTRUCTIONS))]),
+        rows,
+    };
     assert!(
         spills_created > 0 && lifecycle > 0,
         "the L2 replica region must see traffic (spilled {spills_created}, \
@@ -144,4 +105,5 @@ fn main() {
         "spill-region bookkeeping ({total_spill:.4}s) must stay under 2x the \
          dL1-only run ({total_dl1:.4}s)"
     );
+    finish(record, |_| Ok(()));
 }
