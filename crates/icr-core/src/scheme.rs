@@ -353,21 +353,6 @@ pub struct ParseSchemeError {
     input: String,
 }
 
-impl ParseSchemeError {
-    /// The string that failed to parse.
-    pub fn input(&self) -> &str {
-        &self.input
-    }
-
-    /// The accepted kebab-case spellings, for CLI diagnostics.
-    pub fn valid_names() -> Vec<String> {
-        Scheme::all_named_schemes()
-            .iter()
-            .map(|s| normalize(&s.name()))
-            .collect()
-    }
-}
-
 impl fmt::Display for ParseSchemeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "unknown scheme \"{}\"", self.input)

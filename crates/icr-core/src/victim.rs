@@ -36,6 +36,14 @@ pub struct CandidateLine {
 }
 
 impl VictimPolicy {
+    /// The four policies, in the order the victim ablation reports them.
+    pub const ALL: [VictimPolicy; 4] = [
+        VictimPolicy::DeadOnly,
+        VictimPolicy::DeadFirst,
+        VictimPolicy::ReplicaFirst,
+        VictimPolicy::ReplicaOnly,
+    ];
+
     /// Builds the eligibility passes for this policy. Each pass is a mask
     /// predicate; the caller runs restricted LRU over pass 1, then pass 2.
     ///
@@ -67,6 +75,18 @@ impl VictimPolicy {
             VictimPolicy::ReplicaFirst => "replica-first",
             VictimPolicy::ReplicaOnly => "replica-only",
         }
+    }
+}
+
+impl std::str::FromStr for VictimPolicy {
+    type Err = String;
+
+    /// Parses a policy's [`name`](VictimPolicy::name).
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        VictimPolicy::ALL
+            .into_iter()
+            .find(|p| p.name() == s)
+            .ok_or_else(|| format!("unknown victim policy {s:?}"))
     }
 }
 
@@ -113,12 +133,7 @@ mod tests {
 
     #[test]
     fn no_policy_ever_accepts_a_live_primary() {
-        for policy in [
-            VictimPolicy::DeadOnly,
-            VictimPolicy::DeadFirst,
-            VictimPolicy::ReplicaFirst,
-            VictimPolicy::ReplicaOnly,
-        ] {
+        for policy in VictimPolicy::ALL {
             let live = line(true, false, false);
             let [p1, p2] = policy.passes();
             assert!(!p1(&live), "{}", policy.name());
@@ -128,12 +143,7 @@ mod tests {
 
     #[test]
     fn excluded_lines_are_never_chosen() {
-        for policy in [
-            VictimPolicy::DeadOnly,
-            VictimPolicy::DeadFirst,
-            VictimPolicy::ReplicaFirst,
-            VictimPolicy::ReplicaOnly,
-        ] {
+        for policy in VictimPolicy::ALL {
             let mut c = line(true, true, true);
             c.excluded = true;
             let [p1, p2] = policy.passes();
@@ -150,5 +160,16 @@ mod tests {
     fn names_match_the_paper() {
         assert_eq!(VictimPolicy::DeadOnly.name(), "dead-only");
         assert_eq!(VictimPolicy::DeadFirst.name(), "dead-first");
+    }
+
+    #[test]
+    fn names_parse_back_to_their_policy() {
+        for p in VictimPolicy::ALL {
+            assert_eq!(p.name().parse(), Ok(p));
+        }
+        assert_eq!(
+            "oldest".parse::<VictimPolicy>(),
+            Err("unknown victim policy \"oldest\"".to_string())
+        );
     }
 }

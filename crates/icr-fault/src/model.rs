@@ -41,6 +41,18 @@ impl ErrorModel {
     }
 }
 
+impl std::str::FromStr for ErrorModel {
+    type Err = String;
+
+    /// Parses a model's [`name`](ErrorModel::name).
+    fn from_str(s: &str) -> Result<Self, Self::Err> {
+        ErrorModel::all()
+            .into_iter()
+            .find(|m| m.name() == s)
+            .ok_or_else(|| format!("unknown model {s:?}"))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -50,5 +62,16 @@ mod tests {
         let names: std::collections::HashSet<_> =
             ErrorModel::all().iter().map(|m| m.name()).collect();
         assert_eq!(names.len(), 4);
+    }
+
+    #[test]
+    fn names_parse_back_to_their_model() {
+        for m in ErrorModel::all() {
+            assert_eq!(m.name().parse(), Ok(m));
+        }
+        assert_eq!(
+            "burst".parse::<ErrorModel>(),
+            Err("unknown model \"burst\"".to_string())
+        );
     }
 }

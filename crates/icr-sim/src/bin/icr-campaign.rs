@@ -57,51 +57,35 @@
 //! with `"complete": false` so partial results are explicit. Without
 //! `--checkpoint`, SIGINT kills the run: a plain report has no
 //! `complete` marker to flag partial results. Invalid command-line
-//! input exits with code 2 and a diagnostic; runtime failures (e.g. an
-//! unwritable checkpoint directory) exit with 1.
+//! input, a populated checkpoint directory without `--resume` included,
+//! exits with code 2 and a diagnostic; runtime failures (e.g. an
+//! unwritable checkpoint directory) exit with 1 — the contract
+//! `icr_sim::cli` gives all three binaries.
 
 use icr_core::Scheme;
-use icr_fault::ErrorModel;
-use icr_sim::json::write_output;
+use icr_sim::cli::{self, Usage};
 use icr_sim::{
     merge_sharded_campaign, run_sharded_campaign_observed, CampaignSpec, ShardEvent,
     ShardedCampaignSpec,
 };
+use std::io;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
-fn parse_model(name: &str) -> Option<ErrorModel> {
-    Some(match name {
-        "direct" => ErrorModel::Direct,
-        "adjacent" => ErrorModel::Adjacent,
-        "column" => ErrorModel::Column,
-        "random" => ErrorModel::Random,
-        _ => return None,
-    })
-}
-
-/// Prints a diagnostic plus the usage text and returns the
-/// invalid-invocation exit code (2, in the `getopt` tradition —
-/// distinct from runtime failures, which exit 1).
-fn fail_usage(diagnostic: &str) -> ExitCode {
-    eprintln!("error: {diagnostic}");
-    eprintln!(
-        "usage: icr-campaign [--schemes a,b,c] [--apps a,b,c] [--trials N]\n\
-         \x20                   [--batch N] [--seed S] [--insts N] [--model M]\n\
-         \x20                   [--fault P] [--ci-width W] [--threads N]\n\
-         \x20                   [--no-oracle] [--importance] [--checkpoint DIR]\n\
-         \x20                   [--resume] [--shard-size N] [--worker I/N]\n\
-         \x20                   [--json PATH] [--quiet]\n\
-         \x20      icr-campaign merge [spec options] DIR...\n\
-         schemes: basep baseecc baseecc-spec icr-{{p,ecc}}-{{ps,pp}}[-l2]-{{s,ls}}\n\
-         models:  direct adjacent column random\n\
-         apps:    gzip vpr gcc mcf parser mesa vortex art (+ bzip2 twolf crafty gap,\n\
-         \x20     execution-driven isa:{{bubble,qsort,matmul,chase,strsearch,lz,checksum}})"
-    );
-    ExitCode::from(2)
-}
+const USAGE: &str = "\
+usage: icr-campaign [--schemes a,b,c] [--apps a,b,c] [--trials N]
+                    [--batch N] [--seed S] [--insts N] [--model M]
+                    [--fault P] [--ci-width W] [--threads N]
+                    [--no-oracle] [--importance] [--checkpoint DIR]
+                    [--resume] [--shard-size N] [--worker I/N]
+                    [--json PATH] [--quiet]
+       icr-campaign merge [spec options] DIR...
+schemes: basep baseecc baseecc-spec icr-{p,ecc}-{ps,pp}[-l2]-{s,ls}
+models:  direct adjacent column random
+apps:    gzip vpr gcc mcf parser mesa vortex art (+ bzip2 twolf crafty gap,
+      execution-driven isa:{bubble,qsort,matmul,chase,strsearch,lz,checksum})";
 
 /// Installs a SIGINT handler that only sets a flag (the async-signal-safe
 /// minimum); the shard loop polls it between shards and drains. On
@@ -127,14 +111,14 @@ fn install_sigint_flag() -> &'static AtomicBool {
 }
 
 fn main() -> ExitCode {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    run(std::env::args().skip(1)).unwrap_or_else(|e| cli::usage_error(USAGE, e))
+}
 
+fn run(args: impl Iterator<Item = String>) -> Result<ExitCode, Usage> {
+    let mut args = args.peekable();
     // `icr-campaign merge [spec options] DIR...` — same spec vocabulary,
     // positional checkpoint directories, restore-only.
-    let merge_mode = args.first().is_some_and(|a| a == "merge");
-    if merge_mode {
-        args.remove(0);
-    }
+    let merge_mode = args.next_if_eq("merge").is_some();
 
     let mut spec = CampaignSpec::new(
         vec![
@@ -154,161 +138,93 @@ fn main() -> ExitCode {
     let mut shard_size: Option<u64> = None;
     let mut worker: Option<(u64, u64)> = None;
     let mut merge_dirs: Vec<PathBuf> = Vec::new();
-
-    let mut i = 0;
-    while i < args.len() {
-        let take = |i: &mut usize| -> Option<String> {
-            *i += 1;
-            args.get(*i).cloned()
-        };
-        macro_rules! take_value {
-            ($flag:expr) => {
-                match take(&mut i) {
-                    Some(v) => v,
-                    None => return fail_usage(&format!("{} requires a value", $flag)),
-                }
-            };
-        }
-        macro_rules! take_parsed {
-            ($flag:expr, $what:expr) => {{
-                let v = take_value!($flag);
-                match v.parse() {
-                    Ok(n) => n,
-                    Err(_) => {
-                        return fail_usage(&format!("{} expects {}, got {v:?}", $flag, $what))
-                    }
-                }
-            }};
-        }
-        match args[i].as_str() {
-            "--schemes" => {
-                let v = take_value!("--schemes");
-                let mut schemes = Vec::new();
-                for name in v.split(',') {
-                    match name.parse::<Scheme>() {
-                        Ok(s) => schemes.push(s),
-                        Err(e) => return fail_usage(&e.to_string()),
-                    }
-                }
-                spec.schemes = schemes;
-            }
-            "--apps" => {
-                let v = take_value!("--apps");
-                spec.apps = v.split(',').map(|a| a.trim().to_string()).collect();
-            }
-            "--trials" => spec.trials_per_cell = take_parsed!("--trials", "a positive integer"),
-            "--batch" => spec.batch = take_parsed!("--batch", "a positive integer"),
-            "--seed" => spec.master_seed = take_parsed!("--seed", "an unsigned integer"),
-            "--insts" => spec.instructions = take_parsed!("--insts", "a positive integer"),
-            "--model" => {
-                let v = take_value!("--model");
-                let Some(m) = parse_model(&v) else {
-                    return fail_usage(&format!("unknown model {v:?}"));
-                };
-                spec.model = m;
-            }
-            "--fault" => spec.p_per_cycle = take_parsed!("--fault", "a probability"),
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--schemes" => spec.schemes = cli::names(&mut args, "--schemes")?,
+            "--apps" => spec.apps = cli::names(&mut args, "--apps")?,
+            "--trials" => spec.trials_per_cell = cli::count(&mut args, "--trials")?,
+            "--batch" => spec.batch = cli::count(&mut args, "--batch")?,
+            "--seed" => spec.master_seed = cli::parsed(&mut args, "--seed", "an unsigned integer")?,
+            "--insts" => spec.instructions = cli::count(&mut args, "--insts")?,
+            "--model" => spec.model = cli::name(&mut args, "--model")?,
+            "--fault" => spec.p_per_cycle = cli::probability(&mut args, "--fault")?,
             "--ci-width" => {
-                spec.target_ci_width = Some(take_parsed!("--ci-width", "a width in (0, 1]"))
+                let w: f64 = cli::parsed(&mut args, "--ci-width", "a width in (0, 1]")?;
+                if !(w > 0.0 && w <= 1.0) {
+                    return Err(Usage("--ci-width must be in (0, 1]".into()));
+                }
+                spec.target_ci_width = Some(w);
             }
-            "--threads" => spec.threads = take_parsed!("--threads", "an unsigned integer"),
+            "--threads" => {
+                spec.threads = cli::parsed(&mut args, "--threads", "an unsigned integer")?
+            }
             "--no-oracle" => spec.oracle = false,
             "--importance" => spec.importance = true,
-            "--checkpoint" => checkpoint_dir = Some(take_value!("--checkpoint")),
+            "--checkpoint" => checkpoint_dir = Some(cli::value(&mut args, "--checkpoint")?),
             "--resume" => resume = true,
-            "--shard-size" => shard_size = Some(take_parsed!("--shard-size", "a positive integer")),
+            "--shard-size" => shard_size = Some(cli::count(&mut args, "--shard-size")?),
             "--worker" => {
-                let v = take_value!("--worker");
+                let v = cli::value(&mut args, "--worker")?;
                 let parsed = v.split_once('/').and_then(|(idx, total)| {
                     Some((idx.parse::<u64>().ok()?, total.parse::<u64>().ok()?))
                 });
                 let Some((idx, total)) = parsed else {
-                    return fail_usage(&format!("--worker expects I/N (e.g. 0/4), got {v:?}"));
+                    return Err(Usage(format!("--worker expects I/N (e.g. 0/4), got {v:?}")));
                 };
                 worker = Some((idx, total));
             }
-            "--json" => json_path = Some(take_value!("--json")),
+            "--json" => json_path = Some(cli::value(&mut args, "--json")?),
             "--quiet" => quiet = true,
-            other if merge_mode && !other.starts_with('-') => {
-                merge_dirs.push(PathBuf::from(other));
-            }
-            other => return fail_usage(&format!("unknown option {other:?}")),
+            dir if merge_mode && !dir.starts_with('-') => merge_dirs.push(PathBuf::from(dir)),
+            other => return Err(cli::unknown_option(other)),
         }
-        i += 1;
     }
 
-    if spec.schemes.is_empty() {
-        return fail_usage("--schemes must name at least one scheme");
-    }
-    if spec.apps.is_empty() {
-        return fail_usage("--apps must name at least one workload");
-    }
-    if spec.trials_per_cell == 0 {
-        return fail_usage("--trials must be at least 1");
-    }
-    if spec.batch == 0 {
-        return fail_usage("--batch must be at least 1");
-    }
-    if spec.instructions == 0 {
-        return fail_usage("--insts must be at least 1");
-    }
-    if !(0.0..=1.0).contains(&spec.p_per_cycle) || !spec.p_per_cycle.is_finite() {
-        return fail_usage("--fault must be a probability in [0, 1]");
-    }
-    if spec.target_ci_width.is_some_and(|w| !(w > 0.0 && w <= 1.0)) {
-        return fail_usage("--ci-width must be in (0, 1]");
-    }
-    if shard_size == Some(0) {
-        return fail_usage("--shard-size must be at least 1");
-    }
     if resume && checkpoint_dir.is_none() {
-        return fail_usage("--resume requires --checkpoint DIR");
+        return Err(Usage("--resume requires --checkpoint DIR".into()));
     }
     // Merge has no checkpoint directory of its own but must agree with
     // the workers on the shard partition, so it accepts --shard-size.
     if shard_size.is_some() && checkpoint_dir.is_none() && !merge_mode {
-        return fail_usage("--shard-size requires --checkpoint DIR");
+        return Err(Usage("--shard-size requires --checkpoint DIR".into()));
     }
     if let Some((idx, total)) = worker {
         if checkpoint_dir.is_none() {
-            return fail_usage("--worker requires --checkpoint DIR");
+            return Err(Usage("--worker requires --checkpoint DIR".into()));
         }
         if total == 0 {
-            return fail_usage("--worker I/N needs at least one worker (N >= 1)");
-        }
-        if idx >= total {
-            return fail_usage(&format!(
-                "--worker index {idx} is out of range for {total} worker(s)"
+            return Err(Usage(
+                "--worker I/N needs at least one worker (N >= 1)".into(),
             ));
         }
+        if idx >= total {
+            return Err(Usage(format!(
+                "--worker index {idx} is out of range for {total} worker(s)"
+            )));
+        }
         if spec.target_ci_width.is_some() {
-            return fail_usage(
+            return Err(Usage(
                 "--worker is incompatible with --ci-width: early stopping needs \
-                 the full cumulative shard order, which a worker slice cannot see",
-            );
+                 the full cumulative shard order, which a worker slice cannot see"
+                    .into(),
+            ));
         }
     }
     if merge_mode {
         if checkpoint_dir.is_some() || resume || worker.is_some() {
-            return fail_usage(
+            return Err(Usage(
                 "merge takes checkpoint directories as positional arguments; \
-                               --checkpoint, --resume and --worker do not apply",
-            );
+                 --checkpoint, --resume and --worker do not apply"
+                    .into(),
+            ));
         }
         if merge_dirs.is_empty() {
-            return fail_usage("merge needs at least one checkpoint directory");
+            return Err(Usage(
+                "merge needs at least one checkpoint directory".into(),
+            ));
         }
     }
-    // Resolve workloads through the store — the same authority the
-    // simulator uses — so a bad name fails here with exit 2 instead of
-    // aborting mid-campaign, and execution-driven `isa:*` kernels are
-    // accepted once their source is installed.
-    icr_isa::install();
-    for app in &spec.apps {
-        if !icr_trace::store::global().resolvable(app) {
-            return fail_usage(&format!("unknown app {app:?}"));
-        }
-    }
+    cli::check_apps(&spec.apps)?;
 
     let total_trials_max =
         spec.trials_per_cell * spec.schemes.len() as u64 * spec.apps.len() as u64;
@@ -326,7 +242,7 @@ fn main() -> ExitCode {
     }
 
     if merge_mode {
-        return run_merge(spec, shard_size, &merge_dirs, json_path, quiet);
+        return Ok(run_merge(spec, shard_size, &merge_dirs, json_path, quiet));
     }
     run_shards(
         spec,
@@ -388,7 +304,7 @@ fn run_shards(
     worker: Option<(u64, u64)>,
     json_path: Option<String>,
     quiet: bool,
-) -> ExitCode {
+) -> Result<ExitCode, Usage> {
     let shard_size = shard_size.unwrap_or(spec.batch);
     let mut sspec = ShardedCampaignSpec::new(spec, shard_size);
     if let Some((idx, total)) = worker {
@@ -449,15 +365,12 @@ fn run_shards(
 
     let report = match result {
         Ok(r) => r,
+        // A populated directory without --resume is an invocation
+        // error; anything else is a runtime failure.
+        Err(e) if e.kind() == io::ErrorKind::AlreadyExists => return Err(Usage(e.to_string())),
         Err(e) => {
             eprintln!("error: {e}");
-            // A populated directory without --resume is an invocation
-            // error; anything else is a runtime failure.
-            return if e.to_string().contains("--resume") {
-                ExitCode::from(2)
-            } else {
-                ExitCode::FAILURE
-            };
+            return Ok(ExitCode::FAILURE);
         }
     };
 
@@ -507,21 +420,16 @@ fn run_shards(
     } else {
         report.report.to_json()
     };
-    write_report(&json, json_path.as_deref(), quiet)
+    Ok(write_report(&json, json_path.as_deref(), quiet))
 }
 
-/// Writes the final JSON through the shared hardened writer.
+/// Writes the final JSON report (default stdout) and, unless `quiet`,
+/// says where a file went.
 fn write_report(json: &str, json_path: Option<&str>, quiet: bool) -> ExitCode {
-    // `to_json` already ends with a newline; trim it so the shared writer
-    // appends exactly one, keeping report bytes identical to earlier
-    // releases for both file and stdout destinations.
     let path = json_path.unwrap_or("-");
-    if let Err(e) = write_output(json.trim_end_matches('\n'), path) {
-        eprintln!("cannot write {path}: {e}");
-        return ExitCode::FAILURE;
-    }
-    if !quiet && path != "-" {
+    let code = cli::write_json(json, path);
+    if code == ExitCode::SUCCESS && !quiet && path != "-" {
         eprintln!("\nJSON report written to {path}");
     }
-    ExitCode::SUCCESS
+    code
 }

@@ -1,14 +1,13 @@
 //! `icr-exp` — regenerate any table or figure of the ICR paper.
 //!
-//! Usage:
-//!
 //! ```text
 //! icr-exp <experiment> [--insts N] [--seed S] [--threads T] [--json PATH]
 //!                      [--scheme NAME[,NAME…]] [--spark] [--stats]
-//!
-//! experiments: table1, fig1..fig17, sens, victim, extensions, vuln,
-//!              isa, isa-audit, spill, all
 //! ```
+//!
+//! The usage text (`icr-exp` with no arguments) lists every experiment
+//! id: each runner of `experiment::figure_runners()` plus this binary's
+//! own `table1`, `audit`, `isa-audit`, `isa`, `spill` and `all`.
 //!
 //! `--json PATH` writes the machine-readable result to `PATH`, where `-`
 //! means stdout — the same convention `icr-run` and `icr-campaign` use;
@@ -32,31 +31,33 @@
 //! name the same cells; `--stats` prints the cache counters to stderr
 //! afterwards. Invalid command-line input exits with code 2 and a
 //! diagnostic; runtime failures (e.g. an unwritable `--json` path) exit
-//! with 1 — the same contract as `icr-run` and `icr-campaign`.
+//! with 1 — the contract `icr_sim::cli` gives all three binaries.
 
 use icr_core::Scheme;
 use icr_sim::audit::{run_audit, AuditSpec};
+use icr_sim::cli::{self, Usage};
 use icr_sim::engine::Engine;
 use icr_sim::experiment::{self, ExpOptions, FigureRunner};
-use icr_sim::json::write_output;
 use icr_sim::vuln::{run_vuln, VulnSpec};
 use icr_sim::FigureResult;
 use icr_trace::apps::{APP_NAMES, ISA_APP_NAMES};
 use std::process::ExitCode;
 
-/// Prints a diagnostic plus the usage text and returns the
-/// invalid-invocation exit code (2, in the `getopt` tradition —
-/// distinct from runtime failures, which exit 1).
-fn fail_usage(diagnostic: &str) -> ExitCode {
-    eprintln!("error: {diagnostic}");
-    eprintln!(
+/// The usage text; its experiment list is every figure runner plus the
+/// commands this binary handles itself.
+fn usage() -> String {
+    let experiments: Vec<&str> = ["table1"]
+        .into_iter()
+        .chain(experiment::figure_runners().into_iter().map(|(id, _)| id))
+        .chain(["audit", "isa-audit", "isa", "spill", "all"])
+        .collect();
+    format!(
         "usage: icr-exp <experiment> [--insts N] [--seed S] [--threads T] [--json PATH] [--scheme NAME[,NAME…]] [--spark] [--stats]\n\
          \x20      --json PATH    write JSON to PATH ('-' = stdout; not table1)\n\
          \x20      --scheme NAMES restrict audit/isa-audit/vuln to these schemes\n\
-         experiments: table1 fig1 fig2 fig3 fig4 fig5 fig6 fig7 fig8 fig9\n\
-         \x20            fig10 fig11 fig12 fig13 fig14 fig15 fig16 fig17 sens victim models hints dupcache stability scrub window dram exposure vuln audit sdc isa isa-audit spill all"
-    );
-    ExitCode::from(2)
+         experiments: {}",
+        experiments.join(" ")
+    )
 }
 
 /// The default lockstep-audit scheme matrix: the ten paper presets plus
@@ -70,78 +71,44 @@ fn audit_schemes() -> Vec<Scheme> {
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(which) = args.first() else {
-        return fail_usage("expected an experiment name");
-    };
+    run(std::env::args().skip(1)).unwrap_or_else(|e| cli::usage_error(&usage(), e))
+}
+
+fn run(mut args: impl Iterator<Item = String>) -> Result<ExitCode, Usage> {
+    let which = args
+        .next()
+        .ok_or_else(|| Usage("expected an experiment name".into()))?;
     let mut opts = ExpOptions::default();
     let mut json: Option<String> = None;
     let mut schemes: Option<Vec<Scheme>> = None;
     let mut spark = false;
     let mut stats = false;
-    let mut i = 1;
-    macro_rules! take_value {
-        ($flag:expr) => {{
-            let Some(v) = args.get(i + 1) else {
-                return fail_usage(&format!("{} requires a value", $flag));
-            };
-            i += 2;
-            v
-        }};
-    }
-    macro_rules! take_parsed {
-        ($flag:expr, $what:expr) => {{
-            let v = take_value!($flag);
-            match v.parse() {
-                Ok(n) => n,
-                Err(_) => return fail_usage(&format!("{} expects {}, got {v:?}", $flag, $what)),
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--json" => json = Some(cli::value(&mut args, "--json")?),
+            "--scheme" => schemes = Some(cli::names(&mut args, "--scheme")?),
+            "--spark" => spark = true,
+            "--stats" => stats = true,
+            "--insts" => opts.instructions = cli::count(&mut args, "--insts")?,
+            "--seed" => opts.seed = cli::parsed(&mut args, "--seed", "an unsigned integer")?,
+            "--threads" => {
+                opts.threads = cli::parsed(&mut args, "--threads", "an unsigned integer")?
             }
-        }};
-    }
-    while i < args.len() {
-        match args[i].as_str() {
-            "--json" => json = Some(take_value!("--json").clone()),
-            "--scheme" => {
-                let v = take_value!("--scheme");
-                let mut parsed = Vec::new();
-                for name in v.split(',') {
-                    match name.parse::<Scheme>() {
-                        Ok(s) => parsed.push(s),
-                        Err(e) => return fail_usage(&e.to_string()),
-                    }
-                }
-                schemes = Some(parsed);
-            }
-            "--spark" => {
-                spark = true;
-                i += 1;
-            }
-            "--stats" => {
-                stats = true;
-                i += 1;
-            }
-            "--insts" => opts.instructions = take_parsed!("--insts", "a positive integer"),
-            "--seed" => opts.seed = take_parsed!("--seed", "an unsigned integer"),
-            "--threads" => opts.threads = take_parsed!("--threads", "an unsigned integer"),
-            other => return fail_usage(&format!("unknown option {other:?}")),
+            other => return Err(cli::unknown_option(other)),
         }
     }
-    if opts.instructions == 0 {
-        return fail_usage("--insts must be at least 1");
-    }
-    if schemes.as_ref().is_some_and(|s| s.is_empty()) {
-        return fail_usage("--scheme must name at least one scheme");
-    }
     if schemes.is_some() && !matches!(which.as_str(), "audit" | "isa-audit" | "vuln") {
-        return fail_usage("--scheme only applies to audit, isa-audit and vuln");
+        return Err(Usage(
+            "--scheme only applies to audit, isa-audit and vuln".into(),
+        ));
     }
     if json.is_some() && which == "table1" {
-        return fail_usage("--json does not apply to table1");
+        return Err(Usage("--json does not apply to table1".into()));
     }
 
     let emit = |fig: FigureResult| {
         if let Some(path) = &json {
-            return write_json(&fig.to_json(), path);
+            return cli::write_json(&fig.to_json(), path);
         }
         print!("{fig}");
         if spark {
@@ -178,10 +145,7 @@ fn main() -> ExitCode {
                 let mut spec = VulnSpec::new(schemes, apps, opts.instructions, opts.seed);
                 spec.threads = opts.threads;
                 let report = run_vuln(&spec);
-                // `to_json` already ends with a newline; trim it so the
-                // shared writer appends exactly one.
-                let doc = report.to_json().trim_end_matches('\n').to_owned();
-                (doc, report.summary_table())
+                (report.to_json(), report.summary_table())
             } else {
                 let mut spec = AuditSpec::new(schemes, apps, opts.instructions, opts.seed);
                 spec.threads = opts.threads;
@@ -190,7 +154,7 @@ fn main() -> ExitCode {
                 (report.to_json(), report.summary_table())
             };
             if let Some(path) = &json {
-                write_json(&doc, path)
+                cli::write_json(&doc, path)
             } else {
                 println!(
                     "{heading} ({} insts/app, seed {})",
@@ -212,7 +176,7 @@ fn main() -> ExitCode {
                     .map(|f| f.to_json())
                     .collect::<Vec<_>>()
                     .join(",\n");
-                write_json(&format!("[\n{body}\n]"), path)
+                cli::write_json(&format!("[\n{body}\n]"), path)
             } else {
                 for fig in figs {
                     println!();
@@ -232,26 +196,14 @@ fn main() -> ExitCode {
                 .into_iter()
                 .chain(extra)
                 .find(|(id, _)| *id == name);
-            let Some((_, run)) = runner else {
-                return fail_usage(&format!("unknown experiment {name:?}"));
+            let Some((_, figure)) = runner else {
+                return Err(Usage(format!("unknown experiment {name:?}")));
             };
-            emit(run(&opts))
+            emit(figure(&opts))
         }
     };
     if stats {
         eprintln!("engine: {:?}", Engine::global().stats());
     }
-    code
-}
-
-/// Writes `doc` through the shared hardened writer. A failure is a
-/// runtime error (exit 1), as in `icr-campaign`.
-fn write_json(doc: &str, path: &str) -> ExitCode {
-    match write_output(doc, path) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("cannot write {path}: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    Ok(code)
 }

@@ -29,153 +29,90 @@
 //!
 //! Invalid command-line input exits with code 2 and a diagnostic;
 //! runtime failures (e.g. an unreadable trace file) exit with 1 — the
-//! same contract as `icr-campaign` and `icr-exp`.
+//! contract `icr_sim::cli` gives all three binaries.
 
-use icr_core::{DataL1Config, DecayConfig, Scheme, VictimPolicy, WritePolicy};
+use icr_core::{DataL1Config, DecayConfig, Scheme, WritePolicy};
 use icr_fault::ErrorModel;
-use icr_sim::json::write_output;
+use icr_sim::cli::{self, Usage};
 use icr_sim::{run_sim, CheckMode, FaultConfig, ScrubConfig, SimConfig};
 use std::process::ExitCode;
 
-fn parse_victim(name: &str) -> Option<VictimPolicy> {
-    Some(match name {
-        "dead-only" => VictimPolicy::DeadOnly,
-        "dead-first" => VictimPolicy::DeadFirst,
-        "replica-first" => VictimPolicy::ReplicaFirst,
-        "replica-only" => VictimPolicy::ReplicaOnly,
-        _ => return None,
-    })
-}
-
-/// Prints a diagnostic plus the usage text and returns the
-/// invalid-invocation exit code (2, in the `getopt` tradition —
-/// distinct from runtime failures, which exit 1).
-fn fail_usage(diagnostic: &str) -> ExitCode {
-    eprintln!("error: {diagnostic}");
-    eprintln!(
-        "usage: icr-run <app> <scheme> [--insts N] [--seed S] [--window W]\n\
-         \x20                [--victim P] [--keep] [--write-through N]\n\
-         \x20                [--fault P] [--scrub I] [--check] [--json PATH]\n\
-         \x20                [--trace-out PATH] [--trace-in PATH]\n\
-         apps: gzip vpr gcc mcf parser mesa vortex art (+ bzip2 twolf crafty gap,\n\
-         \x20     execution-driven isa:{{bubble,qsort,matmul,chase,strsearch,lz,checksum}})\n\
-         schemes: basep baseecc baseecc-spec icr-{{p,ecc}}-{{ps,pp}}[-l2]-{{s,ls}}"
-    );
-    ExitCode::from(2)
-}
+const USAGE: &str = "\
+usage: icr-run <app> <scheme> [--insts N] [--seed S] [--window W]
+                 [--victim P] [--keep] [--write-through N]
+                 [--fault P] [--scrub I] [--check] [--json PATH]
+                 [--trace-out PATH] [--trace-in PATH]
+apps: gzip vpr gcc mcf parser mesa vortex art (+ bzip2 twolf crafty gap,
+      execution-driven isa:{bubble,qsort,matmul,chase,strsearch,lz,checksum})
+schemes: basep baseecc baseecc-spec icr-{p,ecc}-{ps,pp}[-l2]-{s,ls}";
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.len() < 2 {
-        return fail_usage("expected <app> and <scheme>");
-    }
-    let app = args[0].clone();
-    // Resolve the workload through the store — the same authority the
-    // simulator asks at run time — so execution-driven `isa:*` kernels
-    // validate once their source is installed, and a bad name exits 2
-    // here instead of aborting (exit 101) deep inside the run.
-    icr_isa::install();
-    if !icr_trace::store::global().resolvable(&app) {
-        return fail_usage(&format!("unknown app {app:?}"));
-    }
-    let scheme = match args[1].parse::<Scheme>() {
-        Ok(s) => s,
-        Err(e) => return fail_usage(&e.to_string()),
-    };
+    run(std::env::args().skip(1)).unwrap_or_else(|e| cli::usage_error(USAGE, e))
+}
 
-    let mut dl1 = DataL1Config::paper_default(scheme);
-    let mut instructions = 200_000u64;
-    let mut seed = 42u64;
+fn run(mut args: impl Iterator<Item = String>) -> Result<ExitCode, Usage> {
+    let (Some(app), Some(scheme)) = (args.next(), args.next()) else {
+        return Err(Usage("expected <app> and <scheme>".into()));
+    };
+    cli::check_apps(&[&app])?;
+    let scheme: Scheme = cli::parse_name(&scheme)?;
+
+    let mut cfg = SimConfig::builder(&app, DataL1Config::paper_default(scheme)).build();
     let mut fault_p: Option<f64> = None;
-    let mut scrub: Option<ScrubConfig> = None;
-    let mut check = false;
     let mut json: Option<String> = None;
     let mut trace_out: Option<String> = None;
     let mut trace_in: Option<String> = None;
-
-    let mut i = 2;
-    macro_rules! take_value {
-        ($flag:expr) => {{
-            let Some(v) = args.get(i + 1) else {
-                return fail_usage(&format!("{} requires a value", $flag));
-            };
-            i += 2;
-            v
-        }};
-    }
-    macro_rules! take_parsed {
-        ($flag:expr, $what:expr) => {{
-            let v = take_value!($flag);
-            match v.parse() {
-                Ok(n) => n,
-                Err(_) => return fail_usage(&format!("{} expects {}, got {v:?}", $flag, $what)),
-            }
-        }};
-    }
-    while i < args.len() {
-        match args[i].as_str() {
-            "--insts" => instructions = take_parsed!("--insts", "a positive integer"),
-            "--seed" => seed = take_parsed!("--seed", "an unsigned integer"),
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--insts" => cfg.instructions = cli::count(&mut args, "--insts")?,
+            "--seed" => cfg.seed = cli::parsed(&mut args, "--seed", "an unsigned integer")?,
             "--window" => {
-                dl1.decay = DecayConfig {
-                    window: take_parsed!("--window", "a cycle count"),
+                cfg.dl1.decay = DecayConfig {
+                    window: cli::parsed(&mut args, "--window", "a cycle count")?,
                 }
             }
-            "--victim" => {
-                let v = take_value!("--victim");
-                let Some(p) = parse_victim(v) else {
-                    return fail_usage(&format!("unknown victim policy {v:?}"));
-                };
-                dl1.victim = p;
-            }
-            "--keep" => {
-                dl1.keep_replicas_on_evict = true;
-                i += 1;
-            }
+            "--victim" => cfg.dl1.victim = cli::name(&mut args, "--victim")?,
+            "--keep" => cfg.dl1.keep_replicas_on_evict = true,
             "--write-through" => {
-                dl1.write_policy = WritePolicy::WriteThrough {
-                    buffer_entries: take_parsed!("--write-through", "a buffer entry count"),
+                cfg.dl1.write_policy = WritePolicy::WriteThrough {
+                    buffer_entries: cli::parsed(
+                        &mut args,
+                        "--write-through",
+                        "a buffer entry count",
+                    )?,
                 }
             }
-            "--fault" => {
-                let p: f64 = take_parsed!("--fault", "a probability");
-                if !(0.0..=1.0).contains(&p) || !p.is_finite() {
-                    return fail_usage("--fault must be a probability in [0, 1]");
-                }
-                fault_p = Some(p);
-            }
+            "--fault" => fault_p = Some(cli::probability(&mut args, "--fault")?),
             "--scrub" => {
-                scrub = Some(ScrubConfig {
-                    interval: take_parsed!("--scrub", "an interval in cycles"),
+                cfg.scrub = Some(ScrubConfig {
+                    interval: cli::parsed(&mut args, "--scrub", "an interval in cycles")?,
                     lines_per_step: 16,
-                });
+                })
             }
-            "--check" => {
-                check = true;
-                i += 1;
-            }
-            "--json" => {
-                json = Some(take_value!("--json").clone());
-            }
-            "--trace-out" => {
-                trace_out = Some(take_value!("--trace-out").clone());
-            }
-            "--trace-in" => {
-                trace_in = Some(take_value!("--trace-in").clone());
-            }
-            other => return fail_usage(&format!("unknown option {other:?}")),
+            "--check" => cfg.check = CheckMode::Lockstep,
+            "--json" => json = Some(cli::value(&mut args, "--json")?),
+            "--trace-out" => trace_out = Some(cli::value(&mut args, "--trace-out")?),
+            "--trace-in" => trace_in = Some(cli::value(&mut args, "--trace-in")?),
+            other => return Err(cli::unknown_option(other)),
         }
     }
-    if instructions == 0 {
-        return fail_usage("--insts must be at least 1");
-    }
+    // Built after parsing, so the injector seed follows the final
+    // `--seed` wherever it appears on the command line.
+    cfg.fault = fault_p.map(|p| FaultConfig {
+        model: ErrorModel::Random,
+        p_per_cycle: p,
+        seed: cfg.seed.wrapping_add(1),
+        max_faults: None,
+    });
+    cfg.validate().map_err(Usage)?;
+    let (instructions, seed) = (cfg.instructions, cfg.seed);
 
     if let Some(path) = &trace_in {
         let stored = match icr_trace::disk::read_trace(std::path::Path::new(path)) {
             Ok(stored) => stored,
             Err(e) => {
                 eprintln!("--trace-in {path}: {e}");
-                return ExitCode::FAILURE;
+                return Ok(ExitCode::FAILURE);
             }
         };
         // The trace file carries its identity; refuse a silent mismatch
@@ -186,7 +123,7 @@ fn main() -> ExitCode {
                  but the command line says app {app:?} seed {seed}",
                 stored.app, stored.seed
             );
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
         // Nor simulate a trace of another length under this `--insts`.
         // A synthetic trace is exactly its budget long; only an `isa:*`
@@ -197,31 +134,12 @@ fn main() -> ExitCode {
                 "--trace-in {path}: trace holds {held} instructions, \
                  but the command line says --insts {instructions}"
             );
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
         icr_trace::store::global().insert(&app, seed, instructions, stored.insts.into());
     }
 
-    let mut builder = SimConfig::builder(&app, dl1)
-        .instructions(instructions)
-        .seed(seed);
-    // Built after parsing, so the injector seed follows the final
-    // `--seed` wherever it appears on the command line.
-    if let Some(p) = fault_p {
-        builder = builder.fault(FaultConfig {
-            model: ErrorModel::Random,
-            p_per_cycle: p,
-            seed: seed.wrapping_add(1),
-            max_faults: None,
-        });
-    }
-    if let Some(scrub) = scrub {
-        builder = builder.scrub(scrub);
-    }
-    if check {
-        builder = builder.check(CheckMode::Lockstep);
-    }
-    let r = run_sim(&builder.build());
+    let r = run_sim(&cfg);
 
     if let Some(path) = &trace_out {
         // run_sim resolved (and memoised) the trace; fetch the same
@@ -230,16 +148,12 @@ fn main() -> ExitCode {
         if let Err(e) = icr_trace::disk::write_trace(std::path::Path::new(path), &app, seed, &trace)
         {
             eprintln!("--trace-out {path}: {e}");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
     }
 
     if let Some(path) = &json {
-        if let Err(e) = write_output(&r.to_json(), path) {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
-        return ExitCode::SUCCESS;
+        return Ok(cli::write_json(&r.to_json(), path));
     }
 
     println!(
@@ -334,5 +248,5 @@ fn main() -> ExitCode {
         r.energy_counts.parity_ops, r.energy_counts.ecc_ops
     );
     println!("L2 accesses (energy) : {}", r.energy_counts.l2_accesses);
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }

@@ -887,8 +887,8 @@ fn finish_sharded(
 /// # Errors
 ///
 /// Propagates checkpoint-directory I/O failures. Without `resume`, a
-/// directory already holding shard checkpoints is refused rather than
-/// silently overwritten.
+/// directory already holding shard checkpoints is refused with
+/// [`io::ErrorKind::AlreadyExists`] rather than silently overwritten.
 pub fn run_sharded_campaign_observed(
     spec: &ShardedCampaignSpec,
     dir: Option<&Path>,
@@ -917,13 +917,16 @@ pub fn run_sharded_campaign_observed(
             .filter(|&(s, _)| spec.owns_shard(s))
             .collect();
         if !resume && !found.is_empty() {
-            return Err(io::Error::other(format!(
-                "checkpoint directory {} already holds {} shard checkpoint(s); \
+            return Err(io::Error::new(
+                io::ErrorKind::AlreadyExists,
+                format!(
+                    "checkpoint directory {} already holds {} shard checkpoint(s); \
                  pass --resume to continue that campaign or point --checkpoint \
                  at a fresh directory",
-                dir.display(),
-                found.len()
-            )));
+                    dir.display(),
+                    found.len()
+                ),
+            ));
         }
         if resume {
             available = found.into_iter().collect();
@@ -1411,6 +1414,8 @@ mod tests {
         run_sharded_campaign(&spec, Some(&dir), false).unwrap();
         let err = run_sharded_campaign(&spec, Some(&dir), false).unwrap_err();
         assert!(err.to_string().contains("--resume"), "got: {err}");
+        // The kind, not the message, is what `icr-campaign` maps to exit 2.
+        assert_eq!(err.kind(), io::ErrorKind::AlreadyExists, "got: {err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

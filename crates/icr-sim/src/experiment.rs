@@ -791,15 +791,9 @@ fn replica_vs_miss(
 
 /// Ablation bench: the four victim policies under `ICR-P-PS (S)`.
 pub fn victim_ablation(opts: &ExpOptions) -> FigureResult {
-    let policies = [
-        VictimPolicy::DeadOnly,
-        VictimPolicy::DeadFirst,
-        VictimPolicy::ReplicaFirst,
-        VictimPolicy::ReplicaOnly,
-    ];
-    let variants: Vec<_> = policies
-        .iter()
-        .map(|&p| {
+    let variants: Vec<_> = VictimPolicy::ALL
+        .into_iter()
+        .map(|p| {
             let mut cfg = DataL1Config::paper_default(Scheme::ICR_P_PS_S);
             cfg.victim = p;
             v(p.name(), cfg)

@@ -34,7 +34,9 @@
 //! * [`audit`] — lockstep reference-model auditing ([`AuditSpec`] →
 //!   [`run_audit`] → [`AuditReport`]): every dL1 access diffed against
 //!   the naive `icr-check` model under [`CheckMode::Lockstep`];
-//! * [`report`] — [`FigureResult`], a printable series-per-scheme table.
+//! * [`report`] — [`FigureResult`], a printable series-per-scheme table;
+//! * [`cli`] — the front end of the three binaries: one argument
+//!   parser, one value vocabulary and one exit-code contract.
 //!
 //! The `icr-exp` binary exposes all of it from the command line:
 //!
@@ -59,6 +61,7 @@
 pub mod audit;
 pub mod campaign;
 pub mod checkpoint;
+pub mod cli;
 pub mod engine;
 pub mod exec;
 pub mod experiment;

@@ -117,6 +117,39 @@ impl SimConfig {
             .build()
     }
 
+    /// Checks that the configuration can run: the dL1 and the hierarchy
+    /// each validate, the dL1 block is one L2 block (a dL1 miss fills,
+    /// and a write-back replaces, exactly one L2 block), and a
+    /// lockstep-checked run injects no faults and scrubs nothing.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first violated constraint, prefixed with the layer
+    /// that owns it.
+    pub fn validate(&self) -> Result<(), String> {
+        self.dl1
+            .validate()
+            .map_err(|e| format!("invalid dL1 config: {e}"))?;
+        self.hierarchy
+            .validate()
+            .map_err(|e| format!("invalid hierarchy config: {e}"))?;
+        let (dl1_block, l2_block) = (
+            self.dl1.geometry.block_bytes(),
+            self.hierarchy.l2_geometry.block_bytes(),
+        );
+        if dl1_block != l2_block {
+            return Err(format!(
+                "invalid sim config: dL1 block size {dl1_block} B differs from the L2 block size {l2_block} B"
+            ));
+        }
+        if self.check == CheckMode::Lockstep && (self.fault.is_some() || self.scrub.is_some()) {
+            return Err("lockstep auditing covers the fault-free semantics: \
+                 disable fault injection and scrubbing"
+                .into());
+        }
+        Ok(())
+    }
+
     /// A builder over every configuration knob, starting from the
     /// paper's machine running `app` with the given dL1 for the repo's
     /// default budget (200k instructions, seed 42).
@@ -419,20 +452,12 @@ impl InstrMemory for ImemPort {
 ///
 /// # Panics
 ///
-/// Panics on an invalid configuration or unknown application name. An
-/// invalid configuration includes a hierarchy that fails
-/// [`HierarchyConfig::validate`] and a dL1 whose block size differs from
-/// the L2's: a dL1 miss fills, and a write-back replaces, exactly one L2
-/// block.
+/// Panics on a configuration that fails [`SimConfig::validate`] or an
+/// unknown application name.
 pub fn run_sim(config: &SimConfig) -> SimResult {
-    let (dl1_block, l2_block) = (
-        config.dl1.geometry.block_bytes(),
-        config.hierarchy.l2_geometry.block_bytes(),
-    );
-    assert!(
-        dl1_block == l2_block,
-        "invalid sim config: dL1 block size {dl1_block} B differs from the L2 block size {l2_block} B"
-    );
+    if let Err(e) = config.validate() {
+        panic!("{e}");
+    }
     // Make the execution-driven `isa:*` kernels resolvable everywhere a
     // simulation can start; install() is idempotent and cheap.
     icr_isa::install();
@@ -448,18 +473,11 @@ pub fn run_sim(config: &SimConfig) -> SimResult {
     }
     let checker = match config.check {
         CheckMode::Off => None,
-        CheckMode::Lockstep => {
-            assert!(
-                config.fault.is_none() && config.scrub.is_none(),
-                "lockstep auditing covers the fault-free semantics: \
-                 disable fault injection and scrubbing"
-            );
-            Some(Box::new(crate::audit::LockstepChecker::new(
-                &config.dl1,
-                &config.hierarchy,
-                &config.app,
-            )))
-        }
+        CheckMode::Lockstep => Some(Box::new(crate::audit::LockstepChecker::new(
+            &config.dl1,
+            &config.hierarchy,
+            &config.app,
+        ))),
     };
     let machine = Rc::new(RefCell::new(Machine {
         dl1,

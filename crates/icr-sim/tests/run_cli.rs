@@ -252,3 +252,55 @@ fn fault_and_seed_flags_commute() {
         "flag order changed the report"
     );
 }
+
+#[test]
+fn check_with_fault_injection_exits_2() {
+    // The lockstep reference model covers the fault-free semantics, so
+    // the combination is an invalid invocation, not a mid-run abort.
+    assert_usage_error(
+        &[
+            "gzip", "basep", "--insts", "2000", "--check", "--fault", "0.001",
+        ],
+        "lockstep auditing covers the fault-free semantics",
+    );
+}
+
+#[test]
+fn check_with_scrubbing_exits_2() {
+    assert_usage_error(
+        &[
+            "gzip", "basep", "--insts", "2000", "--check", "--scrub", "100",
+        ],
+        "lockstep auditing covers the fault-free semantics",
+    );
+}
+
+#[test]
+fn zero_entry_write_buffer_exits_2() {
+    assert_usage_error(
+        &["gzip", "basep", "--write-through", "0"],
+        "invalid dL1 config: write buffer needs at least one entry",
+    );
+}
+
+#[test]
+#[cfg(target_os = "linux")]
+fn usage_error_exits_2_when_stderr_cannot_be_written() {
+    // Every write to /dev/full fails, as a write to a pipe whose reader
+    // has gone does (`icr-run … 2>&1 | head -1`): the diagnostic is
+    // lost, but the exit code must still say "invalid input".
+    let full = std::fs::OpenOptions::new()
+        .write(true)
+        .open("/dev/full")
+        .expect("open /dev/full");
+    let out = Command::new(BIN)
+        .args(["gzip", "basep", "--frobnicate"])
+        .stderr(full)
+        .output()
+        .expect("spawn icr-run");
+    assert_eq!(
+        out.status.code(),
+        Some(2),
+        "unwritable stderr changed the exit code"
+    );
+}
