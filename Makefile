@@ -3,7 +3,7 @@
 
 CARGO ?= cargo
 
-.PHONY: verify check build test fmt fmt-check clippy doc bench-build bench bench-all bench-all-gate bench-isa bench-campaign bench-importance bench-spill bench-spill-check trace-roundtrip campaign campaign-resume campaign-fanout campaign-plain audit isa-audit clean
+.PHONY: verify check build test fmt fmt-check clippy doc bench-build bench-check bench bench-all bench-all-gate bench-isa bench-campaign bench-importance bench-spill bench-spill-check trace-roundtrip campaign campaign-resume campaign-fanout campaign-plain audit isa-audit clean
 
 ## Full verification: build + all tests + formatting + lints + docs,
 ## plus a build-only check of every icr-bench target and of the
@@ -15,9 +15,10 @@ CARGO ?= cargo
 ## byte-identical trace save/replay round-trip through icr-run, a
 ## kill-and-resume smoke of the checkpointed campaign service, a
 ## two-worker fan-out whose merge must be byte-identical to the
-## single-process run, and a plain (in-memory) campaign whose report
-## must match the checkpointed run's.
-verify: build test fmt-check clippy doc bench-build bench-spill-check trace-roundtrip campaign-resume campaign-fanout campaign-plain audit
+## single-process run, a plain (in-memory) campaign whose report
+## must match the checkpointed run's, and one pass of the end-to-end
+## benchmark's workloads against their recorded output digests.
+verify: build test fmt-check clippy doc bench-build bench-check bench-spill-check trace-roundtrip campaign-resume campaign-fanout campaign-plain audit
 	@echo "verify: OK"
 
 ## Tier-1 gate (ROADMAP.md): release build + quiet tests.
@@ -50,6 +51,21 @@ doc:
 bench-build:
 	$(CARGO) bench -p icr-bench --no-run
 	$(CARGO) build --release --offline --manifest-path benchmark/Cargo.toml
+
+## One pass of the end-to-end benchmark's figures, campaign and isa
+## workloads (three cold iterations each, untraced, seed 0), failing
+## unless its result line reads "correct": true with "failed": 0: every
+## figure JSON, checkpoint file, sharded report and SimResult document
+## the workloads produce must match its digest in benchmark/digests.txt.
+BENCH_CHECK = $(CARGO) run --release --offline --quiet --manifest-path benchmark/Cargo.toml --
+bench-check:
+	@set -e; for w in figures campaign isa; do \
+		line=$$($(BENCH_CHECK) --workload $$w --seed 0 --seconds 0 --trace 0 | tail -n 1); \
+		case "$$line" in \
+			*'"correct": true,'*'"failed": 0,'*) echo "bench-check $$w: OK";; \
+			*) echo "bench-check $$w: FAILED: $$line"; exit 1;; \
+		esac; \
+	done
 
 ## Criterion benchmarks (confined to the bench crate).
 bench:

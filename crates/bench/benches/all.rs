@@ -22,9 +22,10 @@
 //! (near-zero) cost — exactly what the end-to-end `icr-exp all` run
 //! pays.
 
-use icr_bench::{cold_time_gate, count, finish, number, obj, text, Record};
+use icr_bench::{cold_time_gate, finish, Record};
 use icr_sim::exec::Pool;
 use icr_sim::experiment::{figure_runners, ExpOptions};
+use icr_sim::json::{count, number, obj, text};
 use std::time::Instant;
 
 fn main() {

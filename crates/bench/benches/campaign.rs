@@ -23,8 +23,9 @@
 //! repetition run back to back so host noise hits them alike, and each
 //! leg's best-of-3 minimum is recorded.
 
-use icr_bench::{count, finish, number, obj, text, Record, ScratchDir};
+use icr_bench::{finish, Record, ScratchDir};
 use icr_core::Scheme;
+use icr_sim::json::{count, number, obj, text};
 use icr_sim::{run_sharded_campaign, CampaignSpec, ShardedCampaignSpec};
 use std::time::Instant;
 

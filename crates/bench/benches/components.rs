@@ -97,7 +97,7 @@ fn bench_trace(c: &mut Criterion) {
     for app in ["gzip", "mcf"] {
         g.bench_function(format!("generate_10k_{app}"), |b| {
             b.iter(|| {
-                let gen = TraceGenerator::new(apps::profile(app), 1);
+                let gen = TraceGenerator::new(apps::try_profile(app).unwrap(), 1);
                 black_box(gen.take(10_000).count())
             })
         });
@@ -112,7 +112,7 @@ fn bench_pipeline(c: &mut Criterion) {
     // The core alone: no dL1, every access a single cycle, so a core
     // regression shows here apart from the memory side of `run_sim`.
     for app in ["gzip", "mcf"] {
-        let trace: Vec<_> = TraceGenerator::new(apps::profile(app), 42)
+        let trace: Vec<_> = TraceGenerator::new(apps::try_profile(app).unwrap(), 42)
             .take(20_000)
             .collect();
         g.bench_function(format!("core_20k_{app}_perfect_memory"), |b| {

@@ -28,8 +28,9 @@
 //! repetition uses fresh master seeds and the per-cell trial counts are
 //! summed across repetitions before the speedup is formed.
 
-use icr_bench::{count, finish, number, obj, text, Record};
+use icr_bench::{finish, Record};
 use icr_core::Scheme;
+use icr_sim::json::{count, number, obj, text};
 use icr_sim::{run_campaign, CampaignSpec};
 
 const REPS: u64 = 3;

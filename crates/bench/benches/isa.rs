@@ -18,7 +18,8 @@
 //! Not a criterion target: the interesting quantities are single cold
 //! passes over each kernel, measured as the best of three.
 
-use icr_bench::{best_of, count, finish, number, obj, text, Record, ScratchDir};
+use icr_bench::{best_of, finish, Record, ScratchDir};
+use icr_sim::json::{count, number, obj, text};
 use icr_trace::disk;
 
 const SEED: u64 = 42;

@@ -29,8 +29,9 @@
 //! Not a criterion target: single cold passes, measured as the best of
 //! three.
 
-use icr_bench::{best_of, count, finish, number, obj, text, Record};
+use icr_bench::{best_of, finish, Record};
 use icr_core::{DataL1Config, Scheme};
+use icr_sim::json::{count, number, obj, text};
 use icr_sim::{run_sim, SimConfig, SimResult};
 
 const SEED: u64 = 42;

@@ -12,7 +12,7 @@
 //! its baseline, byte-identical. Records go to the repository root, or
 //! to the directory named by `ICR_BENCH_OUT`.
 
-use icr_sim::json::{self, Value};
+use icr_sim::json::{self, number, obj, text, Value};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -169,30 +169,6 @@ impl Drop for ScratchDir {
     }
 }
 
-/// A JSON number for `v`, or `null` when it is not finite.
-pub fn number(v: f64) -> Value {
-    if v.is_finite() {
-        Value::Num(json::num(v))
-    } else {
-        Value::Null
-    }
-}
-
-/// A JSON number for a count.
-pub fn count(n: u64) -> Value {
-    Value::Num(n.to_string())
-}
-
-/// A JSON string.
-pub fn text(s: &str) -> Value {
-    Value::Str(s.into())
-}
-
-/// A JSON object with `members` in the given order.
-pub fn obj<'a>(members: impl IntoIterator<Item = (&'a str, Value)>) -> Value {
-    Value::Obj(members.into_iter().map(|(k, v)| (k.into(), v)).collect())
-}
-
 fn commit() -> String {
     let git = std::process::Command::new("git")
         .args(["describe", "--always", "--dirty"])
@@ -214,6 +190,7 @@ fn peak_rss_mb() -> Option<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use icr_sim::json::count;
 
     const SCHEMA: [&str; 9] = [
         "bench",
@@ -233,7 +210,7 @@ mod tests {
             metric: "total_cold_s",
             value,
             unit: "s",
-            params: obj([("instructions", count(200_000))]),
+            params: obj([("instructions", count(200_000u64))]),
             rows: vec![obj([("id", text("fig1")), ("cold_s", number(value / 2.0))])],
         }
     }

@@ -705,18 +705,6 @@ impl DataL1 {
         self.config.scheme.spills_to_l2() && self.spilled.contains(&block)
     }
 
-    /// Number of blocks with a spilled replica in the L2 region.
-    pub fn spilled_block_count(&self) -> usize {
-        self.spilled.len()
-    }
-
-    /// The exposure-ledger slot of L2-region slot 0, once the first spill
-    /// has attached the region to the ledger (region slot `i` is ledger
-    /// line `spill_ledger_base() + i`).
-    pub fn spill_ledger_base(&self) -> Option<usize> {
-        self.spill_base
-    }
-
     /// `true` when `block` has a resident primary copy.
     pub fn is_resident(&self, addr: Addr) -> bool {
         self.find_primary(self.config.geometry.block_addr(addr))

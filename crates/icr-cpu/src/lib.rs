@@ -16,7 +16,7 @@
 //!
 //! // The BaseECC effect in miniature: 2-cycle loads cost real time even
 //! // though the out-of-order core hides part of the latency.
-//! let trace = || TraceGenerator::new(apps::profile("gzip"), 7).take(20_000);
+//! let trace = || TraceGenerator::new(apps::try_profile("gzip").unwrap(), 7).take(20_000);
 //! let mut cpu = Pipeline::new(CpuConfig::default());
 //! let fast = cpu.run(trace(), &mut PerfectMemory, &mut PerfectMemory);
 //! let mut cpu = Pipeline::new(CpuConfig::default());

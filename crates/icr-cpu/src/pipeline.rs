@@ -101,7 +101,7 @@ impl PipelineStats {
 /// use icr_trace::{apps, TraceGenerator};
 ///
 /// let mut cpu = Pipeline::new(CpuConfig::default());
-/// let trace = TraceGenerator::new(apps::profile("gzip"), 1).take(10_000);
+/// let trace = TraceGenerator::new(apps::try_profile("gzip").unwrap(), 1).take(10_000);
 /// let stats = cpu.run(trace, &mut PerfectMemory, &mut PerfectMemory);
 /// assert_eq!(stats.committed, 10_000);
 /// assert!(stats.ipc() > 1.0); // 4-wide core on perfect memory
@@ -441,7 +441,7 @@ mod tests {
 
     fn run_app(app: &str, n: usize, dmem: &mut dyn DataMemory) -> PipelineStats {
         let mut cpu = Pipeline::new(CpuConfig::default());
-        let trace = TraceGenerator::new(apps::profile(app), 1).take(n);
+        let trace = TraceGenerator::new(apps::try_profile(app).unwrap(), 1).take(n);
         cpu.run(trace, &mut PerfectMemory, dmem)
     }
 
@@ -524,7 +524,7 @@ mod tests {
     #[test]
     fn counts_match_trace_mix() {
         let n = 30_000;
-        let trace: Vec<_> = TraceGenerator::new(apps::profile("vortex"), 1)
+        let trace: Vec<_> = TraceGenerator::new(apps::try_profile("vortex").unwrap(), 1)
             .take(n)
             .collect();
         let expected_loads = trace.iter().filter(|i| i.op == OpClass::Load).count() as u64;

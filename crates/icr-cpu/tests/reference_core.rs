@@ -552,7 +552,7 @@ proptest! {
 #[test]
 fn core_matches_scan_reference_on_app_traces() {
     for (i, app) in ["gzip", "mcf", "gcc", "vortex"].into_iter().enumerate() {
-        let trace: Vec<Inst> = TraceGenerator::new(apps::profile(app), 3)
+        let trace: Vec<Inst> = TraceGenerator::new(apps::try_profile(app).unwrap(), 3)
             .take(4_000)
             .collect();
         for ruu_size in [8, 12, 16, 32, 64] {

@@ -32,7 +32,7 @@ pub mod parity;
 pub mod secded;
 
 pub use codeword::{CheckOutcome, ProtectedWord, Protection};
-pub use parity::{word_parity, word_parity_check, ByteParity};
+pub use parity::{word_parity, ByteParity};
 pub use secded::{SecDed, Syndrome};
 
 /// Number of data bits covered by one SEC-DED codeword.

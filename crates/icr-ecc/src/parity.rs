@@ -34,11 +34,6 @@ impl ByteParity {
         ByteParity(word_parity(data))
     }
 
-    /// Constructs from raw stored parity bits (e.g. after fault injection).
-    pub fn from_bits(bits: u8) -> Self {
-        ByteParity(bits)
-    }
-
     /// The raw stored parity bits.
     pub fn bits(self) -> u8 {
         self.0
@@ -108,11 +103,6 @@ pub fn word_parity(data: u64) -> u8 {
         out |= (b.count_ones() as u8 & 1) << byte;
     }
     out
-}
-
-/// Convenience wrapper: `true` when `stored` matches the parity of `data`.
-pub fn word_parity_check(data: u64, stored: u8) -> bool {
-    word_parity(data) == stored
 }
 
 #[cfg(test)]

@@ -149,11 +149,6 @@ impl SecDed {
         SecDed { check }
     }
 
-    /// Constructs from raw stored check bits (e.g. after fault injection).
-    pub fn from_bits(bits: u8) -> Self {
-        SecDed { check: bits }
-    }
-
     /// The raw stored check bits.
     pub fn bits(self) -> u8 {
         self.check

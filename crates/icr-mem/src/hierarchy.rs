@@ -218,11 +218,6 @@ impl L2ReplicaRegion {
         self.blocks.iter().position(|&b| b == Some(block))
     }
 
-    /// The block resident in `slot`, if any.
-    pub fn block_at(&self, slot: usize) -> Option<BlockAddr> {
-        self.blocks[slot]
-    }
-
     /// The stored words of the copy in `slot`.
     ///
     /// # Panics

@@ -17,6 +17,7 @@
 
 use crate::engine::Engine;
 use crate::exec::Pool;
+use crate::json::{arr, count, obj, text};
 use crate::simulator::{run_sim, CheckMode, SimConfig};
 use icr_check::{
     Counters, RealLine, RealSetExport, RealSets, RealState, RealWriteBuffer, RefConfig, RefModel,
@@ -431,39 +432,36 @@ impl AuditReport {
         out
     }
 
-    /// The report as JSON, via the shared [`crate::json`] primitives.
+    /// The report as JSON, printed by
+    /// [`Value::pretty`](crate::json::Value::pretty).
     /// Deterministic for a given spec.
     pub fn to_json(&self) -> String {
-        use crate::json::{esc, matrix_echo};
         let spec = &self.spec;
-        let mut out = String::new();
-        out.push_str("{\n  \"audit\": {\n");
-        out.push_str(&format!("    \"seed\": {},\n", spec.seed));
-        out.push_str(&format!("    \"instructions\": {},\n", spec.instructions));
-        out.push_str(&matrix_echo(&spec.schemes, &spec.apps));
-        out.push_str(",\n");
-        out.push_str(&format!(
-            "    \"total_accesses_checked\": {},\n",
-            self.total_accesses_checked()
-        ));
-        out.push_str("    \"divergences\": 0\n");
-        out.push_str("  },\n  \"cells\": [\n");
-        for (i, cell) in self.cells.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"scheme\": {}, \"app\": {}, \"accesses_checked\": {}, \"cycles\": {}}}{}\n",
-                esc(&cell.scheme.name()),
-                esc(&cell.app),
-                cell.accesses_checked,
-                cell.cycles,
-                if i + 1 == self.cells.len() { "" } else { "," }
-            ));
-        }
-        out.push_str("  ]\n}");
+        let audit = obj([
+            ("seed", count(spec.seed)),
+            ("instructions", count(spec.instructions)),
+            ("schemes", arr(spec.schemes.iter().map(|s| text(&s.name())))),
+            ("apps", arr(spec.apps.iter().map(|a| text(a)))),
+            (
+                "total_accesses_checked",
+                count(self.total_accesses_checked()),
+            ),
+            ("divergences", count(0u64)),
+        ]);
+        let cells = self.cells.iter().map(|cell| {
+            obj([
+                ("scheme", text(&cell.scheme.name())),
+                ("app", text(&cell.app)),
+                ("accesses_checked", count(cell.accesses_checked)),
+                ("cycles", count(cell.cycles)),
+            ])
+        });
+        let doc = obj([("audit", audit), ("cells", arr(cells))]).pretty();
         debug_assert!(
-            icr_check::json_complete(&out),
+            icr_check::json_complete(&doc),
             "audit JSON must be complete"
         );
-        out
+        doc
     }
 }
 

@@ -229,8 +229,8 @@ fn run(args: impl Iterator<Item = String>) -> Result<ExitCode, Usage> {
     let total_trials_max =
         spec.trials_per_cell * spec.schemes.len() as u64 * spec.apps.len() as u64;
     if !quiet {
-        eprintln!(
-            "campaign: {} schemes × {} apps × {} trials (≤ {} total), model {}, seed {}, p/cycle {:.2e}",
+        cli::eprint(format_args!(
+            "campaign: {} schemes × {} apps × {} trials (≤ {} total), model {}, seed {}, p/cycle {:.2e}\n",
             spec.schemes.len(),
             spec.apps.len(),
             spec.trials_per_cell,
@@ -238,7 +238,7 @@ fn run(args: impl Iterator<Item = String>) -> Result<ExitCode, Usage> {
             spec.model.name(),
             spec.master_seed,
             spec.effective_p(),
-        );
+        ));
     }
 
     if merge_mode {
@@ -267,28 +267,28 @@ fn run_merge(
     let shard_size = shard_size.unwrap_or(spec.batch);
     let sspec = ShardedCampaignSpec::new(spec, shard_size);
     if !quiet {
-        eprintln!(
-            "merging {} checkpoint directories: {} shards of {} trials/cell (spec fingerprint {:#018x})",
+        cli::eprint(format_args!(
+            "merging {} checkpoint directories: {} shards of {} trials/cell (spec fingerprint {:#018x})\n",
             dirs.len(),
             sspec.shards_total(),
             sspec.shard_size,
             sspec.fingerprint(),
-        );
+        ));
     }
     let report = match merge_sharded_campaign(&sspec, dirs) {
         Ok(r) => r,
         Err(e) => {
-            eprintln!("error: {e}");
+            cli::eprint(format_args!("error: {e}\n"));
             return ExitCode::FAILURE;
         }
     };
     if !quiet {
         let executed: u64 = report.report.cells.iter().map(|c| c.trials).sum();
-        eprintln!(
-            "merged: {executed} trials restored from {} of {} shards\n",
+        cli::eprint(format_args!(
+            "merged: {executed} trials restored from {} of {} shards\n\n",
             report.shards_done, report.shards_total,
-        );
-        eprint!("{}", report.report.summary_table());
+        ));
+        cli::eprint(report.report.summary_table());
     }
     write_report(&report.to_json(), json_path.as_deref(), quiet)
 }
@@ -323,13 +323,13 @@ fn run_shards(
             Some((idx, total)) => format!(", worker {idx}/{total}"),
             None => String::new(),
         };
-        eprintln!(
-            "checkpointing to {dir}: {} shards of {} trials/cell{}{worker_note} (spec fingerprint {:#018x})",
+        cli::eprint(format_args!(
+            "checkpointing to {dir}: {} shards of {} trials/cell{}{worker_note} (spec fingerprint {:#018x})\n",
             sspec.shards_total(),
             sspec.shard_size,
             if resume { ", resuming" } else { "" },
             sspec.fingerprint(),
-        );
+        ));
     }
 
     let started = Instant::now();
@@ -341,23 +341,23 @@ fn run_shards(
                 shard,
                 quarantined_to,
                 reason,
-            } => eprintln!(
+            } => cli::eprint(format_args!(
                 "  shard {shard}: checkpoint failed verification ({reason}); \
-                 quarantined to {}; shard will re-run",
+                 quarantined to {}; shard will re-run\n",
                 quarantined_to.display()
-            ),
+            )),
             ShardEvent::ShardDone(p) => {
                 if !quiet {
                     let secs = started.elapsed().as_secs_f64();
-                    eprintln!(
-                        "  shard {:>4}/{:<4} {} {:>8} trials total, {:>3} cells active  ({:.0} trials/s)",
+                    cli::eprint(format_args!(
+                        "  shard {:>4}/{:<4} {} {:>8} trials total, {:>3} cells active  ({:.0} trials/s)\n",
                         p.shard + 1,
                         p.shards_total,
                         if p.resumed { "resumed " } else { "ran     " },
                         p.trials_done,
                         p.cells_active,
                         p.trials_done as f64 / secs.max(1e-9),
-                    );
+                    ));
                 }
             }
         }
@@ -369,7 +369,7 @@ fn run_shards(
         // error; anything else is a runtime failure.
         Err(e) if e.kind() == io::ErrorKind::AlreadyExists => return Err(Usage(e.to_string())),
         Err(e) => {
-            eprintln!("error: {e}");
+            cli::eprint(format_args!("error: {e}\n"));
             return Ok(ExitCode::FAILURE);
         }
     };
@@ -384,8 +384,8 @@ fn run_shards(
     let slice_done = report.complete || (worker.is_some() && report.shards_done == owned_shards);
     if !quiet {
         let executed: u64 = report.report.cells.iter().map(|c| c.trials).sum();
-        eprintln!(
-            "{}: {executed} trials accounted ({} of {} shards, {} resumed{}) in {secs:.2}s\n",
+        cli::eprint(format_args!(
+            "{}: {executed} trials accounted ({} of {} shards, {} resumed{}) in {secs:.2}s\n\n",
             if slice_done { "done" } else { "interrupted" },
             report.shards_done,
             report.shards_total,
@@ -395,23 +395,23 @@ fn run_shards(
             } else {
                 String::new()
             },
-        );
-        eprint!("{}", report.report.summary_table());
+        ));
+        cli::eprint(report.report.summary_table());
     }
     if !report.complete {
         if slice_done {
-            eprintln!(
+            cli::eprint(
                 "worker slice finished: checkpoints are flushed; \
                  run `icr-campaign merge` over every worker's directory \
                  to assemble the full report \
-                 (a worker's own JSON carries \"complete\": false)"
+                 (a worker's own JSON carries \"complete\": false)\n",
             );
         } else if let Some(dir) = dir {
-            eprintln!(
+            cli::eprint(format_args!(
                 "campaign drained after SIGINT: checkpoints are flushed; \
                  re-run with --checkpoint {dir} --resume to finish \
-                 (JSON carries \"complete\": false)"
-            );
+                 (JSON carries \"complete\": false)\n"
+            ));
         }
     }
 
@@ -429,7 +429,7 @@ fn write_report(json: &str, json_path: Option<&str>, quiet: bool) -> ExitCode {
     let path = json_path.unwrap_or("-");
     let code = cli::write_json(json, path);
     if code == ExitCode::SUCCESS && !quiet && path != "-" {
-        eprintln!("\nJSON report written to {path}");
+        cli::eprint(format_args!("\nJSON report written to {path}\n"));
     }
     code
 }

@@ -106,21 +106,19 @@ fn run(mut args: impl Iterator<Item = String>) -> Result<ExitCode, Usage> {
         return Err(Usage("--json does not apply to table1".into()));
     }
 
-    let emit = |fig: FigureResult| {
-        if let Some(path) = &json {
-            return cli::write_json(&fig.to_json(), path);
-        }
-        print!("{fig}");
+    let figure_text = |fig: &FigureResult| {
         if spark {
-            print!("{}", fig.sparklines());
+            format!("{fig}{}", fig.sparklines())
+        } else {
+            fig.to_string()
         }
-        ExitCode::SUCCESS
+    };
+    let emit = |fig: FigureResult| match &json {
+        Some(path) => cli::write_json(&fig.to_json(), path),
+        None => cli::print(figure_text(&fig)),
     };
     let code = match which.as_str() {
-        "table1" => {
-            print!("{}", experiment::table1());
-            ExitCode::SUCCESS
-        }
+        "table1" => cli::print(experiment::table1()),
         "audit" | "isa-audit" | "vuln" => {
             let (heading, default_schemes, apps) = match which.as_str() {
                 "audit" => (
@@ -156,18 +154,13 @@ fn run(mut args: impl Iterator<Item = String>) -> Result<ExitCode, Usage> {
             if let Some(path) = &json {
                 cli::write_json(&doc, path)
             } else {
-                println!(
-                    "{heading} ({} insts/app, seed {})",
+                cli::print(format_args!(
+                    "{heading} ({} insts/app, seed {})\n{table}",
                     opts.instructions, opts.seed
-                );
-                print!("{table}");
-                ExitCode::SUCCESS
+                ))
             }
         }
         "all" => {
-            if json.is_none() {
-                print!("{}", experiment::table1());
-            }
             let figs = experiment::all_figures(&opts);
             if let Some(path) = &json {
                 // One well-formed JSON document, not one object per figure.
@@ -178,11 +171,10 @@ fn run(mut args: impl Iterator<Item = String>) -> Result<ExitCode, Usage> {
                     .join(",\n");
                 cli::write_json(&format!("[\n{body}\n]"), path)
             } else {
-                for fig in figs {
-                    println!();
-                    emit(fig);
-                }
-                ExitCode::SUCCESS
+                let text = figs.iter().fold(experiment::table1(), |text, fig| {
+                    text + "\n" + &figure_text(fig)
+                });
+                cli::print(text)
             }
         }
         // Single figures: everything `all` runs, plus the two matrices
@@ -203,7 +195,7 @@ fn run(mut args: impl Iterator<Item = String>) -> Result<ExitCode, Usage> {
         }
     };
     if stats {
-        eprintln!("engine: {:?}", Engine::global().stats());
+        cli::eprint(format_args!("engine: {:?}\n", Engine::global().stats()));
     }
     Ok(code)
 }

@@ -34,7 +34,8 @@
 use icr_core::{DataL1Config, DecayConfig, Scheme, WritePolicy};
 use icr_fault::ErrorModel;
 use icr_sim::cli::{self, Usage};
-use icr_sim::{run_sim, CheckMode, FaultConfig, ScrubConfig, SimConfig};
+use icr_sim::{run_sim, CheckMode, FaultConfig, ScrubConfig, SimConfig, SimResult};
+use std::fmt;
 use std::process::ExitCode;
 
 const USAGE: &str = "\
@@ -111,18 +112,18 @@ fn run(mut args: impl Iterator<Item = String>) -> Result<ExitCode, Usage> {
         let stored = match icr_trace::disk::read_trace(std::path::Path::new(path)) {
             Ok(stored) => stored,
             Err(e) => {
-                eprintln!("--trace-in {path}: {e}");
+                cli::eprint(format_args!("--trace-in {path}: {e}\n"));
                 return Ok(ExitCode::FAILURE);
             }
         };
         // The trace file carries its identity; refuse a silent mismatch
         // rather than simulate app A under app B's label.
         if stored.app != app || stored.seed != seed {
-            eprintln!(
+            cli::eprint(format_args!(
                 "--trace-in {path}: trace is for app {:?} seed {}, \
-                 but the command line says app {app:?} seed {seed}",
+                 but the command line says app {app:?} seed {seed}\n",
                 stored.app, stored.seed
-            );
+            ));
             return Ok(ExitCode::FAILURE);
         }
         // Nor simulate a trace of another length under this `--insts`.
@@ -130,10 +131,10 @@ fn run(mut args: impl Iterator<Item = String>) -> Result<ExitCode, Usage> {
         // kernel may retire to completion before the budget runs out.
         let held = stored.insts.len() as u64;
         if held > instructions || (held < instructions && !app.starts_with("isa:")) {
-            eprintln!(
+            cli::eprint(format_args!(
                 "--trace-in {path}: trace holds {held} instructions, \
-                 but the command line says --insts {instructions}"
-            );
+                 but the command line says --insts {instructions}\n"
+            ));
             return Ok(ExitCode::FAILURE);
         }
         icr_trace::store::global().insert(&app, seed, instructions, stored.insts.into());
@@ -147,7 +148,7 @@ fn run(mut args: impl Iterator<Item = String>) -> Result<ExitCode, Usage> {
         let trace = icr_trace::store::global().get(&app, seed, instructions);
         if let Err(e) = icr_trace::disk::write_trace(std::path::Path::new(path), &app, seed, &trace)
         {
-            eprintln!("--trace-out {path}: {e}");
+            cli::eprint(format_args!("--trace-out {path}: {e}\n"));
             return Ok(ExitCode::FAILURE);
         }
     }
@@ -156,97 +157,114 @@ fn run(mut args: impl Iterator<Item = String>) -> Result<ExitCode, Usage> {
         return Ok(cli::write_json(&r.to_json(), path));
     }
 
-    println!(
+    Ok(cli::print(fmt::from_fn(|f| {
+        text_report(f, &r, scheme, instructions, seed)
+    })))
+}
+
+/// The text report: the run's counters, section by section (the
+/// sections of `SimResult::to_json`, plus the L2 spill region's for a
+/// spilling scheme).
+fn text_report(
+    f: &mut fmt::Formatter<'_>,
+    r: &SimResult,
+    scheme: Scheme,
+    instructions: u64,
+    seed: u64,
+) -> fmt::Result {
+    let (p, i, e) = (&r.pipeline, &r.icr, &r.energy_counts);
+    writeln!(
+        f,
         "== {} on {} ({} instructions, seed {seed}) ==",
         r.scheme, r.app, instructions
-    );
-    println!();
-    println!("-- core --");
-    println!("cycles               : {}", r.pipeline.cycles);
-    println!("IPC                  : {:.3}", r.pipeline.ipc());
-    println!(
+    )?;
+    writeln!(f, "\n-- core --")?;
+    writeln!(f, "cycles               : {}", p.cycles)?;
+    writeln!(f, "IPC                  : {:.3}", p.ipc())?;
+    writeln!(
+        f,
         "branch mispredicts   : {} ({:.2}%)",
-        r.pipeline.mispredicts,
-        100.0 * r.pipeline.mispredict_rate()
-    );
-    println!(
+        p.mispredicts,
+        100.0 * p.mispredict_rate()
+    )?;
+    writeln!(
+        f,
         "mean load latency    : {:.2} cycles",
-        r.pipeline.mean_load_latency()
-    );
-    println!();
-    println!("-- dL1 --");
-    println!(
+        p.mean_load_latency()
+    )?;
+    writeln!(f, "\n-- dL1 --")?;
+    writeln!(
+        f,
         "accesses             : {} ({} loads, {} stores)",
-        r.icr.cache.accesses(),
-        r.icr.cache.read_accesses,
-        r.icr.cache.write_accesses
-    );
-    println!("miss rate            : {:.2}%", 100.0 * r.icr.miss_rate());
-    println!("writebacks           : {}", r.icr.writebacks);
-    println!();
-    println!("-- replication --");
-    println!("attempts             : {}", r.icr.replication_attempts);
-    println!(
+        i.cache.accesses(),
+        i.cache.read_accesses,
+        i.cache.write_accesses
+    )?;
+    writeln!(f, "miss rate            : {:.2}%", 100.0 * i.miss_rate())?;
+    writeln!(f, "writebacks           : {}", i.writebacks)?;
+    writeln!(f, "\n-- replication --")?;
+    writeln!(f, "attempts             : {}", i.replication_attempts)?;
+    writeln!(
+        f,
         "ability              : {:.2}%",
-        100.0 * r.icr.replication_ability()
-    );
-    println!("replicas created     : {}", r.icr.replicas_created);
-    println!("replica updates      : {}", r.icr.replica_updates);
-    println!("replica evictions    : {}", r.icr.replica_evictions);
-    println!(
+        100.0 * i.replication_ability()
+    )?;
+    writeln!(f, "replicas created     : {}", i.replicas_created)?;
+    writeln!(f, "replica updates      : {}", i.replica_updates)?;
+    writeln!(f, "replica evictions    : {}", i.replica_evictions)?;
+    writeln!(
+        f,
         "loads with replica   : {:.2}%",
-        100.0 * r.icr.loads_with_replica()
-    );
-    println!("misses served by repl: {}", r.icr.misses_served_by_replica);
+        100.0 * i.loads_with_replica()
+    )?;
+    writeln!(f, "misses served by repl: {}", i.misses_served_by_replica)?;
     if scheme.spills_to_l2() {
-        println!();
-        println!("-- L2 spill region --");
-        println!("spills created       : {}", r.icr.spills_created);
-        println!("spill updates        : {}", r.icr.spill_updates);
-        println!("spill invalidations  : {}", r.icr.spill_invalidations);
-        println!("region evictions     : {}", r.icr.spill_evictions);
-        println!("misses served by spi : {}", r.icr.misses_served_by_spill);
-        println!("healed from spill    : {}", r.icr.errors_recovered_spill);
+        writeln!(f, "\n-- L2 spill region --")?;
+        writeln!(f, "spills created       : {}", i.spills_created)?;
+        writeln!(f, "spill updates        : {}", i.spill_updates)?;
+        writeln!(f, "spill invalidations  : {}", i.spill_invalidations)?;
+        writeln!(f, "region evictions     : {}", i.spill_evictions)?;
+        writeln!(f, "misses served by spi : {}", i.misses_served_by_spill)?;
+        writeln!(f, "healed from spill    : {}", i.errors_recovered_spill)?;
     }
-    println!();
-    println!("-- reliability --");
-    println!("faults injected      : {}", r.faults_injected);
-    println!("errors detected      : {}", r.icr.errors_detected);
-    println!("corrected by ECC     : {}", r.icr.errors_corrected_ecc);
-    println!("healed from replica  : {}", r.icr.errors_recovered_replica);
-    println!("refetched from L2    : {}", r.icr.errors_recovered_l2);
-    println!("scrub heals          : {}", r.icr.scrub_heals);
-    println!(
+    writeln!(f, "\n-- reliability --")?;
+    writeln!(f, "faults injected      : {}", r.faults_injected)?;
+    writeln!(f, "errors detected      : {}", i.errors_detected)?;
+    writeln!(f, "corrected by ECC     : {}", i.errors_corrected_ecc)?;
+    writeln!(f, "healed from replica  : {}", i.errors_recovered_replica)?;
+    writeln!(f, "refetched from L2    : {}", i.errors_recovered_l2)?;
+    writeln!(f, "scrub heals          : {}", i.scrub_heals)?;
+    writeln!(
+        f,
         "unrecoverable loads  : {} ({:.4}% of loads)",
-        r.icr.unrecoverable_loads,
-        100.0 * r.icr.unrecoverable_load_fraction()
-    );
-    println!(
+        i.unrecoverable_loads,
+        100.0 * i.unrecoverable_load_fraction()
+    )?;
+    writeln!(
+        f,
         "avg vulnerable words : {:.1} / 2048",
         r.avg_vulnerable_words
-    );
-    println!();
-    println!("-- memory system --");
-    println!(
+    )?;
+    writeln!(f, "\n-- memory system --")?;
+    writeln!(
+        f,
         "L2 accesses          : {} (miss rate {:.2}%)",
         r.l2.accesses(),
         100.0 * r.l2.miss_rate()
-    );
-    println!("L1I miss rate        : {:.2}%", 100.0 * r.l1i.miss_rate());
-    println!(
+    )?;
+    writeln!(
+        f,
+        "L1I miss rate        : {:.2}%",
+        100.0 * r.l1i.miss_rate()
+    )?;
+    writeln!(
+        f,
         "memory reads/writes  : {} / {}",
         r.memory_reads, r.memory_writes
-    );
-    println!();
-    println!("-- energy inputs --");
-    println!(
-        "L1 reads/writes      : {} / {}",
-        r.energy_counts.l1_reads, r.energy_counts.l1_writes
-    );
-    println!(
-        "parity / ECC ops     : {} / {}",
-        r.energy_counts.parity_ops, r.energy_counts.ecc_ops
-    );
-    println!("L2 accesses (energy) : {}", r.energy_counts.l2_accesses);
-    Ok(ExitCode::SUCCESS)
+    )?;
+    writeln!(f, "\n-- energy inputs --")?;
+    writeln!(f, "L1 reads/writes      : {} / {}", e.l1_reads, e.l1_writes)?;
+    writeln!(f, "parity / ECC ops     : {} / {}", e.parity_ops, e.ecc_ops)?;
+    writeln!(f, "L2 accesses (energy) : {}", e.l2_accesses)?;
+    Ok(())
 }

@@ -75,6 +75,7 @@
 use crate::checkpoint::{self, ShardCellState, ShardCheckpoint};
 use crate::engine::Engine;
 use crate::exec::Pool;
+use crate::json::{arr, count, number, obj, text, Value};
 use crate::simulator::{FaultConfig, SimConfig};
 use crate::stats::{wilson_ci95, wilson_ci95_f};
 use icr_core::{
@@ -418,115 +419,79 @@ impl CampaignReport {
         out
     }
 
-    /// The report as JSON, via the shared [`crate::json`] primitives (the
-    /// workspace deliberately carries no JSON dependency) and free of
-    /// timing or host information, so two runs of the same spec produce
+    /// The report as JSON, printed by [`Value::pretty`] (the workspace
+    /// deliberately carries no JSON dependency) and free of timing or
+    /// host information, so two runs of the same spec produce
     /// byte-identical files.
     pub fn to_json(&self) -> String {
-        self.to_json_sections("")
+        format!("{}\n", self.document(None).pretty())
     }
 
-    /// [`to_json`](CampaignReport::to_json) with `extra` inserted
-    /// verbatim between the `campaign` and `cells` sections — how the
-    /// sharded report adds its `sharding` block without perturbing a
-    /// single byte of the plain format.
-    fn to_json_sections(&self, extra: &str) -> String {
-        use crate::json::{esc, matrix_echo, num};
+    /// The report document: the `campaign` spec echo, the `sharding`
+    /// member when one is given, then `cells`.
+    fn document(&self, sharding: Option<Value>) -> Value {
         let spec = &self.spec;
-        let mut out = String::new();
-        out.push_str("{\n  \"campaign\": {\n");
-        out.push_str(&format!("    \"master_seed\": {},\n", spec.master_seed));
-        out.push_str(&format!("    \"instructions\": {},\n", spec.instructions));
-        out.push_str(&format!("    \"model\": {},\n", esc(spec.model.name())));
-        out.push_str(&format!(
-            "    \"p_per_cycle\": {},\n",
-            num(spec.effective_p())
-        ));
-        out.push_str(&format!(
-            "    \"trials_per_cell\": {},\n",
-            spec.trials_per_cell
-        ));
-        out.push_str(&format!("    \"batch\": {},\n", spec.batch));
-        out.push_str(&format!(
-            "    \"target_ci_width\": {},\n",
-            spec.target_ci_width.map_or("null".into(), num)
-        ));
-        out.push_str(&format!("    \"oracle\": {},\n", spec.oracle));
+        let campaign = [
+            ("master_seed", count(spec.master_seed)),
+            ("instructions", count(spec.instructions)),
+            ("model", text(spec.model.name())),
+            ("p_per_cycle", number(spec.effective_p())),
+            ("trials_per_cell", count(spec.trials_per_cell)),
+            ("batch", count(spec.batch)),
+            (
+                "target_ci_width",
+                spec.target_ci_width.map_or(Value::Null, number),
+            ),
+            ("oracle", Value::Bool(spec.oracle)),
+        ]
+        .into_iter()
         // Gated on the mode so uniform reports keep their historical
         // bytes exactly.
-        if spec.importance {
-            out.push_str("    \"importance\": true,\n");
-        }
-        out.push_str(&matrix_echo(&spec.schemes, &spec.apps));
-        out.push_str("\n  },\n");
-        out.push_str(extra);
-        out.push_str("  \"cells\": [\n");
-        for (i, cell) in self.cells.iter().enumerate() {
+        .chain(spec.importance.then_some(("importance", Value::Bool(true))))
+        .chain([
+            ("schemes", arr(spec.schemes.iter().map(|s| text(&s.name())))),
+            ("apps", arr(spec.apps.iter().map(|a| text(a)))),
+        ]);
+        let cells = self.cells.iter().map(|cell| {
             let (lo, hi) = cell.wilson95();
-            out.push_str("    {\n");
-            out.push_str(&format!(
-                "      \"scheme\": {},\n",
-                esc(&cell.scheme.name())
-            ));
-            out.push_str(&format!("      \"app\": {},\n", esc(&cell.app)));
-            out.push_str(&format!("      \"trials\": {},\n", cell.trials));
-            out.push_str(&format!(
-                "      \"stopped_early\": {},\n",
-                cell.stopped_early
-            ));
-            out.push_str(&format!("      \"injected\": {},\n", cell.tally.injected()));
-            out.push_str(&format!(
-                "      \"recovered\": {},\n",
-                cell.tally.recovered()
-            ));
-            out.push_str("      \"outcomes\": {");
-            let outcomes = ErrorOutcome::ALL
-                .iter()
-                .map(|&o| format!("\"{}\": {}", o.name(), cell.tally.count(o)))
-                .collect::<Vec<_>>()
-                .join(", ");
-            out.push_str(&outcomes);
-            out.push_str("},\n");
-            out.push_str(&format!(
-                "      \"survived_fraction\": {},\n",
-                num(cell.tally.survived_fraction())
-            ));
-            out.push_str(&format!(
-                "      \"recovered_fraction\": {},\n",
-                num(cell.tally.recovered_fraction())
-            ));
-            if let Some(w) = &cell.weighted {
+            let importance = cell.weighted.as_ref().map(|w| {
                 let est = w.survived_estimate();
                 let (wlo, whi) = cell
                     .weighted_wilson95()
                     .expect("weighted cell has a weighted interval");
-                let arr = |xs: [f64; ErrorOutcome::ALL.len()]| {
-                    xs.iter().map(|&x| num(x)).collect::<Vec<_>>().join(", ")
-                };
-                out.push_str("      \"importance\": {\n");
-                out.push_str(&format!("        \"weights\": [{}],\n", arr(w.weights())));
-                out.push_str(&format!(
-                    "        \"weight_squares\": [{}],\n",
-                    arr(w.weight_squares())
-                ));
-                out.push_str(&format!("        \"survived_weighted\": {},\n", num(est.p)));
-                out.push_str(&format!("        \"n_eff\": {},\n", num(est.n_eff)));
-                out.push_str(&format!(
-                    "        \"wilson95_weighted\": [{}, {}]\n",
-                    num(wlo),
-                    num(whi)
-                ));
-                out.push_str("      },\n");
-            }
-            out.push_str(&format!("      \"wilson95\": [{}, {}]\n", num(lo), num(hi)));
-            out.push_str(if i + 1 < self.cells.len() {
-                "    },\n"
-            } else {
-                "    }\n"
+                obj([
+                    ("weights", arr(w.weights().map(number))),
+                    ("weight_squares", arr(w.weight_squares().map(number))),
+                    ("survived_weighted", number(est.p)),
+                    ("n_eff", number(est.n_eff)),
+                    ("wilson95_weighted", arr([number(wlo), number(whi)])),
+                ])
             });
-        }
-        out.push_str("  ]\n}\n");
-        out
+            let outcomes = ErrorOutcome::ALL
+                .iter()
+                .map(|&o| (o.name(), count(cell.tally.count(o))));
+            obj([
+                ("scheme", text(&cell.scheme.name())),
+                ("app", text(&cell.app)),
+                ("trials", count(cell.trials)),
+                ("stopped_early", Value::Bool(cell.stopped_early)),
+                ("injected", count(cell.tally.injected())),
+                ("recovered", count(cell.tally.recovered())),
+                ("outcomes", obj(outcomes)),
+                ("survived_fraction", number(cell.tally.survived_fraction())),
+                (
+                    "recovered_fraction",
+                    number(cell.tally.recovered_fraction()),
+                ),
+            ]
+            .into_iter()
+            .chain(importance.map(|v| ("importance", v)))
+            .chain([("wilson95", arr([number(lo), number(hi)]))]))
+        });
+        obj([("campaign", obj(campaign))]
+            .into_iter()
+            .chain(sharding.map(|s| ("sharding", s)))
+            .chain([("cells", arr(cells))]))
     }
 }
 
@@ -632,7 +597,7 @@ impl ShardedCampaignSpec {
             master_seed,
             instructions,
             model.name(),
-            crate::json::num(base.effective_p()),
+            number(base.effective_p()).to_json(),
             trials_per_cell,
             target_ci_width,
             oracle,
@@ -741,18 +706,22 @@ pub struct ShardedReport {
 
 impl ShardedReport {
     /// The report as JSON: the plain campaign document plus a
-    /// `sharding` section. Identical bytes whether the run was
-    /// straight-through or killed and resumed any number of times.
+    /// `sharding` member after `campaign`. Identical bytes whether the
+    /// run was straight-through or killed and resumed any number of
+    /// times.
     pub fn to_json(&self) -> String {
-        let worker = match self.worker {
-            Some((i, n)) => format!("    \"worker\": [{i}, {n}],\n"),
-            None => String::new(),
-        };
-        let sharding = format!(
-            "  \"sharding\": {{\n{worker}    \"shard_size\": {},\n    \"shards_total\": {},\n    \"shards_done\": {},\n    \"complete\": {}\n  }},\n",
-            self.shard_size, self.shards_total, self.shards_done, self.complete
-        );
-        self.report.to_json_sections(&sharding)
+        let sharding = self
+            .worker
+            .map(|(i, n)| ("worker", arr([count(i), count(n)])))
+            .into_iter()
+            .chain([
+                ("shard_size", count(self.shard_size)),
+                ("shards_total", count(self.shards_total)),
+                ("shards_done", count(self.shards_done)),
+                ("complete", Value::Bool(self.complete)),
+            ]);
+        let doc = self.report.document(Some(obj(sharding)));
+        format!("{}\n", doc.pretty())
     }
 }
 

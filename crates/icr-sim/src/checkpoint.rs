@@ -34,7 +34,7 @@
 //! renamed aside with [`quarantine`] and its shard re-run, never
 //! silently trusted or deleted.
 
-use crate::json::{self, Value};
+use crate::json::{self, arr, count, number, obj, text, Value};
 use icr_core::{ErrorOutcome, OutcomeTally, WeightedTally};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -169,37 +169,27 @@ impl ShardCheckpoint {
     /// The payload as a canonical [`Value`] — the bytes the digest
     /// covers are exactly `self.payload_value().to_json()`.
     fn payload_value(&self) -> Value {
-        let cells = self
-            .cells
-            .iter()
-            .map(|c| {
-                let counts = c
-                    .tally
-                    .counts()
-                    .iter()
-                    .map(|&n| Value::Num(n.to_string()))
-                    .collect();
-                let mut fields = vec![
-                    ("scheme".into(), Value::Str(c.scheme.clone())),
-                    ("app".into(), Value::Str(c.app.clone())),
-                    ("trials".into(), Value::Num(c.trials.to_string())),
-                    ("counts".into(), Value::Arr(counts)),
-                ];
-                if let Some(w) = &c.weighted {
-                    let floats = |xs: [f64; ErrorOutcome::ALL.len()]| {
-                        Value::Arr(xs.iter().map(|&x| Value::Num(json::num(x))).collect())
-                    };
-                    fields.push(("weights".into(), floats(w.weights())));
-                    fields.push(("weight_squares".into(), floats(w.weight_squares())));
-                }
-                Value::Obj(fields)
-            })
-            .collect();
-        Value::Obj(vec![
-            ("shard".into(), Value::Num(self.shard.to_string())),
-            ("start".into(), Value::Num(self.start.to_string())),
-            ("end".into(), Value::Num(self.end.to_string())),
-            ("cells".into(), Value::Arr(cells)),
+        let cells = self.cells.iter().map(|c| {
+            let weighted = c.weighted.as_ref().map(|w| {
+                [
+                    ("weights", arr(w.weights().map(number))),
+                    ("weight_squares", arr(w.weight_squares().map(number))),
+                ]
+            });
+            obj([
+                ("scheme", text(&c.scheme)),
+                ("app", text(&c.app)),
+                ("trials", count(c.trials)),
+                ("counts", arr(c.tally.counts().map(count))),
+            ]
+            .into_iter()
+            .chain(weighted.into_iter().flatten()))
+        });
+        obj([
+            ("shard", count(self.shard)),
+            ("start", count(self.start)),
+            ("end", count(self.end)),
+            ("cells", arr(cells)),
         ])
     }
 
@@ -207,12 +197,12 @@ impl ShardCheckpoint {
     pub fn to_json(&self, fingerprint: u64) -> String {
         let payload = self.payload_value();
         let digest = fnv1a64(payload.to_json().as_bytes());
-        Value::Obj(vec![
-            ("magic".into(), Value::Str(MAGIC.into())),
-            ("version".into(), Value::Num(VERSION.to_string())),
-            ("fingerprint".into(), Value::Num(fingerprint.to_string())),
-            ("digest".into(), Value::Num(digest.to_string())),
-            ("payload".into(), payload),
+        obj([
+            ("magic", text(MAGIC)),
+            ("version", count(VERSION)),
+            ("fingerprint", count(fingerprint)),
+            ("digest", count(digest)),
+            ("payload", payload),
         ])
         .to_json()
     }

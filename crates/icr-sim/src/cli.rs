@@ -9,9 +9,15 @@
 //! exit-code contract follows: [`usage_error`] prints the diagnostic
 //! and the binary's usage text and exits 2; a runtime failure, such as
 //! an unwritable [`write_json`] destination, exits 1.
+//!
+//! The binaries write through [`print()`], [`eprint()`] and [`write_json`],
+//! never `println!` or `eprintln!`, whose panic on a failed write would
+//! exit 101. A reader that closes stdout early (`… | head -1`) ends the
+//! output with exit 0, any other stdout failure exits 1, and a failed
+//! stderr write is ignored.
 
 use std::fmt::Display;
-use std::io::Write;
+use std::io::{self, Write};
 use std::process::ExitCode;
 use std::str::FromStr;
 
@@ -24,9 +30,22 @@ pub struct Usage(pub String);
 /// invalid-invocation exit code, 2 (the `getopt` tradition; runtime
 /// failures exit 1).
 pub fn usage_error(usage: &str, e: Usage) -> ExitCode {
-    // Not `eprintln!`: its panic on a closed stderr would exit 101.
-    let _ = writeln!(std::io::stderr(), "error: {}\n{usage}", e.0);
+    eprint(format_args!("error: {}\n{usage}\n", e.0));
     ExitCode::from(2)
+}
+
+/// Writes `text` to stdout and returns the exit code: success, also
+/// when the reader has gone (a broken pipe leaves nobody to deliver
+/// to); on any other failure `cannot write -: …` on stderr and 1.
+pub fn print(text: impl Display) -> ExitCode {
+    let mut out = io::stdout().lock();
+    exit_code("-", write!(out, "{text}").and_then(|()| out.flush()))
+}
+
+/// Writes `text` to stderr, ignoring a failed write: a lost diagnostic
+/// or progress line must not abort the run or change its exit code.
+pub fn eprint(text: impl Display) {
+    let _ = write!(io::stderr(), "{text}");
 }
 
 /// The error for an argument that matches none of the binary's flags.
@@ -122,13 +141,22 @@ pub fn check_apps<S: AsRef<str>>(apps: &[S]) -> Result<(), Usage> {
 
 /// Writes `doc` to `path` (`-` = stdout) through
 /// [`write_output`](crate::json::write_output), ending it with exactly
-/// one newline. A failure is a runtime error: the diagnostic goes to
-/// stderr and the exit code is 1.
+/// one newline. A failure is a runtime error, `cannot write PATH: …` on
+/// stderr and exit 1, except a broken pipe on stdout, as for [`print()`].
 pub fn write_json(doc: &str, path: &str) -> ExitCode {
-    match crate::json::write_output(doc.trim_end_matches('\n'), path) {
+    exit_code(
+        path,
+        crate::json::write_output(doc.trim_end_matches('\n'), path),
+    )
+}
+
+/// The exit code of a finished write to `path` (`-` = stdout).
+fn exit_code(path: &str, written: io::Result<()>) -> ExitCode {
+    match written {
         Ok(()) => ExitCode::SUCCESS,
+        Err(e) if path == "-" && e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("cannot write {path}: {e}");
+            eprint(format_args!("cannot write {path}: {e}\n"));
             ExitCode::FAILURE
         }
     }

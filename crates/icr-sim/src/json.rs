@@ -1,16 +1,24 @@
-//! The one JSON emission path shared by every report type and binary.
+//! The one JSON path shared by every report type and binary.
 //!
-//! The workspace deliberately carries no JSON dependency, so serialisation
-//! is hand-rolled — but in exactly one place. [`esc`] and [`num`] are the
-//! primitives every `to_json` builds on (strings escaped per RFC 8259,
-//! non-finite numbers mapped to `null`), and [`write_output`] is the one
-//! `--json <path>` convention the three binaries converge on: a path
-//! writes a file, `-` writes stdout, and both receive identical bytes.
+//! The workspace deliberately carries no JSON dependency, so
+//! serialisation is hand-rolled, but in exactly one place. Every report
+//! builds a [`Value`] from the constructors [`number`], [`count`],
+//! [`text`], [`arr`] and [`obj`] (strings escaped per RFC 8259 by [`esc`],
+//! non-finite numbers mapped to `null`), and prints it in one of two
+//! forms: [`Value::to_json`], the canonical compact form that figures,
+//! checkpoint payloads and bench records use, or [`Value::pretty`], the
+//! one indented layout of every other report. One structural rule
+//! decides that layout: an array or object prints on one line, with
+//! `", "` and `": "` separators, when all its members are scalars and
+//! it is an array element or a member of an object with at least one
+//! scalar member; everything else prints one member per line at
+//! two-space indentation. [`write_output`] is the one `--json <path>`
+//! convention the three binaries converge on: a path writes a file, `-`
+//! writes stdout, and both receive identical bytes.
 
-use icr_core::Scheme;
 use std::io::Write;
 
-/// A parsed JSON value.
+/// A JSON value: what [`parse`] returns and what every report builds.
 ///
 /// Numbers keep their source token **verbatim** rather than converting
 /// through `f64`: the reports carry `u64` counters and
@@ -29,6 +37,16 @@ pub enum Value {
     Obj(Vec<(String, Value)>),
 }
 
+/// How [`Value::write`] prints a container: `Compact` is
+/// [`Value::to_json`]'s form; `Line` and `Block` (at a nesting depth)
+/// are [`Value::pretty`]'s one-line and one-member-per-line forms.
+#[derive(Clone, Copy)]
+enum Layout {
+    Compact,
+    Line,
+    Block(usize),
+}
+
 impl Value {
     /// Member lookup on an object; `None` for other variants or a
     /// missing key.
@@ -44,23 +62,86 @@ impl Value {
     /// number tokens verbatim. `parse` ∘ `to_json` is the identity on
     /// `Value`, so canonical documents round-trip byte-for-byte.
     pub fn to_json(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, Layout::Compact);
+        out
+    }
+
+    /// Serialises to the indented layout every pretty-printed report
+    /// shares, without a trailing newline. A container prints on one
+    /// line when all its members are scalars and it is an array element
+    /// or a member of an object with at least one scalar member;
+    /// otherwise each member gets its own line, two spaces deeper than
+    /// the brackets.
+    pub fn pretty(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out, Layout::Block(0));
+        out
+    }
+
+    fn is_scalar(&self) -> bool {
+        !matches!(self, Value::Arr(_) | Value::Obj(_))
+    }
+
+    /// A container whose members are all scalars (an empty one too).
+    fn is_flat(&self) -> bool {
         match self {
-            Value::Null => "null".into(),
-            Value::Bool(b) => b.to_string(),
-            Value::Num(tok) => tok.clone(),
-            Value::Str(s) => esc(s),
-            Value::Arr(items) => {
-                let inner: Vec<String> = items.iter().map(Value::to_json).collect();
-                format!("[{}]", inner.join(","))
-            }
-            Value::Obj(members) => {
-                let inner: Vec<String> = members
-                    .iter()
-                    .map(|(k, v)| format!("{}:{}", esc(k), v.to_json()))
-                    .collect();
-                format!("{{{}}}", inner.join(","))
-            }
+            Value::Arr(items) => items.iter().all(Value::is_scalar),
+            Value::Obj(members) => members.iter().all(|(_, v)| v.is_scalar()),
+            _ => false,
         }
+    }
+
+    fn write(&self, out: &mut String, layout: Layout) {
+        let (brackets, members): ([char; 2], Vec<(Option<&str>, &Value)>) = match self {
+            Value::Null => return out.push_str("null"),
+            Value::Bool(b) => return out.push_str(if *b { "true" } else { "false" }),
+            Value::Num(tok) => return out.push_str(tok),
+            Value::Str(s) => return push_esc(out, s),
+            Value::Arr(items) => (['[', ']'], items.iter().map(|v| (None, v)).collect()),
+            Value::Obj(members) => {
+                let members = members.iter().map(|(k, v)| (Some(k.as_str()), v));
+                (['{', '}'], members.collect())
+            }
+        };
+        // Inside a block, a flat member prints on one line when it is an
+        // array element or its object has a scalar member.
+        let flat_lines =
+            matches!(self, Value::Arr(_)) || members.iter().any(|(_, v)| v.is_scalar());
+        let newline = |out: &mut String, depth: usize| {
+            out.push('\n');
+            out.extend(std::iter::repeat_n(' ', 2 * depth));
+        };
+        let (separator, colon) = match layout {
+            Layout::Compact => (",", ":"),
+            _ => (", ", ": "),
+        };
+        out.push(brackets[0]);
+        for (i, (key, value)) in members.into_iter().enumerate() {
+            let mut inner = layout;
+            if let Layout::Block(depth) = layout {
+                if i > 0 {
+                    out.push(',');
+                }
+                newline(out, depth + 1);
+                inner = if flat_lines && value.is_flat() {
+                    Layout::Line
+                } else {
+                    Layout::Block(depth + 1)
+                };
+            } else if i > 0 {
+                out.push_str(separator);
+            }
+            if let Some(key) = key {
+                push_esc(out, key);
+                out.push_str(colon);
+            }
+            value.write(out, inner);
+        }
+        if let Layout::Block(depth) = layout {
+            newline(out, depth);
+        }
+        out.push(brackets[1]);
     }
 }
 
@@ -266,6 +347,12 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Value, String> {
 /// Escapes `s` as a JSON string literal (quotes included).
 pub fn esc(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
+    push_esc(&mut out, s);
+    out
+}
+
+/// [`esc`] appended to `out`.
+fn push_esc(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -279,29 +366,36 @@ pub fn esc(s: &str) -> String {
         }
     }
     out.push('"');
-    out
 }
 
-/// The `"schemes"` and `"apps"` members with which every scheme × app
-/// report echoes its spec, indented for the spec object and without a
-/// trailing comma or newline.
-pub(crate) fn matrix_echo(schemes: &[Scheme], apps: &[String]) -> String {
-    let names: Vec<String> = schemes.iter().map(|s| esc(&s.name())).collect();
-    let apps: Vec<String> = apps.iter().map(|a| esc(a)).collect();
-    format!(
-        "    \"schemes\": [{}],\n    \"apps\": [{}]",
-        names.join(", "),
-        apps.join(", ")
-    )
-}
-
-/// Renders a float as a JSON number; non-finite values become `null`.
-pub fn num(v: f64) -> String {
+/// A JSON number for `v` (Rust's shortest round-trip form), or `null`
+/// when it is not finite.
+pub fn number(v: f64) -> Value {
     if v.is_finite() {
-        format!("{v}")
+        Value::Num(v.to_string())
     } else {
-        "null".into()
+        Value::Null
     }
+}
+
+/// A JSON number for a count.
+pub fn count(n: impl Into<u128>) -> Value {
+    Value::Num(n.into().to_string())
+}
+
+/// A JSON string.
+pub fn text(s: &str) -> Value {
+    Value::Str(s.into())
+}
+
+/// A JSON array of `items`.
+pub fn arr(items: impl IntoIterator<Item = Value>) -> Value {
+    Value::Arr(items.into_iter().collect())
+}
+
+/// A JSON object with `members` in the given order.
+pub fn obj<'a>(members: impl IntoIterator<Item = (&'a str, Value)>) -> Value {
+    Value::Obj(members.into_iter().map(|(k, v)| (k.into(), v)).collect())
 }
 
 /// Writes `json` (plus a trailing newline) to `path`, where `-` means
@@ -423,10 +517,80 @@ mod tests {
     }
 
     #[test]
-    fn num_maps_non_finite_to_null() {
-        assert_eq!(num(1.5), "1.5");
-        assert_eq!(num(f64::NAN), "null");
-        assert_eq!(num(f64::INFINITY), "null");
+    fn number_maps_non_finite_to_null() {
+        assert_eq!(number(1.5), Value::Num("1.5".into()));
+        assert_eq!(number(f64::NAN), Value::Null);
+        assert_eq!(number(f64::INFINITY), Value::Null);
+        let doc = obj([("v", number(f64::NEG_INFINITY))]);
+        assert_eq!(doc.pretty(), "{\n  \"v\": null\n}");
+        assert_eq!(doc.to_json(), "{\"v\":null}");
+    }
+
+    #[test]
+    fn scalar_only_containers_print_on_one_line() {
+        // Members of an object with a scalar member, and array elements.
+        let doc = obj([
+            ("app", text("gzip")),
+            ("core", obj([("cycles", count(7u64)), ("ipc", number(0.5))])),
+            ("wilson95", Value::Arr(vec![number(0.25), Value::Null])),
+            ("empty", Value::Arr(vec![])),
+        ]);
+        assert_eq!(
+            doc.pretty(),
+            "{\n  \"app\": \"gzip\",\n  \"core\": {\"cycles\": 7, \"ipc\": 0.5},\n  \
+             \"wilson95\": [0.25, null],\n  \"empty\": []\n}"
+        );
+        let cells = Value::Arr(vec![obj([("a", count(1u64))]), obj([("a", count(2u64))])]);
+        assert_eq!(cells.pretty(), "[\n  {\"a\": 1},\n  {\"a\": 2}\n]");
+    }
+
+    #[test]
+    fn members_of_an_all_container_object_stay_blocks() {
+        let doc = obj([
+            ("sharding", obj([("complete", Value::Bool(false))])),
+            ("cells", Value::Arr(vec![])),
+        ]);
+        assert_eq!(
+            doc.pretty(),
+            "{\n  \"sharding\": {\n    \"complete\": false\n  },\n  \"cells\": [\n  ]\n}"
+        );
+        // A scalar at the top level has no container to lay out.
+        assert_eq!(text("x").pretty(), "\"x\"");
+    }
+
+    #[test]
+    fn nested_blocks_indent_two_spaces_per_level() {
+        let cell = obj([
+            ("scheme", text("BaseP")),
+            (
+                "importance",
+                obj([
+                    ("weights", Value::Arr(vec![number(0.5)])),
+                    ("n_eff", number(2.0)),
+                ]),
+            ),
+        ]);
+        let doc = obj([("cells", Value::Arr(vec![cell.clone(), cell]))]);
+        let block = "    {\n      \"scheme\": \"BaseP\",\n      \"importance\": {\n        \
+                     \"weights\": [0.5],\n        \"n_eff\": 2\n      }\n    }";
+        assert_eq!(
+            doc.pretty(),
+            format!("{{\n  \"cells\": [\n{block},\n{block}\n  ]\n}}")
+        );
+        assert_eq!(parse(&doc.pretty()), Ok(doc));
+    }
+
+    #[test]
+    fn pretty_escapes_keys_and_strings() {
+        let doc = obj([
+            ("a\"b", text("x\ny\\")),
+            ("c", obj([("d\te", text("\u{1}"))])),
+        ]);
+        assert_eq!(
+            doc.pretty(),
+            "{\n  \"a\\\"b\": \"x\\ny\\\\\",\n  \"c\": {\"d\\te\": \"\\u0001\"}\n}"
+        );
+        assert_eq!(parse(&doc.pretty()), Ok(doc));
     }
 
     #[test]

@@ -67,34 +67,27 @@ impl FigureResult {
 }
 
 impl FigureResult {
-    /// Serialises the figure as a compact JSON object via the shared
-    /// [`crate::json`] primitives (the workspace deliberately carries no
-    /// JSON dependency). Strings are escaped per RFC 8259; non-finite
-    /// values become `null`.
+    /// Serialises the figure as a compact JSON object through
+    /// [`Value::to_json`](crate::json::Value::to_json) (the workspace
+    /// deliberately carries no JSON dependency). Strings are escaped per
+    /// RFC 8259; non-finite values become `null`.
     pub fn to_json(&self) -> String {
-        use crate::json::{esc, num};
-        let xs = self.xs.iter().map(|x| esc(x)).collect::<Vec<_>>().join(",");
-        let series = self
-            .series
-            .iter()
-            .map(|s| {
-                let vals = s
-                    .values
-                    .iter()
-                    .map(|&v| num(v))
-                    .collect::<Vec<_>>()
-                    .join(",");
-                format!("{{\"label\":{},\"values\":[{vals}]}}", esc(&s.label))
-            })
-            .collect::<Vec<_>>()
-            .join(",");
-        format!(
-            "{{\"id\":{},\"title\":{},\"unit\":{},\"xs\":[{xs}],\"series\":[{series}],\"notes\":{}}}",
-            esc(&self.id),
-            esc(&self.title),
-            esc(&self.unit),
-            esc(&self.notes)
-        )
+        use crate::json::{arr, number, obj, text};
+        let series = self.series.iter().map(|s| {
+            obj([
+                ("label", text(&s.label)),
+                ("values", arr(s.values.iter().map(|&v| number(v)))),
+            ])
+        });
+        obj([
+            ("id", text(&self.id)),
+            ("title", text(&self.title)),
+            ("unit", text(&self.unit)),
+            ("xs", arr(self.xs.iter().map(|x| text(x)))),
+            ("series", arr(series)),
+            ("notes", text(&self.notes)),
+        ])
+        .to_json()
     }
 }
 

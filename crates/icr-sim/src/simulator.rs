@@ -216,13 +216,6 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Weights the analytic exposure windows against a geometric
-    /// (per-cycle Bernoulli `p`) fault arrival instead of a uniform one.
-    pub fn vuln_arrival(mut self, p_per_cycle: f64) -> Self {
-        self.config.vuln_arrival_p = Some(p_per_cycle);
-        self
-    }
-
     /// Biases the fault injector's site draw toward strike-worthy
     /// parity lines — dirty primaries and lines holding the workload's
     /// store working set — by `boost`× (importance sampling; see
@@ -303,77 +296,74 @@ impl SimResult {
     /// Serialises the run as one JSON object — the `icr-run --json`
     /// payload, mirroring the sections of the text report.
     pub fn to_json(&self) -> String {
-        use crate::json::{esc, num};
-        let mut s = String::with_capacity(1024);
-        s.push_str("{\n");
-        s.push_str(&format!("  \"app\": {},\n", esc(&self.app)));
-        s.push_str(&format!("  \"scheme\": {},\n", esc(&self.scheme)));
-        s.push_str(&format!(
-            "  \"core\": {{\"cycles\": {}, \"committed\": {}, \"ipc\": {}, \
-             \"mispredicts\": {}, \"mispredict_rate\": {}, \"mean_load_latency\": {}}},\n",
-            self.pipeline.cycles,
-            self.pipeline.committed,
-            num(self.pipeline.ipc()),
-            self.pipeline.mispredicts,
-            num(self.pipeline.mispredict_rate()),
-            num(self.pipeline.mean_load_latency()),
-        ));
-        s.push_str(&format!(
-            "  \"dl1\": {{\"accesses\": {}, \"loads\": {}, \"stores\": {}, \
-             \"miss_rate\": {}, \"writebacks\": {}}},\n",
-            self.icr.cache.accesses(),
-            self.icr.cache.read_accesses,
-            self.icr.cache.write_accesses,
-            num(self.icr.miss_rate()),
-            self.icr.writebacks,
-        ));
-        s.push_str(&format!(
-            "  \"replication\": {{\"attempts\": {}, \"ability\": {}, \
-             \"replicas_created\": {}, \"replica_updates\": {}, \"replica_evictions\": {}, \
-             \"loads_with_replica\": {}, \"misses_served_by_replica\": {}}},\n",
-            self.icr.replication_attempts,
-            num(self.icr.replication_ability()),
-            self.icr.replicas_created,
-            self.icr.replica_updates,
-            self.icr.replica_evictions,
-            num(self.icr.loads_with_replica()),
-            self.icr.misses_served_by_replica,
-        ));
-        s.push_str(&format!(
-            "  \"reliability\": {{\"faults_injected\": {}, \"errors_detected\": {}, \
-             \"corrected_ecc\": {}, \"recovered_replica\": {}, \"recovered_l2\": {}, \
-             \"scrub_heals\": {}, \"unrecoverable_loads\": {}, \
-             \"unrecoverable_load_fraction\": {}, \"avg_vulnerable_words\": {}}},\n",
-            self.faults_injected,
-            self.icr.errors_detected,
-            self.icr.errors_corrected_ecc,
-            self.icr.errors_recovered_replica,
-            self.icr.errors_recovered_l2,
-            self.icr.scrub_heals,
-            self.icr.unrecoverable_loads,
-            num(self.icr.unrecoverable_load_fraction()),
-            num(self.avg_vulnerable_words),
-        ));
-        s.push_str(&format!(
-            "  \"memory\": {{\"l2_accesses\": {}, \"l2_miss_rate\": {}, \
-             \"l1i_miss_rate\": {}, \"memory_reads\": {}, \"memory_writes\": {}}},\n",
-            self.l2.accesses(),
-            num(self.l2.miss_rate()),
-            num(self.l1i.miss_rate()),
-            self.memory_reads,
-            self.memory_writes,
-        ));
-        s.push_str(&format!(
-            "  \"energy\": {{\"l1_reads\": {}, \"l1_writes\": {}, \"parity_ops\": {}, \
-             \"ecc_ops\": {}, \"l2_accesses\": {}}}\n",
-            self.energy_counts.l1_reads,
-            self.energy_counts.l1_writes,
-            self.energy_counts.parity_ops,
-            self.energy_counts.ecc_ops,
-            self.energy_counts.l2_accesses,
-        ));
-        s.push('}');
-        s
+        use crate::json::{count, number, obj, text};
+        let (pipeline, icr, counts) = (&self.pipeline, &self.icr, &self.energy_counts);
+        let core = obj([
+            ("cycles", count(pipeline.cycles)),
+            ("committed", count(pipeline.committed)),
+            ("ipc", number(pipeline.ipc())),
+            ("mispredicts", count(pipeline.mispredicts)),
+            ("mispredict_rate", number(pipeline.mispredict_rate())),
+            ("mean_load_latency", number(pipeline.mean_load_latency())),
+        ]);
+        let dl1 = obj([
+            ("accesses", count(icr.cache.accesses())),
+            ("loads", count(icr.cache.read_accesses)),
+            ("stores", count(icr.cache.write_accesses)),
+            ("miss_rate", number(icr.miss_rate())),
+            ("writebacks", count(icr.writebacks)),
+        ]);
+        let replication = obj([
+            ("attempts", count(icr.replication_attempts)),
+            ("ability", number(icr.replication_ability())),
+            ("replicas_created", count(icr.replicas_created)),
+            ("replica_updates", count(icr.replica_updates)),
+            ("replica_evictions", count(icr.replica_evictions)),
+            ("loads_with_replica", number(icr.loads_with_replica())),
+            (
+                "misses_served_by_replica",
+                count(icr.misses_served_by_replica),
+            ),
+        ]);
+        let reliability = obj([
+            ("faults_injected", count(self.faults_injected)),
+            ("errors_detected", count(icr.errors_detected)),
+            ("corrected_ecc", count(icr.errors_corrected_ecc)),
+            ("recovered_replica", count(icr.errors_recovered_replica)),
+            ("recovered_l2", count(icr.errors_recovered_l2)),
+            ("scrub_heals", count(icr.scrub_heals)),
+            ("unrecoverable_loads", count(icr.unrecoverable_loads)),
+            (
+                "unrecoverable_load_fraction",
+                number(icr.unrecoverable_load_fraction()),
+            ),
+            ("avg_vulnerable_words", number(self.avg_vulnerable_words)),
+        ]);
+        let memory = obj([
+            ("l2_accesses", count(self.l2.accesses())),
+            ("l2_miss_rate", number(self.l2.miss_rate())),
+            ("l1i_miss_rate", number(self.l1i.miss_rate())),
+            ("memory_reads", count(self.memory_reads)),
+            ("memory_writes", count(self.memory_writes)),
+        ]);
+        let energy = obj([
+            ("l1_reads", count(counts.l1_reads)),
+            ("l1_writes", count(counts.l1_writes)),
+            ("parity_ops", count(counts.parity_ops)),
+            ("ecc_ops", count(counts.ecc_ops)),
+            ("l2_accesses", count(counts.l2_accesses)),
+        ]);
+        obj([
+            ("app", text(&self.app)),
+            ("scheme", text(&self.scheme)),
+            ("core", core),
+            ("dl1", dl1),
+            ("replication", replication),
+            ("reliability", reliability),
+            ("memory", memory),
+            ("energy", energy),
+        ])
+        .pretty()
     }
 }
 

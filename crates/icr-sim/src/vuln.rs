@@ -12,6 +12,7 @@
 
 use crate::engine::Engine;
 use crate::exec::Pool;
+use crate::json::{arr, count, number, obj, text, Value};
 use crate::simulator::SimConfig;
 use icr_core::{
     DataL1Config, ErrorOutcome, ExposureWindows, ProtState, Scheme, VulnClass, VulnModel,
@@ -197,103 +198,59 @@ impl VulnReport {
         out
     }
 
-    /// The report as JSON, via the shared [`crate::json`] primitives
-    /// (the workspace deliberately carries no JSON dependency) and free
-    /// of timing or host information, so two runs of the same spec
-    /// produce byte-identical files.
+    /// The report as JSON, printed by [`Value::pretty`] (the workspace
+    /// deliberately carries no JSON dependency) and free of timing or
+    /// host information, so two runs of the same spec produce
+    /// byte-identical files.
     pub fn to_json(&self) -> String {
-        use crate::json::{esc, matrix_echo, num};
         let spec = &self.spec;
-        let mut out = String::new();
-        out.push_str("{\n  \"vuln\": {\n");
-        out.push_str(&format!("    \"seed\": {},\n", spec.seed));
-        out.push_str(&format!("    \"instructions\": {},\n", spec.instructions));
-        out.push_str(&format!(
-            "    \"arrival_p\": {},\n",
-            spec.arrival_p.map_or("null".into(), num)
-        ));
-        out.push_str(&format!(
-            "    \"flips_per_bit_cycle\": {},\n",
-            num(spec.model.flips_per_bit_cycle)
-        ));
-        out.push_str(&format!(
-            "    \"bits_per_word\": {},\n",
-            spec.model.bits_per_word
-        ));
-        out.push_str(&format!(
-            "    \"clock_hz\": {},\n",
-            num(spec.model.clock_hz)
-        ));
-        out.push_str(&matrix_echo(&spec.schemes, &spec.apps));
-        out.push_str("\n  },\n  \"cells\": [\n");
-        for (i, cell) in self.cells.iter().enumerate() {
+        let vuln = obj([
+            ("seed", count(spec.seed)),
+            ("instructions", count(spec.instructions)),
+            ("arrival_p", spec.arrival_p.map_or(Value::Null, number)),
+            (
+                "flips_per_bit_cycle",
+                number(spec.model.flips_per_bit_cycle),
+            ),
+            ("bits_per_word", count(spec.model.bits_per_word)),
+            ("clock_hz", number(spec.model.clock_hz)),
+            ("schemes", arr(spec.schemes.iter().map(|s| text(&s.name())))),
+            ("apps", arr(spec.apps.iter().map(|a| text(a)))),
+        ]);
+        let cells = self.cells.iter().map(|cell| {
             let w = &cell.windows;
-            out.push_str("    {\n");
-            out.push_str(&format!(
-                "      \"scheme\": {},\n",
-                esc(&cell.scheme.name())
-            ));
-            out.push_str(&format!("      \"app\": {},\n", esc(&cell.app)));
-            out.push_str(&format!("      \"cycles\": {},\n", cell.cycles));
-            out.push_str(&format!(
-                "      \"total_word_cycles\": {},\n",
-                w.total_word_cycles
-            ));
-            out.push_str("      \"residency_word_cycles\": {");
             let residency = ProtState::ALL
                 .iter()
-                .map(|&s| format!("\"{}\": {}", s.name(), w.residency_of(s)))
-                .collect::<Vec<_>>()
-                .join(", ");
-            out.push_str(&residency);
-            out.push_str("},\n");
-            out.push_str("      \"consumed_word_cycles\": {");
+                .map(|&s| (s.name(), count(w.residency_of(s))));
             let consumed = VulnClass::ALL
                 .iter()
-                .map(|&c| format!("\"{}\": {}", c.name(), w.consumed_of(c)))
-                .collect::<Vec<_>>()
-                .join(", ");
-            out.push_str(&consumed);
-            out.push_str("},\n");
-            out.push_str("      \"one_shot_probabilities\": {");
-            let probs = VulnClass::ALL
+                .map(|&c| (c.name(), count(w.consumed_of(c))));
+            let probabilities = VulnClass::ALL
                 .iter()
                 .map(|&c| {
-                    format!(
-                        "\"{}\": {}",
-                        ErrorOutcome::from_vuln_class(c).name(),
-                        num(w.one_shot_probability(c))
-                    )
+                    let name = ErrorOutcome::from_vuln_class(c).name();
+                    (name, number(w.one_shot_probability(c)))
                 })
-                .chain(std::iter::once(format!(
-                    "\"masked\": {}",
-                    num(w.one_shot_masked())
-                )))
-                .collect::<Vec<_>>()
-                .join(", ");
-            out.push_str(&probs);
-            out.push_str("},\n");
-            out.push_str(&format!(
-                "      \"survived_fraction\": {},\n",
-                num(cell.survived_fraction())
-            ));
-            out.push_str(&format!(
-                "      \"avg_vulnerable_words\": {},\n",
-                num(w.avg_words_in(ProtState::DirtyParity))
-            ));
-            out.push_str(&format!(
-                "      \"mttf_hours\": {},\n",
-                num(spec.model.mttf_hours(w))
-            ));
-            out.push_str(&format!("      \"fit\": {}\n", num(spec.model.fit(w))));
-            out.push_str(if i + 1 == self.cells.len() {
-                "    }\n"
-            } else {
-                "    },\n"
-            });
-        }
-        out.push_str("  ]\n}\n");
-        out
+                .chain([("masked", number(w.one_shot_masked()))]);
+            obj([
+                ("scheme", text(&cell.scheme.name())),
+                ("app", text(&cell.app)),
+                ("cycles", count(cell.cycles)),
+                ("total_word_cycles", count(w.total_word_cycles)),
+                ("residency_word_cycles", obj(residency)),
+                ("consumed_word_cycles", obj(consumed)),
+                ("one_shot_probabilities", obj(probabilities)),
+                ("survived_fraction", number(cell.survived_fraction())),
+                (
+                    "avg_vulnerable_words",
+                    number(w.avg_words_in(ProtState::DirtyParity)),
+                ),
+                ("mttf_hours", number(spec.model.mttf_hours(w))),
+                ("fit", number(spec.model.fit(w))),
+            ])
+        });
+        let doc = obj([("vuln", vuln), ("cells", arr(cells))]);
+        format!("{}\n", doc.pretty())
     }
 }
 

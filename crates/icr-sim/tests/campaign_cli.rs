@@ -372,3 +372,67 @@ fn unwritable_json_destination_exits_1() {
         String::from_utf8_lossy(&out.stderr)
     );
 }
+
+#[test]
+fn report_to_a_closed_pipe_exits_0() {
+    let (reader, writer) = std::io::pipe().expect("create a pipe");
+    drop(reader);
+    let out = Command::new(BIN)
+        .args([
+            "--schemes",
+            "basep",
+            "--apps",
+            "gzip",
+            "--trials",
+            "4",
+            "--insts",
+            "2000",
+            "--quiet",
+        ])
+        .stdout(writer)
+        .output()
+        .expect("spawn icr-campaign");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+    assert!(
+        stderr.is_empty(),
+        "a closed reader is not an error:\n{stderr}"
+    );
+}
+
+#[test]
+#[cfg(target_os = "linux")]
+fn unwritable_stderr_still_writes_the_report() {
+    // Progress goes to stderr; losing it must neither abort the run nor
+    // lose the report.
+    let full = std::fs::OpenOptions::new()
+        .write(true)
+        .open("/dev/full")
+        .expect("open /dev/full");
+    let path =
+        std::env::temp_dir().join(format!("icr_cli_full_stderr_{}.json", std::process::id()));
+    let out = Command::new(BIN)
+        .args([
+            "--schemes",
+            "basep",
+            "--apps",
+            "gzip",
+            "--trials",
+            "4",
+            "--insts",
+            "2000",
+            "--json",
+        ])
+        .arg(&path)
+        .stderr(full)
+        .output()
+        .expect("spawn icr-campaign");
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "unwritable stderr aborted the run"
+    );
+    let report = std::fs::read_to_string(&path).expect("the report was written");
+    assert!(report.contains("\"cells\""), "incomplete report:\n{report}");
+    std::fs::remove_file(&path).ok();
+}

@@ -3,7 +3,7 @@
 //! stderr; valid invocations exit 0 — the same three-code contract as
 //! `icr-run` and `icr-campaign`.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 const BIN: &str = env!("CARGO_BIN_EXE_icr-exp");
 
@@ -157,5 +157,72 @@ fn unwritable_json_destination_exits_1() {
     assert!(
         stderr.contains("cannot write /nonexistent-dir/out.json"),
         "diagnostic missing from stderr:\n{stderr}"
+    );
+}
+
+/// The write end of a pipe whose reader is already gone: every write to
+/// it fails with a broken pipe, as `icr-exp … | head -1` does once
+/// `head` has exited.
+fn closed_pipe() -> std::io::PipeWriter {
+    let (reader, writer) = std::io::pipe().expect("create a pipe");
+    drop(reader);
+    writer
+}
+
+fn run_to(args: &[&str], stdout: impl Into<Stdio>, stderr: impl Into<Stdio>) -> Output {
+    Command::new(BIN)
+        .args(args)
+        .stdout(stdout)
+        .stderr(stderr)
+        .output()
+        .expect("spawn icr-exp")
+}
+
+#[test]
+fn figure_to_a_closed_pipe_exits_0() {
+    let out = run_to(&["fig1", "--insts", "2000"], closed_pipe(), Stdio::piped());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+    assert!(
+        stderr.is_empty(),
+        "a closed reader is not an error:\n{stderr}"
+    );
+}
+
+#[test]
+fn json_to_a_closed_pipe_exits_0() {
+    let out = run_to(
+        &["fig1", "--insts", "2000", "--json", "-"],
+        closed_pipe(),
+        Stdio::piped(),
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+    assert!(
+        stderr.is_empty(),
+        "a closed reader is not an error:\n{stderr}"
+    );
+}
+
+#[test]
+#[cfg(target_os = "linux")]
+fn stats_to_an_unwritable_stderr_exits_0() {
+    let full = std::fs::OpenOptions::new()
+        .write(true)
+        .open("/dev/full")
+        .expect("open /dev/full");
+    let out = run_to(
+        &["fig1", "--insts", "2000", "--stats"],
+        Stdio::piped(),
+        full,
+    );
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "unwritable stderr aborted the run"
+    );
+    assert!(
+        String::from_utf8_lossy(&out.stdout).contains("fig1"),
+        "the figure still reaches stdout"
     );
 }

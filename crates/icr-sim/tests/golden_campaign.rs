@@ -6,6 +6,10 @@
 //!
 //! The checkpoint fingerprint is pinned here too: checkpoint headers
 //! carry it, so a value that moves orphans every existing checkpoint.
+//! So are the layouts only importance sampling and fan-out produce: an
+//! importance-sampled plain report, and one worker's checkpointed
+//! report (with its `"worker"` member and `"complete": false`) and
+//! shard file.
 //!
 //! Regenerate (only when a change *deliberately* alters campaign output)
 //! with:
@@ -16,7 +20,8 @@
 //! ```
 
 use icr_core::Scheme;
-use icr_sim::{run_campaign, CampaignSpec, ShardedCampaignSpec};
+use icr_sim::checkpoint::ShardCheckpoint;
+use icr_sim::{run_campaign, run_sharded_campaign, CampaignSpec, ShardedCampaignSpec};
 
 /// FNV-1a over the document bytes.
 fn fnv(bytes: &[u8]) -> u64 {
@@ -58,6 +63,39 @@ fn report_json(target_ci_width: Option<f64>) -> String {
 const GOLDEN_PLAIN: u64 = 0x1c31_7ba3_fcae_cac8; // 2292 bytes, 0 stopped early
 const GOLDEN_EARLY_STOP: u64 = 0xbdb1_ff83_f0bc_9d8f; // 2197 bytes, 3 stopped early
 
+/// Recorded before the reports shared one JSON printer.
+const GOLDEN_IMPORTANCE: u64 = 0x025f_a695_6868_0a15; // 3740 bytes
+const GOLDEN_WORKER: u64 = 0x1873_e30c_9597_1430; // 3628 bytes
+const GOLDEN_WORKER_SHARD: u64 = 0x911f_2791_8e13_990a; // 921 bytes
+
+/// The uniform spec with importance-sampled injection sites.
+fn importance_spec() -> CampaignSpec {
+    let mut spec = spec(None);
+    spec.importance = true;
+    spec
+}
+
+/// The layouts only importance sampling and fan-out produce, each by
+/// name: the plain report of [`importance_spec`], and worker 1 of a
+/// 2-way fan-out over it in shards of 4 (it owns shard 1 of 3),
+/// checkpointed into a scratch directory: the worker's report and the
+/// bytes of its one shard file.
+fn side_documents() -> [(&'static str, String); 3] {
+    let plain = run_campaign(&importance_spec()).expect("campaign runs");
+    let dir = std::env::temp_dir().join(format!("icr_golden_worker_{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let sspec = ShardedCampaignSpec::new(importance_spec(), 4).with_worker(1, 2);
+    let worker = run_sharded_campaign(&sspec, Some(&dir), false).expect("worker runs");
+    let shard = std::fs::read_to_string(dir.join(ShardCheckpoint::file_name(1)))
+        .expect("the worker wrote shard 1");
+    std::fs::remove_dir_all(&dir).ok();
+    [
+        ("GOLDEN_IMPORTANCE", plain.to_json()),
+        ("GOLDEN_WORKER", worker.to_json()),
+        ("GOLDEN_WORKER_SHARD", shard),
+    ]
+}
+
 /// The uniform and the importance-sampled sharded spec whose
 /// fingerprints are pinned.
 fn fingerprint_specs() -> [(&'static str, ShardedCampaignSpec); 2] {
@@ -94,6 +132,13 @@ fn record_golden_campaign_digests() {
             doc.matches("\"stopped_early\": true").count()
         );
     }
+    for (name, doc) in side_documents() {
+        println!(
+            "const {name}: u64 = {:#018x}; // {} bytes",
+            fnv(doc.as_bytes()),
+            doc.len()
+        );
+    }
 }
 
 #[test]
@@ -117,6 +162,24 @@ fn early_stopped_campaign_report_bytes_are_pinned() {
         GOLDEN_EARLY_STOP,
         "the early-stopped plain campaign report changed"
     );
+}
+
+#[test]
+fn side_document_bytes_are_pinned() {
+    let docs = side_documents();
+    let [(_, plain), (_, worker), _] = &docs;
+    assert!(
+        plain.contains("\"importance\": {"),
+        "weighted cells:\n{plain}"
+    );
+    assert!(
+        worker.contains("\"worker\": [1, 2]") && worker.contains("\"complete\": false"),
+        "the pin must cover a worker's partial report:\n{worker}"
+    );
+    let pinned = [GOLDEN_IMPORTANCE, GOLDEN_WORKER, GOLDEN_WORKER_SHARD];
+    for ((name, doc), want) in docs.iter().zip(pinned) {
+        assert_eq!(fnv(doc.as_bytes()), want, "the {name} document changed");
+    }
 }
 
 #[test]

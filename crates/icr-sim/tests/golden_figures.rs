@@ -9,8 +9,9 @@
 //! and compares bytes.
 //!
 //! The same budget pins the outputs no `all` digest covers: the `isa`
-//! and `spill` matrices (kept out of `all`) and the `VulnReport` and
-//! `AuditReport` JSON of a small scheme × app spec.
+//! and `spill` matrices (kept out of `all`), the `VulnReport` and
+//! `AuditReport` JSON of a small scheme × app spec, and the
+//! `SimResult` JSON of a faulted L2-spill run.
 //!
 //! Regenerate (only when a PR *deliberately* changes figure output)
 //! with:
@@ -20,9 +21,10 @@
 //!     --ignored record_golden_digest --nocapture
 //! ```
 
-use icr_core::Scheme;
+use icr_core::{DataL1Config, Scheme};
+use icr_fault::ErrorModel;
 use icr_sim::experiment::{all_figures, figure_runners, isa_matrix, spill_matrix, ExpOptions};
-use icr_sim::{run_audit, run_vuln, AuditSpec, VulnSpec};
+use icr_sim::{run_audit, run_sim, run_vuln, AuditSpec, FaultConfig, SimConfig, VulnSpec};
 use icr_trace::apps::{APP_NAMES, EXTENDED_APP_NAMES};
 
 /// The budget the pin runs at. Small enough for debug-mode tier-1,
@@ -80,9 +82,25 @@ fn pin_apps() -> Vec<String> {
     vec!["gzip".into(), "mcf".into()]
 }
 
+/// An `ICR-P-PS-L2 (S)` run under random-model faults: the one pinned
+/// `SimResult` whose reliability section counts injected, detected and
+/// recovered faults (the figures' runs are fault-free).
+fn faulted_spill_run() -> SimConfig {
+    SimConfig::builder("gzip", DataL1Config::paper_default(Scheme::ICR_P_PS_S_L2))
+        .instructions(GOLDEN_INSTRUCTIONS)
+        .seed(GOLDEN_SEED)
+        .fault(FaultConfig {
+            model: ErrorModel::Random,
+            p_per_cycle: 0.004,
+            seed: GOLDEN_SEED + 1,
+            max_faults: None,
+        })
+        .build()
+}
+
 /// The outputs outside the `all` document, each by name, at the test
 /// budget.
-fn side_documents() -> [(&'static str, String); 4] {
+fn side_documents() -> [(&'static str, String); 5] {
     let opts = golden_opts();
     let vuln = VulnSpec::new(pin_schemes(), pin_apps(), GOLDEN_INSTRUCTIONS, GOLDEN_SEED);
     let audit = AuditSpec::new(pin_schemes(), pin_apps(), GOLDEN_INSTRUCTIONS, GOLDEN_SEED);
@@ -91,6 +109,10 @@ fn side_documents() -> [(&'static str, String); 4] {
         ("GOLDEN_SPILL", spill_matrix(&opts).to_json()),
         ("GOLDEN_VULN", run_vuln(&vuln).to_json()),
         ("GOLDEN_AUDIT", run_audit(&audit).to_json()),
+        (
+            "GOLDEN_FAULTED_RUN",
+            run_sim(&faulted_spill_run()).to_json(),
+        ),
     ]
 }
 
@@ -131,10 +153,19 @@ const GOLDEN_ISA: u64 = 0x3c41_183b_f981_2d3f; // 656 bytes
 const GOLDEN_SPILL: u64 = 0x2b8e_fdee_a4a7_cfa3; // 1647 bytes
 const GOLDEN_VULN: u64 = 0x173e_4f91_41cc_ba33; // 6831 bytes
 const GOLDEN_AUDIT: u64 = 0x139b_c3bd_2c77_f54a; // 951 bytes
+/// Recorded before the reports shared one JSON printer (22 faults
+/// injected, 4 detected, 4 healed from a replica).
+const GOLDEN_FAULTED_RUN: u64 = 0xc3f7_51ef_1002_5cef; // 1049 bytes
 
 #[test]
 fn side_matrix_bytes_are_pinned() {
-    let pinned = [GOLDEN_ISA, GOLDEN_SPILL, GOLDEN_VULN, GOLDEN_AUDIT];
+    let pinned = [
+        GOLDEN_ISA,
+        GOLDEN_SPILL,
+        GOLDEN_VULN,
+        GOLDEN_AUDIT,
+        GOLDEN_FAULTED_RUN,
+    ];
     for ((name, doc), want) in side_documents().into_iter().zip(pinned) {
         assert_eq!(fnv(doc.as_bytes()), want, "the {name} document changed");
     }

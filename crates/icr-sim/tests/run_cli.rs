@@ -3,7 +3,7 @@
 //! stderr; valid invocations exit 0; runtime failures exit 1 — the same
 //! three-code contract as `icr-campaign` and `icr-exp`.
 
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 const BIN: &str = env!("CARGO_BIN_EXE_icr-run");
 
@@ -301,6 +301,96 @@ fn usage_error_exits_2_when_stderr_cannot_be_written() {
     assert_eq!(
         out.status.code(),
         Some(2),
+        "unwritable stderr changed the exit code"
+    );
+}
+
+/// The write end of a pipe whose reader is already gone: every write to
+/// it fails with a broken pipe, as `icr-run … | head -1` does once
+/// `head` has exited.
+fn closed_pipe() -> std::io::PipeWriter {
+    let (reader, writer) = std::io::pipe().expect("create a pipe");
+    drop(reader);
+    writer
+}
+
+fn run_to(args: &[&str], stdout: impl Into<Stdio>, stderr: impl Into<Stdio>) -> Output {
+    Command::new(BIN)
+        .args(args)
+        .stdout(stdout)
+        .stderr(stderr)
+        .output()
+        .expect("spawn icr-run")
+}
+
+#[test]
+fn text_report_to_a_closed_pipe_exits_0() {
+    let out = run_to(
+        &["gzip", "basep", "--insts", "2000"],
+        closed_pipe(),
+        Stdio::piped(),
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+    assert!(
+        stderr.is_empty(),
+        "a closed reader is not an error:\n{stderr}"
+    );
+}
+
+#[test]
+fn json_to_a_closed_pipe_exits_0() {
+    let out = run_to(
+        &["gzip", "basep", "--insts", "2000", "--json", "-"],
+        closed_pipe(),
+        Stdio::piped(),
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+    assert!(
+        stderr.is_empty(),
+        "a closed reader is not an error:\n{stderr}"
+    );
+}
+
+#[test]
+#[cfg(target_os = "linux")]
+fn text_report_to_a_full_device_exits_1() {
+    let full = std::fs::OpenOptions::new()
+        .write(true)
+        .open("/dev/full")
+        .expect("open /dev/full");
+    let out = run_to(&["gzip", "basep", "--insts", "2000"], full, Stdio::piped());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains("cannot write -: "),
+        "diagnostic missing from stderr:\n{stderr}"
+    );
+}
+
+#[test]
+#[cfg(target_os = "linux")]
+fn runtime_failure_exits_1_when_stderr_cannot_be_written() {
+    let full = std::fs::OpenOptions::new()
+        .write(true)
+        .open("/dev/full")
+        .expect("open /dev/full");
+    let out = run_to(
+        &[
+            "gzip",
+            "basep",
+            "--insts",
+            "500",
+            "--json",
+            "/nonexistent-dir/out.json",
+        ],
+        Stdio::piped(),
+        full,
+    );
+    assert_eq!(
+        out.status.code(),
+        Some(1),
         "unwritable stderr changed the exit code"
     );
 }

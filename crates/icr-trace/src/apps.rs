@@ -26,7 +26,7 @@ pub const APP_NAMES: [&str; 8] = [
 
 /// Execution-driven RISC-V kernels served by the `icr-isa` interpreter
 /// through the [`crate::store::WorkloadSource`] seam. These names have no
-/// synthetic profile — [`profile`] panics on them; resolve them through
+/// synthetic profile — [`try_profile`] refuses them; resolve them through
 /// [`crate::store::global`] after the interpreter crate has installed its
 /// source.
 pub const ISA_APP_NAMES: [&str; 7] = [
@@ -60,9 +60,7 @@ pub const EXTENDED_APP_NAMES: [&str; 11] = [
 /// nobody knows, or an `isa:*` workload that must resolve through a
 /// registered [`crate::store::WorkloadSource`] instead of a profile.
 ///
-/// CLIs map this to their exit-2 invalid-invocation contract; only the
-/// infallible [`profile`] wrapper still panics, with the same messages
-/// it always printed.
+/// CLIs map this to their exit-2 invalid-invocation contract.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UnknownAppError {
     /// The offending application name.
@@ -125,22 +123,12 @@ pub fn try_profile(name: &str) -> Result<AppProfile, UnknownAppError> {
     Ok(p)
 }
 
-/// Builds the profile for one application by name.
-///
-/// # Panics
-///
-/// Panics if `name` is not one of [`APP_NAMES`] or the synthetic part of
-/// [`EXTENDED_APP_NAMES`] — in particular, `isa:*` workloads are
-/// execution-driven and have no profile. Fallible callers (anything a
-/// CLI argument can reach) should use [`try_profile`] and map the error
-/// to their usage contract.
-pub fn profile(name: &str) -> AppProfile {
-    try_profile(name).unwrap_or_else(|e| panic!("{e}"))
-}
-
 /// All eight profiles, in [`APP_NAMES`] order.
 pub fn all_profiles() -> Vec<AppProfile> {
-    APP_NAMES.iter().map(|n| profile(n)).collect()
+    APP_NAMES
+        .iter()
+        .map(|n| try_profile(n).expect("every APP_NAMES entry has a profile"))
+        .collect()
 }
 
 fn base(name: &str, mix: OpMix, locality: LocalityProfile, branch: BranchProfile) -> AppProfile {
@@ -581,13 +569,13 @@ mod tests {
 
     #[test]
     fn mcf_has_worst_locality() {
-        let mcf = profile("mcf");
+        let mcf = try_profile("mcf").unwrap();
         assert!(mcf.locality.pointer_chase, "mcf pointer-chases");
         for name in APP_NAMES {
             if name == "mcf" {
                 continue;
             }
-            let other = profile(name);
+            let other = try_profile(name).unwrap();
             assert!(
                 mcf.locality.cold_blocks > other.locality.cold_blocks,
                 "mcf's cold footprint must be the largest (vs {name})"
@@ -603,7 +591,7 @@ mod tests {
     fn mesa_working_set_is_cache_scale() {
         // The dL1 holds 256 blocks; mesa's hot+warm set should be in that
         // neighbourhood so replicas displace useful data.
-        let mesa = profile("mesa");
+        let mesa = try_profile("mesa").unwrap();
         let core = mesa.locality.hot_blocks + mesa.locality.warm_blocks;
         assert!((180..=600).contains(&core), "got {core}");
     }
@@ -614,7 +602,8 @@ mod tests {
             if name.starts_with("isa:") {
                 continue; // execution-driven: no synthetic profile
             }
-            profile(name)
+            try_profile(name)
+                .unwrap()
                 .validate()
                 .unwrap_or_else(|e| panic!("{name}: {e}"));
         }
@@ -633,18 +622,6 @@ mod tests {
             !APP_NAMES.iter().any(|n| n.starts_with("isa:")),
             "the default roster stays synthetic"
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown application")]
-    fn unknown_app_panics() {
-        profile("doom");
-    }
-
-    #[test]
-    #[should_panic(expected = "execution-driven")]
-    fn isa_app_has_no_profile() {
-        profile("isa:bubble");
     }
 
     #[test]

@@ -41,11 +41,11 @@ struct BasicBlock {
 /// ```
 /// use icr_trace::{apps, TraceGenerator};
 ///
-/// let gen = TraceGenerator::new(apps::profile("gzip"), 42);
+/// let gen = TraceGenerator::new(apps::try_profile("gzip").unwrap(), 42);
 /// let insts: Vec<_> = gen.take(1000).collect();
 /// assert_eq!(insts.len(), 1000);
 /// // Same seed, same trace:
-/// let again: Vec<_> = TraceGenerator::new(apps::profile("gzip"), 42)
+/// let again: Vec<_> = TraceGenerator::new(apps::try_profile("gzip").unwrap(), 42)
 ///     .take(1000)
 ///     .collect();
 /// assert_eq!(insts, again);
@@ -406,10 +406,10 @@ mod tests {
 
     #[test]
     fn determinism_same_seed_same_trace() {
-        let a: Vec<_> = TraceGenerator::new(apps::profile("vpr"), 7)
+        let a: Vec<_> = TraceGenerator::new(apps::try_profile("vpr").unwrap(), 7)
             .take(5000)
             .collect();
-        let b: Vec<_> = TraceGenerator::new(apps::profile("vpr"), 7)
+        let b: Vec<_> = TraceGenerator::new(apps::try_profile("vpr").unwrap(), 7)
             .take(5000)
             .collect();
         assert_eq!(a, b);
@@ -417,10 +417,10 @@ mod tests {
 
     #[test]
     fn different_seeds_differ() {
-        let a: Vec<_> = TraceGenerator::new(apps::profile("vpr"), 1)
+        let a: Vec<_> = TraceGenerator::new(apps::try_profile("vpr").unwrap(), 1)
             .take(1000)
             .collect();
-        let b: Vec<_> = TraceGenerator::new(apps::profile("vpr"), 2)
+        let b: Vec<_> = TraceGenerator::new(apps::try_profile("vpr").unwrap(), 2)
             .take(1000)
             .collect();
         assert_ne!(a, b);
@@ -428,7 +428,7 @@ mod tests {
 
     #[test]
     fn memory_ops_carry_addresses_in_data_segment() {
-        let p = apps::profile("gzip");
+        let p = apps::try_profile("gzip").unwrap();
         let base = p.data_base;
         let end = base + p.locality.total_blocks() as u64 * 64;
         for inst in TraceGenerator::new(p, 3).take(20_000) {
@@ -444,7 +444,7 @@ mod tests {
 
     #[test]
     fn branch_targets_are_block_starts() {
-        let gen = TraceGenerator::new(apps::profile("parser"), 9);
+        let gen = TraceGenerator::new(apps::try_profile("parser").unwrap(), 9);
         let starts: std::collections::HashSet<u64> =
             gen.blocks.iter().map(|b| b.start_pc).collect();
         for inst in gen.take(20_000) {
@@ -457,7 +457,7 @@ mod tests {
     #[test]
     fn pcs_are_contiguous_within_blocks() {
         let mut prev: Option<Inst> = None;
-        for inst in TraceGenerator::new(apps::profile("art"), 11).take(10_000) {
+        for inst in TraceGenerator::new(apps::try_profile("art").unwrap(), 11).take(10_000) {
             if let Some(p) = prev {
                 if p.op != OpClass::Branch {
                     assert_eq!(inst.pc, p.pc + INST_BYTES, "fallthrough is sequential");
@@ -471,7 +471,7 @@ mod tests {
 
     #[test]
     fn hot_region_absorbs_most_accesses_for_gzip() {
-        let p = apps::profile("gzip");
+        let p = apps::try_profile("gzip").unwrap();
         let hot_end = p.data_base + p.locality.hot_blocks as u64 * 64;
         let mut hot = 0u64;
         let mut total = 0u64;
@@ -492,7 +492,7 @@ mod tests {
 
     #[test]
     fn mcf_spreads_accesses_widely() {
-        let p = apps::profile("mcf");
+        let p = apps::try_profile("mcf").unwrap();
         let mut blocks = std::collections::HashSet::new();
         for inst in TraceGenerator::new(p, 5).take(100_000) {
             if let Some(a) = inst.mem_addr {

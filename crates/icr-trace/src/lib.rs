@@ -23,7 +23,7 @@
 //! use icr_trace::{apps, TraceGenerator, TraceStats};
 //!
 //! let stats = TraceStats::collect(
-//!     TraceGenerator::new(apps::profile("mcf"), 42).take(10_000),
+//!     TraceGenerator::new(apps::try_profile("mcf").unwrap(), 42).take(10_000),
 //! );
 //! assert!(stats.unique_data_blocks > 256); // spills the 256-block dL1
 //! ```

@@ -106,7 +106,7 @@ mod tests {
     #[test]
     fn generators_realise_their_op_mix() {
         for name in APP_NAMES {
-            let p = apps::profile(name);
+            let p = apps::try_profile(name).unwrap();
             let s = TraceStats::collect(TraceGenerator::new(p.clone(), 1).take(200_000));
             let tol = 0.03;
             assert!(
@@ -136,7 +136,9 @@ mod tests {
     fn footprints_are_ordered_sensibly() {
         let mut footprints = std::collections::HashMap::new();
         for name in APP_NAMES {
-            let s = TraceStats::collect(TraceGenerator::new(apps::profile(name), 1).take(100_000));
+            let s = TraceStats::collect(
+                TraceGenerator::new(apps::try_profile(name).unwrap(), 1).take(100_000),
+            );
             footprints.insert(name, s.unique_data_blocks);
         }
         let mcf = footprints["mcf"];

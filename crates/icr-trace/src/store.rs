@@ -177,7 +177,7 @@ impl WorkloadStore {
     /// # Panics
     ///
     /// Panics on an application name that no registered source claims
-    /// and [`apps::profile`] does not know.
+    /// and [`apps::try_profile`] does not know.
     pub fn get(&self, app: &str, seed: u64, instructions: u64) -> Arc<[Inst]> {
         let probe = KeyRef {
             app,
@@ -217,9 +217,12 @@ impl WorkloadStore {
         };
         match source {
             Some(source) => source.materialise(app, seed, instructions),
-            None => TraceGenerator::new(apps::profile(app), seed)
-                .take(instructions as usize)
-                .collect(),
+            None => {
+                let profile = apps::try_profile(app).unwrap_or_else(|e| panic!("{e}"));
+                TraceGenerator::new(profile, seed)
+                    .take(instructions as usize)
+                    .collect()
+            }
         }
     }
 
@@ -364,7 +367,7 @@ mod tests {
     fn store_matches_direct_generation() {
         let store = WorkloadStore::new();
         let stored = store.get("mcf", 7, 2_000);
-        let direct: Vec<Inst> = TraceGenerator::new(apps::profile("mcf"), 7)
+        let direct: Vec<Inst> = TraceGenerator::new(apps::try_profile("mcf").unwrap(), 7)
             .take(2_000)
             .collect();
         assert_eq!(&stored[..], &direct[..]);

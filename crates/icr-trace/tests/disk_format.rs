@@ -97,7 +97,7 @@ proptest! {
         seed: u64,
     ) {
         let app = apps::APP_NAMES[app_idx];
-        for i in TraceGenerator::new(apps::profile(app), seed).take(2_000) {
+        for i in TraceGenerator::new(apps::try_profile(app).unwrap(), seed).take(2_000) {
             inst::validate(&i).unwrap_or_else(|e| panic!("{app}: {e}"));
         }
     }

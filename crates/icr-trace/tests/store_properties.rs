@@ -24,7 +24,7 @@ proptest! {
         let b = store.get(app, seed, instructions);
         prop_assert!(Arc::ptr_eq(&a, &b));
         prop_assert_eq!(a.len() as u64, instructions);
-        let direct: Vec<Inst> = TraceGenerator::new(apps::profile(app), seed)
+        let direct: Vec<Inst> = TraceGenerator::new(apps::try_profile(app).unwrap(), seed)
             .take(instructions as usize)
             .collect();
         prop_assert_eq!(&a[..], &direct[..]);

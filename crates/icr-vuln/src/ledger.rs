@@ -304,12 +304,6 @@ impl ExposureLedger {
         self.valid_lines
     }
 
-    /// The state the ledger currently tracks for `line`, if valid.
-    pub fn line_state(&self, line: usize) -> Option<ProtState> {
-        let l = &self.lines[line];
-        l.active.then_some(l.state)
-    }
-
     /// Words currently resident in `state` (an instantaneous snapshot,
     /// the lifetime-machine counterpart of the dL1's
     /// `vulnerable_word_count`).
