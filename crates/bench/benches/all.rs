@@ -10,9 +10,10 @@
 //!
 //! The file is tracked: each PR refreshes it, and its `history` carries
 //! the cold-time trajectory forward. With `ICR_BENCH_GATE` set, the run
-//! first compares its total with the committed `value` and, if it is
-//! more than [`icr_bench::GATE_PCT`] percent slower, fails without
-//! writing anything. This is the CI regression gate.
+//! compares its total with the committed `value`, fails if it is more
+//! than [`icr_bench::GATE_PCT`] percent slower, and writes nothing either
+//! way, so a passing gate cannot move its own baseline. This is the CI
+//! regression gate.
 //!
 //! Not a criterion target: the interesting quantity is one *cold* pass,
 //! which repeated iterations would erase (every iteration after the
@@ -22,7 +23,7 @@
 //! (near-zero) cost — exactly what the end-to-end `icr-exp all` run
 //! pays.
 
-use icr_bench::{cold_time_gate, finish, Record};
+use icr_bench::{check, cold_time_gate, finish, Record};
 use icr_sim::exec::Pool;
 use icr_sim::experiment::{figure_runners, ExpOptions};
 use icr_sim::json::{count, number, obj, text};
@@ -59,7 +60,11 @@ fn main() {
         top.join(", ")
     );
 
-    let record = Record {
+    if std::env::var_os("ICR_BENCH_GATE").is_some() {
+        check("all", |baseline| cold_time_gate(total_s, baseline));
+        return;
+    }
+    finish(Record {
         bench: "all",
         metric: "total_cold_s",
         value: total_s,
@@ -73,11 +78,5 @@ fn main() {
             .zip(&elapsed)
             .map(|(id, s)| obj([("id", text(id)), ("cold_s", number(*s))]))
             .collect(),
-    };
-    finish(record, |baseline| {
-        match std::env::var_os("ICR_BENCH_GATE") {
-            Some(_) => cold_time_gate(total_s, baseline),
-            None => Ok(()),
-        }
     });
 }

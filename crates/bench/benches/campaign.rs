@@ -129,5 +129,5 @@ fn main() {
         "resuming a finished campaign ({resume_s:.3}s) must beat re-running it \
          ({plain_s:.3}s) — checkpoint verification is not earning its keep"
     );
-    finish(record, |_| Ok(()));
+    finish(record);
 }

@@ -143,5 +143,5 @@ fn main() {
          {winners} of {} cells — the proposal is not earning its weights",
         cell_names.len()
     );
-    finish(record, |_| Ok(()));
+    finish(record);
 }

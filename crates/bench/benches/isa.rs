@@ -77,5 +77,5 @@ fn main() {
         "replaying stored traces ({total_replay:.4}s) must beat re-interpreting \
          ({total_interp:.4}s) — the disk cache is not earning its keep"
     );
-    finish(record, |_| Ok(()));
+    finish(record);
 }

@@ -106,5 +106,5 @@ fn main() {
         "spill-region bookkeeping ({total_spill:.4}s) must stay under 2x the \
          dL1-only run ({total_dl1:.4}s)"
     );
-    finish(record, |_| Ok(()));
+    finish(record);
 }

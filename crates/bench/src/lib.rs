@@ -7,10 +7,10 @@
 //! `unit`), `commit` is `git describe --always --dirty` (`local` without
 //! git), `peak_rss_mb` the process's `VmHWM` (`null` without
 //! `/proc/self/status`), and `history` the last 20 `{commit, value,
-//! peak_rss_mb}` entries, this run's last. A bench's gate runs before
-//! anything is written, so a failing gate leaves the previous record,
-//! its baseline, byte-identical. Records go to the repository root, or
-//! to the directory named by `ICR_BENCH_OUT`.
+//! peak_rss_mb}` entries, this run's last. A gated run ([`check`])
+//! reads the previous record's `value` and writes nothing, pass or
+//! fail, so a gate never moves its own baseline. Records go to the
+//! repository root, or to the directory named by `ICR_BENCH_OUT`.
 
 use icr_sim::json::{self, number, obj, text, Value};
 use std::path::{Path, PathBuf};
@@ -40,26 +40,12 @@ pub struct Record {
 }
 
 impl Record {
-    /// Hands `gate` the previous record's `value` from `dir` and, only
-    /// if it passes, writes this record to `dir/BENCH_<bench>.json`
-    /// with the previous history carried forward.
-    fn save(
-        self,
-        dir: &Path,
-        gate: impl FnOnce(Option<f64>) -> Result<(), String>,
-    ) -> Result<PathBuf, String> {
-        let path = dir.join(format!("BENCH_{}.json", self.bench));
+    /// Writes this record to `dir/BENCH_<bench>.json`, with the previous
+    /// record's history carried forward.
+    fn save(self, dir: &Path) -> Result<PathBuf, String> {
+        let path = record_path(dir, self.bench);
         let err = |e: &dyn std::fmt::Display| format!("{}: {e}", path.display());
-        let prev = match std::fs::read_to_string(&path) {
-            Ok(doc) => json::parse(&doc).map_err(|e| err(&e))?,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Value::Null,
-            Err(e) => return Err(err(&e)),
-        };
-        gate(match prev.get("value") {
-            Some(Value::Num(tok)) => tok.parse().ok(),
-            _ => None,
-        })?;
-
+        let prev = previous(&path)?;
         let commit = text(&commit());
         let rss = peak_rss_mb().map_or(Value::Null, number);
         let mut history = match prev.get("history") {
@@ -89,19 +75,56 @@ impl Record {
     }
 }
 
-/// Saves `record` under the output directory (see the crate docs) and
-/// prints where it went. `gate` is handed the previous record's `value`
-/// first; if it fails, or the write does, this panics with nothing
-/// written.
-pub fn finish(record: Record, gate: impl FnOnce(Option<f64>) -> Result<(), String>) {
-    let bench = record.bench;
-    let dir = std::env::var_os("ICR_BENCH_OUT").map_or_else(
+fn record_path(dir: &Path, bench: &str) -> PathBuf {
+    dir.join(format!("BENCH_{bench}.json"))
+}
+
+/// The record at `path`, or `Null` when there is none yet.
+fn previous(path: &Path) -> Result<Value, String> {
+    let err = |e: &dyn std::fmt::Display| format!("{}: {e}", path.display());
+    match std::fs::read_to_string(path) {
+        Ok(doc) => json::parse(&doc).map_err(|e| err(&e)),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Value::Null),
+        Err(e) => Err(err(&e)),
+    }
+}
+
+/// Hands `gate` the `value` of `bench`'s record in `dir`, writing nothing.
+fn check_in(
+    dir: &Path,
+    bench: &str,
+    gate: impl FnOnce(Option<f64>) -> Result<(), String>,
+) -> Result<(), String> {
+    gate(match previous(&record_path(dir, bench))?.get("value") {
+        Some(Value::Num(tok)) => tok.parse().ok(),
+        _ => None,
+    })
+}
+
+/// The output directory (see the crate docs).
+fn out_dir() -> PathBuf {
+    std::env::var_os("ICR_BENCH_OUT").map_or_else(
         || Path::new(env!("CARGO_MANIFEST_DIR")).join("../.."),
         PathBuf::from,
-    );
-    match record.save(&dir, gate) {
+    )
+}
+
+/// Saves `record` under the output directory (see the crate docs) and
+/// prints where it went; panics if the write fails.
+pub fn finish(record: Record) {
+    let bench = record.bench;
+    match record.save(&out_dir()) {
         Ok(path) => println!("-> {}", path.display()),
         Err(e) => panic!("bench {bench}: {e}"),
+    }
+}
+
+/// Hands `gate` the `value` of `bench`'s record in the output directory
+/// and writes nothing, whether the gate passes or fails; panics if it
+/// fails.
+pub fn check(bench: &str, gate: impl FnOnce(Option<f64>) -> Result<(), String>) {
+    if let Err(e) = check_in(&out_dir(), bench, gate) {
+        panic!("bench {bench}: {e}");
     }
 }
 
@@ -215,10 +238,6 @@ mod tests {
         }
     }
 
-    fn pass(_: Option<f64>) -> Result<(), String> {
-        Ok(())
-    }
-
     fn keys(doc: &Value) -> Vec<&str> {
         match doc {
             Value::Obj(members) => members.iter().map(|(k, _)| k.as_str()).collect(),
@@ -243,12 +262,12 @@ mod tests {
     #[test]
     fn history_carries_forward_and_keeps_the_last_twenty() {
         let dir = ScratchDir::new("test-history").unwrap();
-        let path = record(1.0).save(dir.path(), pass).unwrap();
-        record(2.0).save(dir.path(), pass).unwrap();
+        let path = record(1.0).save(dir.path()).unwrap();
+        record(2.0).save(dir.path()).unwrap();
         assert_eq!(history_values(&path), [1.0, 2.0]);
 
         for v in 3..=25 {
-            record(f64::from(v)).save(dir.path(), pass).unwrap();
+            record(f64::from(v)).save(dir.path()).unwrap();
         }
         let expected: Vec<f64> = (6..=25).map(f64::from).collect();
         assert_eq!(history_values(&path), expected);
@@ -257,8 +276,8 @@ mod tests {
     #[test]
     fn record_reserialises_to_identical_bytes_in_the_schema() {
         let dir = ScratchDir::new("test-bytes").unwrap();
-        record(12.43).save(dir.path(), pass).unwrap();
-        let path = record(f64::NAN).save(dir.path(), pass).unwrap();
+        record(12.43).save(dir.path()).unwrap();
+        let path = record(f64::NAN).save(dir.path()).unwrap();
         let bytes = std::fs::read_to_string(&path).unwrap();
         let doc = json::parse(&bytes).unwrap();
         assert_eq!(format!("{}\n", doc.to_json()), bytes);
@@ -269,12 +288,10 @@ mod tests {
     #[test]
     fn failing_gate_leaves_the_record_byte_identical() {
         let dir = ScratchDir::new("test-gate").unwrap();
-        let path = record(1.0).save(dir.path(), pass).unwrap();
+        let path = record(1.0).save(dir.path()).unwrap();
         let before = std::fs::read(&path).unwrap();
         for _ in 0..2 {
-            let err = record(9.22)
-                .save(dir.path(), |base| cold_time_gate(9.22, base))
-                .unwrap_err();
+            let err = check_in(dir.path(), "test", |base| cold_time_gate(9.22, base)).unwrap_err();
             assert!(err.contains("regression gate"), "{err}");
             assert_eq!(std::fs::read(&path).unwrap(), before);
         }
@@ -283,21 +300,32 @@ mod tests {
     }
 
     #[test]
+    fn passing_gate_leaves_the_record_byte_identical() {
+        let dir = ScratchDir::new("test-gate-pass").unwrap();
+        let path = record(9.0).save(dir.path()).unwrap();
+        let before = std::fs::read(&path).unwrap();
+        for _ in 0..2 {
+            check_in(dir.path(), "test", |base| cold_time_gate(9.22, base)).unwrap();
+            assert_eq!(std::fs::read(&path).unwrap(), before);
+        }
+        assert_eq!(std::fs::read_dir(dir.path()).unwrap().count(), 1);
+    }
+
+    #[test]
     fn all_gate_compares_against_the_previous_value() {
         let dir = ScratchDir::new("test-baseline").unwrap();
-        record(12.43)
-            .save(dir.path(), |base| {
-                assert_eq!(base, None);
-                cold_time_gate(1e9, base)
-            })
-            .unwrap();
+        check_in(dir.path(), "test", |base| {
+            assert_eq!(base, None);
+            cold_time_gate(1e9, base)
+        })
+        .unwrap();
+        record(12.43).save(dir.path()).unwrap();
         let mut seen = None;
-        record(14.9)
-            .save(dir.path(), |base| {
-                seen = base;
-                cold_time_gate(14.9, base)
-            })
-            .unwrap();
+        check_in(dir.path(), "test", |base| {
+            seen = base;
+            cold_time_gate(14.9, base)
+        })
+        .unwrap();
         assert_eq!(seen, Some(12.43));
         // The bound is +20% over the value just read back: 14.916s.
         assert!(cold_time_gate(15.0, Some(12.43)).is_err());

@@ -554,11 +554,6 @@ impl DataL1 {
         self.exposure.set_arrival(arrival);
     }
 
-    /// The ledger slot of the line at (`set`, `way`).
-    fn line_slot(&self, set: usize, way: usize) -> usize {
-        self.lines.slot(set, way)
-    }
-
     /// The [`ProtState`] the line at (`set`, `way`) currently sits in,
     /// or `None` for an invalid line. This is the public window the
     /// fault injector's importance proposal reads to tilt its site draw
@@ -937,6 +932,167 @@ impl DataL1 {
         self.sync_exposure(set, way, now);
     }
 
+    /// Reverts `block`'s resident primary, if any, to the unreplicated
+    /// code once its last replica in *either* tier is gone.
+    fn demote_if_unreplicated(&mut self, block: BlockAddr, now: u64) {
+        if self.has_replica(block) || self.is_spilled(block) {
+            return;
+        }
+        if let Some((ps, pw)) = self.find_primary(block) {
+            let prot = self.unreplicated_protection();
+            self.reprotect_primary(ps, pw, prot, now);
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Line-state writes: the only code that installs, drops or rewrites
+    // a line. Each also updates the exposure ledger, charges the array
+    // and code ops, and keeps the oracle shadow in step.
+    // ------------------------------------------------------------------
+
+    /// Installs a clean copy of `block` holding `data` in the free way
+    /// (`set`, `way`): a replica, or else the primary. Replicas, and
+    /// primaries whose block kept a copy in either tier (keep-replicas
+    /// mode, or a spilled copy in the region), are parity-protected;
+    /// other primaries take the unreplicated code.
+    fn install_line(
+        &mut self,
+        set: usize,
+        way: usize,
+        block: BlockAddr,
+        replica: bool,
+        data: &DataBlock,
+        now: u64,
+    ) {
+        let protection = if replica || self.has_replica(block) || self.is_spilled(block) {
+            Protection::Parity
+        } else {
+            self.unreplicated_protection()
+        };
+        let slot = self.lines.slot(set, way);
+        self.lines.valid[slot] = true;
+        self.lines.dirty[slot] = false;
+        self.lines.is_replica[slot] = replica;
+        self.lines.addr[slot] = block;
+        self.lines.prot[slot] = protection;
+        self.encode_line(slot, data);
+        self.touch_line(set, way, now);
+        let state = self.exposure_state(set, way);
+        self.exposure.begin_line(slot, state, now);
+        if replica {
+            self.stats.replicas_created += 1;
+        } else {
+            self.stats.cache.fills += 1;
+            if self.config.oracle {
+                let wpb = self.lines.words_per_block;
+                self.lines.shadow[slot * wpb..][..wpb].copy_from_slice(data.words());
+            }
+        }
+        self.stats.l1_write_ops += 1;
+        self.count_code_op(protection);
+    }
+
+    /// Drops the replica line at `slot`.
+    fn drop_replica(&mut self, slot: usize, now: u64) {
+        debug_assert!(self.lines.is_replica[slot], "drop_replica of a primary");
+        self.lines.valid[slot] = false;
+        self.exposure.end_line(slot, now);
+        self.stats.replica_evictions += 1;
+    }
+
+    /// Marks the line at (`set`, `way`) as accessed at `now`: most
+    /// recently used, and its decay counter restarted.
+    fn touch_line(&mut self, set: usize, way: usize, now: u64) {
+        let slot = self.lines.slot(set, way);
+        self.lines.last_access[slot] = now;
+        self.lines.lru.touch(set, way);
+    }
+
+    /// Encodes `data` into every word of `slot` under the line's code.
+    fn encode_line(&mut self, slot: usize, data: &DataBlock) {
+        let protection = self.lines.prot[slot];
+        for (i, w) in self.lines.words_mut(slot).iter_mut().enumerate() {
+            *w = ProtectedWord::encode(data.word(i), protection);
+        }
+    }
+
+    /// Encodes `data` into every word of `slot` under the line's code
+    /// and restarts the words' exposure windows, charging nothing: the
+    /// bookkeeping half of [`refill_line`](Self::refill_line), used alone
+    /// to bring a replica in line with its refilled primary.
+    fn put_line(&mut self, slot: usize, data: &DataBlock, now: u64) {
+        self.encode_line(slot, data);
+        self.exposure.refresh_line(slot, now);
+    }
+
+    /// Encodes `value` into word `word` of `slot` under the line's code
+    /// and restarts that word's exposure window, charging nothing: the
+    /// bookkeeping half of [`write_word`](Self::write_word), used alone
+    /// where a lost word is sealed rather than written.
+    fn put_word(&mut self, slot: usize, word: usize, value: u64, now: u64) {
+        let protection = self.lines.prot[slot];
+        *self.lines.word_mut(slot, word) = ProtectedWord::encode(value, protection);
+        self.exposure.refresh_word(slot, word, now);
+    }
+
+    /// Writes `value` into word `word` of `slot` under the line's code:
+    /// one array write and one code op.
+    fn write_word(&mut self, slot: usize, word: usize, value: u64, now: u64) {
+        self.put_word(slot, word, value, now);
+        self.stats.l1_write_ops += 1;
+        self.count_code_op(self.lines.prot[slot]);
+    }
+
+    /// A store's write of `value` into word `word` of the primary at
+    /// (`set`, `way`): the word, the dirty bit (set under write-back
+    /// only), recency, the line's exposure state and the oracle's truth.
+    /// Returns the line's slot.
+    fn store_word(&mut self, set: usize, way: usize, word: usize, value: u64, now: u64) -> usize {
+        let slot = self.lines.slot(set, way);
+        self.write_word(slot, word, value, now);
+        self.lines.dirty[slot] = self.config.write_policy == WritePolicy::WriteBack;
+        self.touch_line(set, way, now);
+        self.sync_exposure(set, way, now);
+        if self.config.oracle {
+            *self.lines.shadow_mut(slot, word) = value;
+        }
+        slot
+    }
+
+    /// Counts the consumed word `word` of the primary at `slot` as lost
+    /// and seals it as it stands: the corrupt value is re-encoded under
+    /// the line's code so one fault is not re-counted on every later
+    /// load (software has consumed bad data and moved on), and folded
+    /// into the oracle shadow so it is not counted again as silent.
+    /// Returns the lost value.
+    fn acknowledge_loss(&mut self, slot: usize, word: usize, now: u64) -> u64 {
+        self.stats.unrecoverable_loads += 1;
+        let bad = self.lines.word(slot, word).data();
+        self.put_word(slot, word, bad, now);
+        if self.config.oracle {
+            *self.lines.shadow_mut(slot, word) = bad;
+        }
+        bad
+    }
+
+    /// Refetches `block` from L2 into the clean primary at `slot` under
+    /// the line's code, healing a failed check: one array write and one
+    /// code op. Returns the data and the L2 latency.
+    fn refill_line(
+        &mut self,
+        slot: usize,
+        block: BlockAddr,
+        now: u64,
+        backend: &mut MemoryBackend,
+    ) -> (DataBlock, u64) {
+        let (data, l2_lat) = backend.read_block(block);
+        self.put_line(slot, &data, now);
+        self.stats.l1_write_ops += 1;
+        self.count_code_op(self.lines.prot[slot]);
+        self.stats.errors_recovered_l2 += 1;
+        (data, l2_lat)
+    }
+
     // ------------------------------------------------------------------
     // Eviction helpers
     // ------------------------------------------------------------------
@@ -948,44 +1104,30 @@ impl DataL1 {
         if !self.lines.valid[slot] {
             return;
         }
-        let is_replica = self.lines.is_replica[slot];
-        let dirty = self.lines.dirty[slot];
         let addr = self.lines.addr[slot];
+        if self.lines.is_replica[slot] {
+            self.drop_replica(slot, now);
+            self.demote_if_unreplicated(addr, now);
+            return;
+        }
         self.lines.valid[slot] = false;
         self.exposure.end_line(slot, now);
-        if is_replica {
-            self.stats.replica_evictions += 1;
-            // If that was the block's last replica in *either* tier and
-            // its primary is resident, the primary reverts to the
-            // unreplicated code.
-            if !self.has_replica(addr) && !self.is_spilled(addr) {
-                if let Some((ps, pw)) = self.find_primary(addr) {
-                    let prot = self.unreplicated_protection();
-                    self.reprotect_primary(ps, pw, prot, now);
-                }
+        self.stats.cache.evictions += 1;
+        if self.lines.dirty[slot] {
+            self.stats.writebacks += 1;
+            self.stats.cache.writebacks += 1;
+            backend.write_block(addr, self.lines.plain_data(slot));
+            // The writeback makes any spilled replica stale — the
+            // spill protocol invalidates it rather than updating it
+            // (the region is not on the writeback path).
+            if self.is_spilled(addr) {
+                self.drop_spill(addr, now, backend);
             }
-        } else {
-            self.stats.cache.evictions += 1;
-            if dirty {
-                self.stats.writebacks += 1;
-                self.stats.cache.writebacks += 1;
-                backend.write_block(addr, self.lines.plain_data(slot));
-                // The writeback makes any spilled replica stale — the
-                // spill protocol invalidates it rather than updating it
-                // (the region is not on the writeback path).
-                if self.is_spilled(addr) {
-                    self.drop_spill(addr, now, backend);
-                }
-            }
-            if !self.config.keep_replicas_on_evict {
-                for attempt in 0..self.replica_attempts() {
-                    let Some((rs, rw)) = self.replica_in(addr, attempt) else {
-                        continue;
-                    };
-                    let rslot = self.lines.slot(rs, rw);
-                    self.lines.valid[rslot] = false;
-                    self.exposure.end_line(rslot, now);
-                    self.stats.replica_evictions += 1;
+        }
+        if !self.config.keep_replicas_on_evict {
+            for attempt in 0..self.replica_attempts() {
+                if let Some((rs, rw)) = self.replica_in(addr, attempt) {
+                    self.drop_replica(self.lines.slot(rs, rw), now);
                 }
             }
         }
@@ -1001,46 +1143,38 @@ impl DataL1 {
         &mut self,
         block: BlockAddr,
         data: &DataBlock,
-        dirty: bool,
         now: u64,
         backend: &mut MemoryBackend,
     ) -> (usize, usize) {
         debug_assert!(self.find_primary(block).is_none(), "double fill of {block}");
-        let g = self.config.geometry;
-        let s = g.set_index(block).0;
+        let s = self.config.geometry.set_index(block).0;
         let way = match self.lines.invalid_way(s) {
             Some(w) => w,
             None => self.lines.lru.victim(s),
         };
         self.evict_line(s, way, now, backend);
-        // Protection depends on whether replicas survived a previous
-        // eviction (keep-replicas mode, or a spilled copy in the region).
-        let protection = if self.has_replica(block) || self.is_spilled(block) {
-            Protection::Parity
-        } else {
-            self.unreplicated_protection()
-        };
-        let slot = self.lines.slot(s, way);
-        self.lines.valid[slot] = true;
-        self.lines.dirty[slot] = dirty;
-        self.lines.is_replica[slot] = false;
-        self.lines.addr[slot] = block;
-        self.lines.last_access[slot] = now;
-        self.lines.prot[slot] = protection;
-        for (i, w) in self.lines.words_mut(slot).iter_mut().enumerate() {
-            *w = ProtectedWord::encode(data.word(i), protection);
-        }
-        self.lines.lru.touch(s, way);
-        let state = self.exposure_state(s, way);
-        self.exposure.begin_line(slot, state, now);
-        self.stats.cache.fills += 1;
-        self.stats.l1_write_ops += 1;
-        self.count_code_op(protection);
-        if self.config.oracle {
-            let wpb = self.lines.words_per_block;
-            self.lines.shadow[slot * wpb..][..wpb].copy_from_slice(data.words());
-        }
+        self.install_line(s, way, block, false, data, now);
         (s, way)
+    }
+
+    /// Fills `block` on a load miss and, under an `LS` trigger, tries to
+    /// replicate it.
+    fn fill_on_miss(
+        &mut self,
+        block: BlockAddr,
+        data: &DataBlock,
+        now: u64,
+        backend: &mut MemoryBackend,
+    ) {
+        self.fill_primary(block, data, now, backend);
+        if self
+            .config
+            .scheme
+            .trigger()
+            .is_some_and(|t| t.on_load_miss())
+        {
+            self.attempt_replication(block, now, backend);
+        }
     }
 
     /// Selects a victim way for a replica in `set`, or `None` when the
@@ -1114,14 +1248,7 @@ impl DataL1 {
             self.spilled.remove(&eblock);
             self.exposure.end_line(base + eslot, now);
             self.stats.spill_evictions += 1;
-            // The displaced block loses its last replica tier: a resident
-            // primary reverts to the unreplicated code.
-            if !self.has_replica(eblock) {
-                if let Some((es, ew)) = self.find_primary(eblock) {
-                    let prot = self.unreplicated_protection();
-                    self.reprotect_primary(es, ew, prot, now);
-                }
-            }
+            self.demote_if_unreplicated(eblock, now);
         }
         self.spilled.insert(block);
         self.exposure
@@ -1142,12 +1269,18 @@ impl DataL1 {
             self.exposure.end_line(base + rslot, now);
         }
         self.stats.spill_invalidations += 1;
-        if !self.has_replica(block) {
-            if let Some((ps, pw)) = self.find_primary(block) {
-                let prot = self.unreplicated_protection();
-                self.reprotect_primary(ps, pw, prot, now);
-            }
-        }
+        self.demote_if_unreplicated(block, now);
+    }
+
+    /// The region slot of the spilled `block`, and the ledger line that
+    /// tracks it.
+    fn spill_slot(&self, block: BlockAddr, backend: &MemoryBackend) -> (usize, usize) {
+        let slot = backend
+            .replica_region()
+            .slot_of(block)
+            .expect("spilled set mirrors region occupancy");
+        let base = self.spill_base.expect("spilled implies ledger attached");
+        (slot, base + slot)
     }
 
     /// Attempts to bring `block` up to the configured replica count.
@@ -1197,27 +1330,8 @@ impl DataL1 {
             }
             if let Some(way) = self.choose_replica_victim(target.0, block, now) {
                 self.evict_line(target.0, way, now, backend);
-                let pslot = self.lines.slot(ps, pw);
-                let rslot = self.lines.slot(target.0, way);
-                self.lines.valid[rslot] = true;
-                self.lines.dirty[rslot] = false;
-                self.lines.is_replica[rslot] = true;
-                self.lines.addr[rslot] = block;
-                self.lines.last_access[rslot] = now;
-                self.lines.prot[rslot] = Protection::Parity;
-                // Copy the primary's words under parity, straight across
-                // the flat word array.
-                let wpb = self.lines.words_per_block;
-                for i in 0..wpb {
-                    let v = self.lines.words[pslot * wpb + i].data();
-                    self.lines.words[rslot * wpb + i] =
-                        ProtectedWord::encode(v, Protection::Parity);
-                }
-                self.lines.lru.touch(target.0, way);
-                self.exposure.begin_line(rslot, ProtState::Replica, now);
-                self.stats.replicas_created += 1;
-                self.stats.l1_write_ops += 1;
-                self.stats.parity_ops += 1;
+                let data = self.lines.plain_data(self.lines.slot(ps, pw));
+                self.install_line(target.0, way, block, true, &data, now);
                 count += 1;
             }
         }
@@ -1240,7 +1354,7 @@ impl DataL1 {
         // word windows. For ECC-unreplicated schemes the reprotect that
         // follows re-encodes in place and upgrades the mark.
         if had_none && !was_spilled && (count > 0 || spilled_now) {
-            let pslot = self.line_slot(ps, pw);
+            let pslot = self.lines.slot(ps, pw);
             self.exposure.launder_line(pslot, now, LaunderKind::Copy);
             self.reprotect_primary(ps, pw, Protection::Parity, now);
         }
@@ -1281,15 +1395,9 @@ impl DataL1 {
                 self.stats.l1_read_ops += 1;
                 self.stats.parity_ops += 1;
             }
-            let rslot = self.lines.slot(rs, rw);
-            let mut replica_word = *self.lines.word(rslot, word);
+            let mut replica_word = *self.lines.word(self.lines.slot(rs, rw), word);
             if replica_word.check_and_correct().data_is_good() {
-                let value = replica_word.data();
-                let protection = self.lines.prot[slot];
-                *self.lines.word_mut(slot, word) = ProtectedWord::encode(value, protection);
-                self.exposure.refresh_word(slot, word, now);
-                self.stats.l1_write_ops += 1;
-                self.count_code_op(protection);
+                self.write_word(slot, word, replica_word.data(), now);
                 self.stats.errors_recovered_replica += 1;
                 return if sequential { 1 } else { 0 };
             }
@@ -1299,18 +1407,10 @@ impl DataL1 {
         // the spill and falls through the rest of the ladder.
         if self.is_spilled(block) {
             self.stats.parity_ops += 1;
-            let rslot = backend
-                .replica_region()
-                .slot_of(block)
-                .expect("spilled set mirrors region occupancy");
+            let (rslot, _) = self.spill_slot(block, backend);
             let mut spill_word = *backend.replica_region().word(rslot, word);
             if spill_word.check_and_correct().data_is_good() {
-                let value = spill_word.data();
-                let protection = self.lines.prot[slot];
-                *self.lines.word_mut(slot, word) = ProtectedWord::encode(value, protection);
-                self.exposure.refresh_word(slot, word, now);
-                self.stats.l1_write_ops += 1;
-                self.count_code_op(protection);
+                self.write_word(slot, word, spill_word.data(), now);
                 self.stats.errors_recovered_spill += 1;
                 return backend.l2_latency();
             }
@@ -1322,42 +1422,17 @@ impl DataL1 {
             self.stats.l1_read_ops += 1;
             self.stats.parity_ops += 1;
             if let Some(value) = dup.recover(block, word) {
-                let protection = self.lines.prot[slot];
-                *self.lines.word_mut(slot, word) = ProtectedWord::encode(value, protection);
-                self.exposure.refresh_word(slot, word, now);
-                self.stats.l1_write_ops += 1;
-                self.count_code_op(protection);
+                self.write_word(slot, word, value, now);
                 self.stats.errors_recovered_duplicate += 1;
                 return 1;
             }
         }
         // 4. Clean blocks can be refetched from L2.
         if !self.lines.dirty[slot] {
-            let (data, l2_lat) = backend.read_block(block);
-            let protection = self.lines.prot[slot];
-            for (i, w) in self.lines.words_mut(slot).iter_mut().enumerate() {
-                *w = ProtectedWord::encode(data.word(i), protection);
-            }
-            self.exposure.refresh_line(slot, now);
-            self.stats.l1_write_ops += 1;
-            self.count_code_op(protection);
-            self.stats.errors_recovered_l2 += 1;
-            return l2_lat;
+            return self.refill_line(slot, block, now, backend).1;
         }
         // 5. Dirty + unreplicated + undetectable-by-correction: lost.
-        self.stats.unrecoverable_loads += 1;
-        // Re-encode the corrupt word so one fault is not re-counted on
-        // every subsequent load (software would have consumed bad data and
-        // moved on).
-        let protection = self.lines.prot[slot];
-        let bad = self.lines.word(slot, word).data();
-        *self.lines.word_mut(slot, word) = ProtectedWord::encode(bad, protection);
-        self.exposure.refresh_word(slot, word, now);
-        // The corruption has been *acknowledged*; fold it into the oracle
-        // so later loads of this word are not double-counted as silent.
-        if self.config.oracle {
-            *self.lines.shadow_mut(slot, word) = bad;
-        }
+        self.acknowledge_loss(slot, word, now);
         0
     }
 
@@ -1376,44 +1451,23 @@ impl DataL1 {
     ) -> u64 {
         let slot = self.lines.slot(set, way);
         if !self.lines.dirty[slot] {
-            let (data, l2_lat) = backend.read_block(block);
-            let protection = self.lines.prot[slot];
-            for (i, w) in self.lines.words_mut(slot).iter_mut().enumerate() {
-                *w = ProtectedWord::encode(data.word(i), protection);
-            }
-            self.exposure.refresh_line(slot, now);
+            let (data, l2_lat) = self.refill_line(slot, block, now, backend);
             // Refresh the replica from the restored primary too.
             for attempt in 0..self.replica_attempts() {
-                let Some((rs, rw)) = self.replica_in(block, attempt) else {
-                    continue;
-                };
-                let rslot = self.lines.slot(rs, rw);
-                for i in 0..data.len() {
-                    *self.lines.word_mut(rslot, i) =
-                        ProtectedWord::encode(data.word(i), Protection::Parity);
+                if let Some((rs, rw)) = self.replica_in(block, attempt) {
+                    self.put_line(self.lines.slot(rs, rw), &data, now);
                 }
-                self.exposure.refresh_line(rslot, now);
             }
-            self.stats.l1_write_ops += 1;
-            self.count_code_op(protection);
-            self.stats.errors_recovered_l2 += 1;
             return l2_lat;
         }
         // Dirty and ambiguous: lost. Acknowledge by syncing the replica to
-        // the primary so the mismatch is not re-detected forever.
-        self.stats.unrecoverable_loads += 1;
-        let bad = self.lines.word(slot, word).data();
-        self.exposure.refresh_word(slot, word, now);
+        // the primary so the mismatch is not re-detected forever. (The
+        // primary passed its check, so sealing it rewrites the same bits.)
+        let bad = self.acknowledge_loss(slot, word, now);
         for attempt in 0..self.replica_attempts() {
-            let Some((rs, rw)) = self.replica_in(block, attempt) else {
-                continue;
-            };
-            let rslot = self.lines.slot(rs, rw);
-            *self.lines.word_mut(rslot, word) = ProtectedWord::encode(bad, Protection::Parity);
-            self.exposure.refresh_word(rslot, word, now);
-        }
-        if self.config.oracle {
-            *self.lines.shadow_mut(slot, word) = bad;
+            if let Some((rs, rw)) = self.replica_in(block, attempt) {
+                self.put_word(self.lines.slot(rs, rw), word, bad, now);
+            }
         }
         0
     }
@@ -1482,34 +1536,16 @@ impl DataL1 {
                     }
                     CheckOutcome::DetectedUncorrectable => {
                         self.stats.errors_detected += 1;
-                        let is_replica = self.lines.is_replica[slot];
-                        let dirty = self.lines.dirty[slot];
                         let block = self.lines.addr[slot];
-                        if !is_replica && !dirty {
-                            let (data, _) = backend.read_block(block);
-                            let prot = self.lines.prot[slot];
-                            for (i, w) in self.lines.words_mut(slot).iter_mut().enumerate() {
-                                *w = ProtectedWord::encode(data.word(i), prot);
-                            }
-                            self.exposure.refresh_line(slot, now);
-                            self.stats.l1_write_ops += 1;
-                            self.count_code_op(prot);
-                            self.stats.errors_recovered_l2 += 1;
+                        if !scrub_is_replica && !scrub_dirty {
+                            self.refill_line(slot, block, now, backend);
                             self.stats.scrub_heals += 1;
                             healed += 1;
-                        } else if is_replica {
+                        } else if scrub_is_replica {
                             // A corrupt replica is simply dropped; the
                             // primary is the copy of record.
-                            self.lines.valid[slot] = false;
-                            self.exposure.end_line(slot, now);
-                            self.stats.replica_evictions += 1;
-                            let addr = block;
-                            if !self.has_replica(addr) && !self.is_spilled(addr) {
-                                if let Some((ps, pw)) = self.find_primary(addr) {
-                                    let p = self.unreplicated_protection();
-                                    self.reprotect_primary(ps, pw, p, now);
-                                }
-                            }
+                            self.drop_replica(slot, now);
+                            self.demote_if_unreplicated(block, now);
                             self.stats.scrub_heals += 1;
                             healed += 1;
                             break; // line gone; stop scanning its words
@@ -1547,8 +1583,7 @@ impl DataL1 {
                 self.stats.read_hits_with_replica += 1;
             }
             let slot = self.lines.slot(s, w);
-            self.lines.lru.touch(s, w);
-            self.lines.last_access[slot] = now;
+            self.touch_line(s, w, now);
             // The check performed on the accessed word: it consumes the
             // word's open exposure window. A strike anywhere in it would
             // resolve via the recovery ladder available right now.
@@ -1659,23 +1694,14 @@ impl DataL1 {
                     self.stats.parity_ops += 1;
                     // The replica was just useful: refresh its recency so
                     // it keeps playing victim-cache for this block.
+                    self.touch_line(rs, rw, now);
                     let rslot = self.lines.slot(rs, rw);
-                    self.lines.lru.touch(rs, rw);
-                    self.lines.last_access[rslot] = now;
                     let data = self.lines.plain_data(rslot);
                     // The replica's stored bits are trusted into the new
                     // primary (and the oracle's shadow), so its open word
                     // windows end here unconsumed.
                     self.exposure.refresh_line(rslot, now);
-                    self.fill_primary(block, &data, false, now, backend);
-                    let trigger_on_miss = self
-                        .config
-                        .scheme
-                        .trigger()
-                        .is_some_and(|t| t.on_load_miss());
-                    if trigger_on_miss {
-                        self.attempt_replication(block, now, backend);
-                    }
+                    self.fill_on_miss(block, &data, now, backend);
                     // One extra cycle instead of the L2 trip.
                     self.port_free_at = now + port_wait + 1;
                     return self.config.scheme.load_hit_latency(true) + 1 + port_wait;
@@ -1685,11 +1711,7 @@ impl DataL1 {
             // word is parity-verified on the way back. Any bad word drops
             // the stale copy and the miss refetches normally.
             if self.is_spilled(block) {
-                let rslot = backend
-                    .replica_region()
-                    .slot_of(block)
-                    .expect("spilled set mirrors region occupancy");
-                let base_slot = self.spill_base.expect("spilled implies ledger attached");
+                let (rslot, line) = self.spill_slot(block, backend);
                 let wpb = g.words_per_block();
                 let mut data = DataBlock::zeroed(wpb);
                 let mut verified = 0;
@@ -1699,7 +1721,7 @@ impl DataL1 {
                     // in its open window is detected here and healed by
                     // falling through to the normal L2 refetch.
                     self.exposure
-                        .consume_word(base_slot + rslot, i, VulnClass::ByRefetch, now);
+                        .consume_word(line, i, VulnClass::ByRefetch, now);
                     let mut w = *backend.replica_region().word(rslot, i);
                     if w.check_and_correct().data_is_good() {
                         data.set_word(i, w.data());
@@ -1711,30 +1733,14 @@ impl DataL1 {
                 }
                 if verified == wpb {
                     self.stats.misses_served_by_spill += 1;
-                    self.fill_primary(block, &data, false, now, backend);
-                    if self
-                        .config
-                        .scheme
-                        .trigger()
-                        .is_some_and(|t| t.on_load_miss())
-                    {
-                        self.attempt_replication(block, now, backend);
-                    }
+                    self.fill_on_miss(block, &data, now, backend);
                     self.port_free_at = now + port_wait + 1;
                     return 1 + backend.l2_latency() + port_wait;
                 }
                 self.drop_spill(block, now, backend);
             }
             let (data, l2_lat) = backend.read_block(block);
-            self.fill_primary(block, &data, false, now, backend);
-            if self
-                .config
-                .scheme
-                .trigger()
-                .is_some_and(|t| t.on_load_miss())
-            {
-                self.attempt_replication(block, now, backend);
-            }
+            self.fill_on_miss(block, &data, now, backend);
             let occ = self.check_occupancy(self.unreplicated_protection());
             self.port_free_at = now + port_wait + occ;
             self.config.scheme.load_hit_latency(false) + l2_lat + port_wait
@@ -1772,88 +1778,51 @@ impl DataL1 {
         // covers the later replica-update gate and write-through read.
         // Nothing in between can displace it: replication never
         // victimises a copy of the block being replicated.
-        let mut resident = hit;
-        match hit {
-            Some((s, w)) => {
+        let resident = match hit {
+            Some(at) => {
                 self.stats.cache.write_hits += 1;
-                let slot = self.lines.slot(s, w);
-                let protection = self.lines.prot[slot];
-                *self.lines.word_mut(slot, word) = ProtectedWord::encode(value, protection);
-                self.lines.dirty[slot] = !write_through;
-                self.lines.last_access[slot] = now;
-                self.lines.lru.touch(s, w);
-                self.exposure.refresh_word(slot, word, now);
-                self.sync_exposure(s, w, now);
-                self.stats.l1_write_ops += 1;
-                self.count_code_op(protection);
-                if self.config.oracle {
-                    *self.lines.shadow_mut(slot, word) = value;
-                }
-                if let Some(dup) = &mut self.duplication {
-                    if !dup.update_word(block, word, value) {
-                        dup.record(block, self.lines.plain_data(slot).words());
-                        self.stats.l1_write_ops += 1;
-                        self.stats.parity_ops += 1;
-                    }
-                }
+                Some(at)
             }
+            // Write-allocate: fetch and fill, then write.
             None if !write_through => {
-                // Write-allocate: fetch, fill, then write.
                 let (data, _lat) = backend.read_block(block);
-                let (s, w) = self.fill_primary(block, &data, false, now, backend);
-                resident = Some((s, w));
-                let slot = self.lines.slot(s, w);
-                let protection = self.lines.prot[slot];
-                *self.lines.word_mut(slot, word) = ProtectedWord::encode(value, protection);
-                self.lines.dirty[slot] = true;
-                self.exposure.refresh_word(slot, word, now);
-                self.sync_exposure(s, w, now);
-                self.stats.l1_write_ops += 1;
-                self.count_code_op(protection);
-                if self.config.oracle {
-                    *self.lines.shadow_mut(slot, word) = value;
-                }
-                if let Some(dup) = &mut self.duplication {
+                Some(self.fill_primary(block, &data, now, backend))
+            }
+            // Write-through, no-write-allocate: the word goes straight
+            // down; nothing is installed.
+            None => None,
+        };
+        if let Some((s, w)) = resident {
+            let slot = self.store_word(s, w, word, value, now);
+            if let Some(dup) = &mut self.duplication {
+                // A hit updates a held duplicate in place; a fill, or a
+                // hit with no duplicate, records the whole block.
+                if hit.is_none() || !dup.update_word(block, word, value) {
                     dup.record(block, self.lines.plain_data(slot).words());
                     self.stats.l1_write_ops += 1;
                     self.stats.parity_ops += 1;
                 }
-            }
-            None => {
-                // Write-through, no-write-allocate: the word goes straight
-                // down; nothing is installed.
             }
         }
 
         // Keep every replica coherent with the store.
         if self.config.scheme.replicates() && resident.is_some() {
             for attempt in 0..self.replica_attempts() {
-                let Some((rs, rw)) = self.replica_in(block, attempt) else {
-                    continue;
-                };
-                let rslot = self.lines.slot(rs, rw);
-                *self.lines.word_mut(rslot, word) =
-                    ProtectedWord::encode(value, Protection::Parity);
-                self.lines.last_access[rslot] = now;
-                self.lines.lru.touch(rs, rw);
-                self.exposure.refresh_word(rslot, word, now);
-                self.stats.replica_updates += 1;
-                self.stats.l1_write_ops += 1;
-                self.stats.parity_ops += 1;
+                if let Some((rs, rw)) = self.replica_in(block, attempt) {
+                    self.write_word(self.lines.slot(rs, rw), word, value, now);
+                    self.touch_line(rs, rw, now);
+                    self.stats.replica_updates += 1;
+                }
             }
             // A spilled copy is kept coherent in place the same way.
             if self.is_spilled(block) {
-                let rslot = backend
-                    .replica_region()
-                    .slot_of(block)
-                    .expect("spilled set mirrors region occupancy");
+                let (rslot, line) = self.spill_slot(block, backend);
                 backend.replica_region_mut().update_word(
                     rslot,
                     word,
                     ProtectedWord::encode(value, Protection::Parity),
                 );
-                let base = self.spill_base.expect("spilled implies ledger attached");
-                self.exposure.refresh_word(base + rslot, word, now);
+                self.exposure.refresh_word(line, word, now);
                 self.stats.spill_updates += 1;
                 self.stats.parity_ops += 1;
             }

@@ -1,109 +1,16 @@
 //! The unified job layer: one work-stealing pool behind every figure
 //! runner, Monte-Carlo campaign and vulnerability sweep.
 //!
-//! [`parallel_map_with_threads`] is the order-preserving work-stealing
-//! primitive (formerly private to `experiment`); [`Pool`] wraps it with a
-//! resolved worker count, an observed variant with per-job timing, a
-//! progress callback, and the row × column grid form every figure, vuln
-//! and audit matrix runs through. Results are always written by item
-//! index, so the output of every entry point is independent of the
-//! worker count and of which thread executed which item — the invariant
-//! all determinism guarantees in this workspace rest on.
+//! [`Pool::run`] is the order-preserving work-stealing scheduler. The
+//! [`Pool`] carries its resolved worker count, and adds an observed
+//! variant with per-job timing, a progress callback, and the row ×
+//! column grid form every figure, vuln and audit matrix runs through.
+//! Results are always written by item index, so the output of every
+//! entry point is independent of the worker count and of which thread
+//! executed which item — the invariant all determinism guarantees in
+//! this workspace rest on.
 
 use std::time::{Duration, Instant};
-
-/// Runs `f` over `items` on all available cores, preserving order.
-pub fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    let workers = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(4);
-    parallel_map_with_threads(items, workers, f)
-}
-
-/// [`parallel_map`] with an explicit worker count (1 = sequential).
-///
-/// Each worker owns a deque seeded with a contiguous chunk of item
-/// indices and pops from its front; a worker whose deque runs dry steals
-/// from the *back* of the fullest remaining deque, so a straggler item
-/// (e.g. one slow scheme × app cell) cannot serialize the tail of the
-/// run. Results are written by item index, which makes the output — and
-/// everything built on top of it — independent of the worker count and
-/// of which thread executed which item.
-pub fn parallel_map_with_threads<T, R, F>(items: Vec<T>, workers: usize, f: F) -> Vec<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(T) -> R + Sync,
-{
-    use std::collections::VecDeque;
-    use std::sync::Mutex;
-
-    let n = items.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let workers = workers.clamp(1, n);
-    let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-    let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-        .map(|w| Mutex::new((w * n / workers..(w + 1) * n / workers).collect()))
-        .collect();
-
-    // Pop from the worker's own deque, else steal; `None` only once every
-    // deque is empty (claimed items live outside the deques, so empty
-    // deques mean no work is left to hand out).
-    let next_index = |w: usize| -> Option<usize> {
-        if let Some(i) = queues[w].lock().expect("not poisoned").pop_front() {
-            return Some(i);
-        }
-        loop {
-            let mut victim = None;
-            let mut victim_len = 0;
-            for (v, q) in queues.iter().enumerate() {
-                let len = q.lock().expect("not poisoned").len();
-                if v != w && len > victim_len {
-                    victim_len = len;
-                    victim = Some(v);
-                }
-            }
-            match victim {
-                None => return None,
-                Some(v) => {
-                    if let Some(i) = queues[v].lock().expect("not poisoned").pop_back() {
-                        return Some(i);
-                    }
-                    // Raced with another thief; rescan.
-                }
-            }
-        }
-    };
-
-    std::thread::scope(|s| {
-        for w in 0..workers {
-            let (slots, results, f, next_index) = (&slots, &results, &f, &next_index);
-            s.spawn(move || {
-                while let Some(i) = next_index(w) {
-                    let item = slots[i]
-                        .lock()
-                        .expect("not poisoned")
-                        .take()
-                        .expect("each item taken once");
-                    let r = f(item);
-                    *results[i].lock().expect("not poisoned") = Some(r);
-                }
-            });
-        }
-    });
-    results
-        .into_iter()
-        .map(|m| m.into_inner().expect("not poisoned").expect("filled"))
-        .collect()
-}
 
 /// Progress snapshot handed to a [`Pool::run_observed`] observer after
 /// each completed job, from the coordinating thread only.
@@ -149,13 +56,84 @@ impl Pool {
     }
 
     /// Runs `f` over `items`, preserving order.
+    ///
+    /// Each worker owns a deque seeded with a contiguous chunk of item
+    /// indices and pops from its front; a worker whose deque runs dry
+    /// steals from the *back* of the fullest remaining deque, so a
+    /// straggler item (e.g. one slow scheme × app cell) cannot serialize
+    /// the tail of the run. Results are written by item index, which
+    /// makes the output — and everything built on top of it —
+    /// independent of the worker count and of which thread executed
+    /// which item.
     pub fn run<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
     where
         T: Send,
         R: Send,
         F: Fn(T) -> R + Sync,
     {
-        parallel_map_with_threads(items, self.threads, f)
+        use std::collections::VecDeque;
+        use std::sync::Mutex;
+
+        let n = items.len();
+        if n == 0 {
+            return Vec::new();
+        }
+        let workers = self.threads.clamp(1, n);
+        let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
+        let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
+        let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
+            .map(|w| Mutex::new((w * n / workers..(w + 1) * n / workers).collect()))
+            .collect();
+
+        // Pop from the worker's own deque, else steal; `None` only once every
+        // deque is empty (claimed items live outside the deques, so empty
+        // deques mean no work is left to hand out).
+        let next_index = |w: usize| -> Option<usize> {
+            if let Some(i) = queues[w].lock().expect("not poisoned").pop_front() {
+                return Some(i);
+            }
+            loop {
+                let mut victim = None;
+                let mut victim_len = 0;
+                for (v, q) in queues.iter().enumerate() {
+                    let len = q.lock().expect("not poisoned").len();
+                    if v != w && len > victim_len {
+                        victim_len = len;
+                        victim = Some(v);
+                    }
+                }
+                match victim {
+                    None => return None,
+                    Some(v) => {
+                        if let Some(i) = queues[v].lock().expect("not poisoned").pop_back() {
+                            return Some(i);
+                        }
+                        // Raced with another thief; rescan.
+                    }
+                }
+            }
+        };
+
+        std::thread::scope(|s| {
+            for w in 0..workers {
+                let (slots, results, f, next_index) = (&slots, &results, &f, &next_index);
+                s.spawn(move || {
+                    while let Some(i) = next_index(w) {
+                        let item = slots[i]
+                            .lock()
+                            .expect("not poisoned")
+                            .take()
+                            .expect("each item taken once");
+                        let r = f(item);
+                        *results[i].lock().expect("not poisoned") = Some(r);
+                    }
+                });
+            }
+        });
+        results
+            .into_iter()
+            .map(|m| m.into_inner().expect("not poisoned").expect("filled"))
+            .collect()
     }
 
     /// Runs `f` on every `(row, col)` pair of `rows × cols` as one batch,
@@ -204,7 +182,7 @@ impl Pool {
         let indexed: Vec<(usize, T)> = items.into_iter().enumerate().collect();
 
         let results = std::thread::scope(|s| {
-            let worker = s.spawn(|| parallel_map_with_threads(indexed, self.threads, timed));
+            let worker = s.spawn(|| self.run(indexed, timed));
             for done in 1..=total {
                 let (index, elapsed) = rx.recv().expect("one event per job");
                 observer(&JobProgress {
@@ -230,12 +208,6 @@ impl Default for Pool {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parallel_map_preserves_order() {
-        let out = parallel_map((0..100).collect::<Vec<_>>(), |x| x * 2);
-        assert_eq!(out, (0..100).map(|x| x * 2).collect::<Vec<_>>());
-    }
 
     #[test]
     fn pool_resolves_zero_to_all_cores() {

@@ -17,12 +17,20 @@
 //!     --ignored record_digests --nocapture
 //! ```
 //!
+//! Those replays are fault-free. A third table, `RECORDED_FAULTED`,
+//! replays under random-model strikes with background scrubbing and the
+//! oracle on, and also folds the stored words, the exposure windows and
+//! the spill, error and scrub counters; it was recorded before the dL1's
+//! line-state writes were routed through one method per transition.
+//! Its recorder alone is `--ignored record_digests_faulted`.
+//!
 //! Alongside the recorded matrix, randomized access sequences (vendored
 //! proptest stand-in) drive the dL1 in lockstep against the independent
 //! `icr-check` reference model, so sequences no trace produces are
 //! covered too — zero divergences tolerated.
 
-use icr_core::{DataL1, DataL1Config, Scheme, VictimPolicy, WritePolicy};
+use icr_core::{DataL1, DataL1Config, IcrStats, Scheme, VictimPolicy, WritePolicy};
+use icr_fault::{ErrorModel, FaultInjector};
 use icr_mem::{Addr, HierarchyConfig, MemoryBackend};
 use icr_sim::audit::{export_real_state, ref_config};
 use icr_trace::apps::APP_NAMES;
@@ -322,6 +330,260 @@ fn write_through_digests_match_recorded_pre_refactor_state() {
             "write-through {app}: recorded {:#018x}, got {got:#018x}",
             RECORDED_WT[ai]
         );
+    }
+}
+
+// ---------------------------------------------------------------------
+// Faulted replays: stored words, exposure windows and error counters.
+// ---------------------------------------------------------------------
+
+/// Per-cycle strike probability of the faulted replay: high enough that
+/// every recovery rung fires somewhere in the table.
+const FAULT_P: f64 = 1e-2;
+const FAULT_SEED: u64 = 0x1c4_5eed;
+/// Background scrubbing: `SCRUB_LINES` lines every `SCRUB_INTERVAL` cycles.
+const SCRUB_INTERVAL: u64 = 2_000;
+const SCRUB_LINES: usize = 16;
+
+/// Folds what a fault moves and `fold_state` leaves out: the spill,
+/// error and scrub counters, the exposure windows, and every stored
+/// word of every valid line.
+fn fold_faulted_state(h: &mut u64, dl1: &DataL1, now: u64) {
+    fold_state(h, dl1, now);
+    let st = dl1.stats();
+    for v in [
+        st.spills_created,
+        st.spill_updates,
+        st.spill_invalidations,
+        st.spill_evictions,
+        st.misses_served_by_spill,
+        st.errors_detected,
+        st.errors_corrected_ecc,
+        st.errors_recovered_replica,
+        st.errors_recovered_spill,
+        st.errors_recovered_l2,
+        st.errors_recovered_duplicate,
+        st.unrecoverable_loads,
+        st.silent_corruptions,
+        st.errors_caught_by_compare,
+        st.scrub_checks,
+        st.scrub_heals,
+    ] {
+        fold(h, v);
+    }
+    let windows = dl1.exposure_windows(now);
+    let word_cycles = windows.residency.iter().chain(&windows.consumed);
+    for &c in word_cycles.chain([&windows.total_word_cycles]) {
+        fold(h, c as u64);
+        fold(h, (c >> 64) as u64);
+    }
+    let words = dl1.geometry().words_per_block();
+    for (set, way) in dl1.valid_lines() {
+        for word in 0..words {
+            fold(h, dl1.word_data(set, way, word).expect("valid line"));
+        }
+    }
+}
+
+/// The recovery counters the faulted table must exercise, by name.
+fn recovery_counters(st: &IcrStats) -> [(&'static str, u64); 11] {
+    [
+        ("errors_recovered_replica", st.errors_recovered_replica),
+        ("errors_recovered_spill", st.errors_recovered_spill),
+        ("errors_recovered_duplicate", st.errors_recovered_duplicate),
+        ("errors_recovered_l2", st.errors_recovered_l2),
+        ("errors_corrected_ecc", st.errors_corrected_ecc),
+        ("errors_caught_by_compare", st.errors_caught_by_compare),
+        ("unrecoverable_loads", st.unrecoverable_loads),
+        ("silent_corruptions", st.silent_corruptions),
+        ("scrub_heals", st.scrub_heals),
+        ("misses_served_by_replica", st.misses_served_by_replica),
+        ("misses_served_by_spill", st.misses_served_by_spill),
+    ]
+}
+
+fn add_recovery_counters(totals: &mut [u64; 11], st: &IcrStats) {
+    for (t, (_, c)) in totals.iter_mut().zip(recovery_counters(st)) {
+        *t += c;
+    }
+}
+
+/// `replay_digest`'s replay with the oracle on, random-model strikes and
+/// background scrubbing. Before each access the injector and the
+/// scrubber catch up to its cycle the way the simulator's machine does
+/// it, so the digest pins each access's latency and, at every
+/// checkpoint, the faulted state. Returns the digest and the final
+/// statistics.
+fn faulted_replay(mut cfg: DataL1Config, app: &str) -> (u64, IcrStats) {
+    let trace = icr_trace::store::global().get(app, REPLAY_SEED, REPLAY_INSTRUCTIONS);
+    cfg.oracle = true;
+    let mut dl1 = DataL1::new(cfg);
+    let mut backend = MemoryBackend::new(&HierarchyConfig::default());
+    let mut injector = FaultInjector::new(ErrorModel::Random, FAULT_P, FAULT_SEED);
+    let mut fault_horizon = 0u64;
+    let mut next_scrub = SCRUB_INTERVAL;
+    let mut h = FNV_OFFSET;
+    let mut now = 0u64;
+    let mut accesses = 0u64;
+    for inst in trace.iter() {
+        let store = match inst.op {
+            OpClass::Load => false,
+            OpClass::Store => true,
+            _ => {
+                now += 1;
+                continue;
+            }
+        };
+        if now > fault_horizon {
+            injector.advance(&mut dl1, &mut backend, fault_horizon, now);
+            fault_horizon = now;
+        }
+        while now >= next_scrub {
+            dl1.scrub_step(SCRUB_LINES, next_scrub, &mut backend);
+            next_scrub += SCRUB_INTERVAL;
+        }
+        let addr = Addr(inst.mem_addr.unwrap());
+        let lat = if store {
+            dl1.store(addr, now, &mut backend)
+        } else {
+            dl1.load(addr, now, &mut backend)
+        };
+        fold(&mut h, lat);
+        now += 1 + lat;
+        accesses += 1;
+        if accesses.is_multiple_of(CHECKPOINT_EVERY) {
+            fold_faulted_state(&mut h, &dl1, now);
+        }
+    }
+    fold_faulted_state(&mut h, &dl1, now);
+    (h, *dl1.stats())
+}
+
+/// The faulted table's cells: every named scheme on gzip and mcf, the
+/// spill schemes on two more apps (the spill rung is the rarest), one
+/// duplication-cache config and one keep-replicas config.
+fn faulted_cells() -> Vec<(String, DataL1Config, &'static str)> {
+    let mut cells = Vec::new();
+    for scheme in Scheme::all_named_schemes() {
+        let apps: &[&str] = if scheme.spills_to_l2() {
+            &["gzip", "mcf", "vortex", "parser"]
+        } else {
+            &["gzip", "mcf"]
+        };
+        for &app in apps {
+            let cfg = DataL1Config::paper_default(scheme);
+            cells.push((format!("{} x {app}", scheme.name()), cfg, app));
+        }
+    }
+    let dup = DataL1Config::builder(Scheme::BASE_P)
+        .duplication_cache(16)
+        .build();
+    cells.push(("BaseP + duplication cache x gzip".into(), dup, "gzip"));
+    let keep = DataL1Config::builder(Scheme::ICR_P_PS_LS)
+        .keep_replicas_on_evict(true)
+        .build();
+    cells.push(("ICR-P-PS (LS) keeping replicas x mcf".into(), keep, "mcf"));
+    cells
+}
+
+/// One digest per `faulted_cells()` entry, in order. Regenerate via the
+/// ignored `record_digests_faulted` test.
+const RECORDED_FAULTED: [u64; 56] = [
+    0x462d4058a737fc6d, // BaseP x gzip
+    0xf28073b494f2f3fa, // BaseP x mcf
+    0x9ba039929f87614e, // BaseECC x gzip
+    0x379325d99d5a1262, // BaseECC x mcf
+    0x603c0ad740042e75, // ICR-P-PS (LS) x gzip
+    0xabcad7e06b58863e, // ICR-P-PS (LS) x mcf
+    0x86015630b2515e1d, // ICR-P-PS (S) x gzip
+    0xf622acbb7e2d6829, // ICR-P-PS (S) x mcf
+    0x32bf5274bb9798ad, // ICR-P-PP (LS) x gzip
+    0x3fcd25298cf87981, // ICR-P-PP (LS) x mcf
+    0x120fe908f5612a0d, // ICR-P-PP (S) x gzip
+    0xf29880f533f61045, // ICR-P-PP (S) x mcf
+    0xcb9017cde3820526, // ICR-ECC-PS (LS) x gzip
+    0x14f261a85b02f331, // ICR-ECC-PS (LS) x mcf
+    0xa6dec8324783dd92, // ICR-ECC-PS (S) x gzip
+    0x51bab853936b075e, // ICR-ECC-PS (S) x mcf
+    0x522426cd8244c461, // ICR-ECC-PP (LS) x gzip
+    0xd19d4c2df8e90847, // ICR-ECC-PP (LS) x mcf
+    0x9a751a14a8697999, // ICR-ECC-PP (S) x gzip
+    0x7239a17dfeb878c0, // ICR-ECC-PP (S) x mcf
+    0x416704da7df521c2, // BaseECC-spec x gzip
+    0x0aa8cdac699c2ed5, // BaseECC-spec x mcf
+    0x603c0ad740042e75, // ICR-P-PS-L2 (LS) x gzip
+    0xaff233e5111bdd16, // ICR-P-PS-L2 (LS) x mcf
+    0xa0de4afcdb978978, // ICR-P-PS-L2 (LS) x vortex
+    0x98d2fb8dc2512820, // ICR-P-PS-L2 (LS) x parser
+    0x86015630b2515e1d, // ICR-P-PS-L2 (S) x gzip
+    0x735606b2b7a9d3be, // ICR-P-PS-L2 (S) x mcf
+    0xc454aa3fb78b61ce, // ICR-P-PS-L2 (S) x vortex
+    0x9406e105c2f98ea8, // ICR-P-PS-L2 (S) x parser
+    0x32bf5274bb9798ad, // ICR-P-PP-L2 (LS) x gzip
+    0xd8cc2dede877c00c, // ICR-P-PP-L2 (LS) x mcf
+    0x54b89c200f8b849c, // ICR-P-PP-L2 (LS) x vortex
+    0x55da9ce07d65f943, // ICR-P-PP-L2 (LS) x parser
+    0x120fe908f5612a0d, // ICR-P-PP-L2 (S) x gzip
+    0x892c6fb1659a9941, // ICR-P-PP-L2 (S) x mcf
+    0x05fc92b1d39ef05c, // ICR-P-PP-L2 (S) x vortex
+    0xc795711b83b15320, // ICR-P-PP-L2 (S) x parser
+    0xcb9017cde3820526, // ICR-ECC-PS-L2 (LS) x gzip
+    0x89a4ef72a2b3991f, // ICR-ECC-PS-L2 (LS) x mcf
+    0x13fcd450276eac49, // ICR-ECC-PS-L2 (LS) x vortex
+    0xf165b93dddb0478a, // ICR-ECC-PS-L2 (LS) x parser
+    0xa6dec8324783dd92, // ICR-ECC-PS-L2 (S) x gzip
+    0xb5452a76044ff8cd, // ICR-ECC-PS-L2 (S) x mcf
+    0xbe67ac95b9d3b9e6, // ICR-ECC-PS-L2 (S) x vortex
+    0x668091442467d454, // ICR-ECC-PS-L2 (S) x parser
+    0x522426cd8244c461, // ICR-ECC-PP-L2 (LS) x gzip
+    0xcc68636fe6b0bee0, // ICR-ECC-PP-L2 (LS) x mcf
+    0x30789953efdcb856, // ICR-ECC-PP-L2 (LS) x vortex
+    0x458b5855e3109e6b, // ICR-ECC-PP-L2 (LS) x parser
+    0x9a751a14a8697999, // ICR-ECC-PP-L2 (S) x gzip
+    0x19bfca87fff8c0be, // ICR-ECC-PP-L2 (S) x mcf
+    0x7c92e20963b5e269, // ICR-ECC-PP-L2 (S) x vortex
+    0xcc81277e16c80d38, // ICR-ECC-PP-L2 (S) x parser
+    0x5ebdf6e75a170d0d, // BaseP + duplication cache x gzip
+    0x1ced6d64d4f17089, // ICR-P-PS (LS) keeping replicas x mcf
+];
+
+#[test]
+#[ignore = "fixture recorder, run explicitly with --ignored"]
+fn record_digests_faulted() {
+    let cells = faulted_cells();
+    let mut totals = [0u64; 11];
+    println!("const RECORDED_FAULTED: [u64; {}] = [", cells.len());
+    for (label, cfg, app) in cells {
+        let (d, st) = faulted_replay(cfg, app);
+        println!("    {d:#018x}, // {label}");
+        add_recovery_counters(&mut totals, &st);
+    }
+    println!("];");
+    for ((name, _), total) in recovery_counters(&IcrStats::default()).iter().zip(totals) {
+        println!("// {name}: {total}");
+    }
+}
+
+#[test]
+fn faulted_digests_match_recorded_state() {
+    let cells = faulted_cells();
+    assert_eq!(cells.len(), RECORDED_FAULTED.len());
+    let mut totals = [0u64; 11];
+    let mut failures = Vec::new();
+    for ((label, cfg, app), &want) in cells.into_iter().zip(&RECORDED_FAULTED) {
+        let (got, st) = faulted_replay(cfg, app);
+        add_recovery_counters(&mut totals, &st);
+        if got != want {
+            failures.push(format!("{label}: recorded {want:#018x}, got {got:#018x}"));
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "faulted dL1 state diverged from the recording:\n{}",
+        failures.join("\n")
+    );
+    for ((name, _), total) in recovery_counters(&IcrStats::default()).iter().zip(totals) {
+        assert!(total > 0, "no faulted cell exercised {name}");
     }
 }
 

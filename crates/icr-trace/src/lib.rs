@@ -41,4 +41,4 @@ pub use generator::{TraceGenerator, INST_BYTES};
 pub use inst::{Inst, OpClass, Reg};
 pub use profile::{AppProfile, BranchProfile, LocalityProfile, OpMix};
 pub use stats::TraceStats;
-pub use store::{TraceKey, WorkloadSource, WorkloadStore};
+pub use store::{WorkloadSource, WorkloadStore};

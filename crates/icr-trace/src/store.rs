@@ -24,93 +24,9 @@
 use crate::apps;
 use crate::generator::TraceGenerator;
 use crate::inst::Inst;
-use std::borrow::Borrow;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-
-/// The identity of a materialised trace. Two keys are equal exactly when
-/// the traces they name are equal, because generation is a pure function
-/// of `(app profile, seed)` truncated to `instructions`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct TraceKey {
-    /// Application name (one of [`crate::apps::APP_NAMES`] or
-    /// [`crate::apps::EXTENDED_APP_NAMES`]).
-    pub app: String,
-    /// Generator seed.
-    pub seed: u64,
-    /// Dynamic instructions materialised.
-    pub instructions: u64,
-}
-
-/// The borrowed view both [`TraceKey`] and the stack-only probe key
-/// present to the map, so a lookup never allocates a `String`.
-///
-/// The `Hash` impl for `dyn KeyView` must feed the hasher exactly the
-/// byte stream `#[derive(Hash)]` produces for `TraceKey` (app as `str`,
-/// then the two `u64`s in field order) — the map hashes stored keys
-/// through the derive and probe keys through the trait object.
-trait KeyView {
-    fn app(&self) -> &str;
-    fn seed(&self) -> u64;
-    fn instructions(&self) -> u64;
-}
-
-impl KeyView for TraceKey {
-    fn app(&self) -> &str {
-        &self.app
-    }
-    fn seed(&self) -> u64 {
-        self.seed
-    }
-    fn instructions(&self) -> u64 {
-        self.instructions
-    }
-}
-
-/// A `(app, seed, instructions)` probe that borrows its app name.
-struct KeyRef<'a> {
-    app: &'a str,
-    seed: u64,
-    instructions: u64,
-}
-
-impl KeyView for KeyRef<'_> {
-    fn app(&self) -> &str {
-        self.app
-    }
-    fn seed(&self) -> u64 {
-        self.seed
-    }
-    fn instructions(&self) -> u64 {
-        self.instructions
-    }
-}
-
-impl Hash for dyn KeyView + '_ {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.app().hash(state);
-        self.seed().hash(state);
-        self.instructions().hash(state);
-    }
-}
-
-impl PartialEq for dyn KeyView + '_ {
-    fn eq(&self, other: &Self) -> bool {
-        self.app() == other.app()
-            && self.seed() == other.seed()
-            && self.instructions() == other.instructions()
-    }
-}
-
-impl Eq for dyn KeyView + '_ {}
-
-impl<'a> Borrow<dyn KeyView + 'a> for TraceKey {
-    fn borrow(&self) -> &(dyn KeyView + 'a) {
-        self
-    }
-}
 
 /// An alternative trace producer consulted on a store miss before the
 /// synthetic [`TraceGenerator`] fallback — the seam through which the
@@ -127,19 +43,26 @@ pub trait WorkloadSource: Send + Sync {
     fn materialise(&self, app: &str, seed: u64, instructions: u64) -> Arc<[Inst]>;
 }
 
+/// A shared once-initialised slot for one trace: cloned out of the map so
+/// materialisation runs without holding the map lock.
+type TraceSlot = Arc<OnceLock<Arc<[Inst]>>>;
+
+/// Trace slots by app name, then by `(seed, instructions)`. Two keys
+/// name the same trace exactly when they are equal, because generation
+/// is a pure function of `(app profile, seed)` truncated to
+/// `instructions`. A lookup borrows the app name as a `str`, so a hit
+/// allocates nothing.
+type TraceMap = HashMap<String, HashMap<(u64, u64), TraceSlot>>;
+
 /// Thread-safe store of materialised traces; see the module docs.
 ///
 /// The store is unbounded: every distinct key stays resident for the
 /// lifetime of the store. At the repo's experiment scale this is tens of
 /// traces (a few hundred MB at the default 200k-instruction budget),
 /// traded deliberately for never generating a trace twice.
-/// A shared once-initialised slot for one trace: cloned out of the map so
-/// materialisation runs without holding the map lock.
-type TraceSlot = Arc<OnceLock<Arc<[Inst]>>>;
-
 #[derive(Default)]
 pub struct WorkloadStore {
-    traces: Mutex<HashMap<TraceKey, TraceSlot>>,
+    traces: Mutex<TraceMap>,
     sources: Mutex<Vec<Arc<dyn WorkloadSource>>>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -179,27 +102,18 @@ impl WorkloadStore {
     /// Panics on an application name that no registered source claims
     /// and [`apps::try_profile`] does not know.
     pub fn get(&self, app: &str, seed: u64, instructions: u64) -> Arc<[Inst]> {
-        let probe = KeyRef {
-            app,
-            seed,
-            instructions,
-        };
         let slot = {
             let mut traces = self.traces.lock().expect("not poisoned");
-            if let Some(slot) = traces.get(&probe as &dyn KeyView) {
+            if let Some(slot) = traces.get(app).and_then(|t| t.get(&(seed, instructions))) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 slot.clone()
             } else {
                 self.misses.fetch_add(1, Ordering::Relaxed);
                 let slot: TraceSlot = Arc::new(OnceLock::new());
-                traces.insert(
-                    TraceKey {
-                        app: app.to_owned(),
-                        seed,
-                        instructions,
-                    },
-                    slot.clone(),
-                );
+                traces
+                    .entry(app.to_owned())
+                    .or_default()
+                    .insert((seed, instructions), slot.clone());
                 slot
             }
         };
@@ -251,13 +165,9 @@ impl WorkloadStore {
         instructions: u64,
     ) -> Result<Arc<[Inst]>, apps::UnknownAppError> {
         {
-            let probe = KeyRef {
-                app,
-                seed,
-                instructions,
-            };
             let traces = self.traces.lock().expect("not poisoned");
-            if let Some(trace) = traces.get(&probe as &dyn KeyView).and_then(|s| s.get()) {
+            let slot = traces.get(app).and_then(|t| t.get(&(seed, instructions)));
+            if let Some(trace) = slot.and_then(|s| s.get()) {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 return Ok(trace.clone());
             }
@@ -277,25 +187,14 @@ impl WorkloadStore {
     /// replaces live data).
     pub fn insert(&self, app: &str, seed: u64, instructions: u64, trace: Arc<[Inst]>) -> bool {
         let mut traces = self.traces.lock().expect("not poisoned");
-        let probe = KeyRef {
-            app,
-            seed,
-            instructions,
-        };
-        if let Some(slot) = traces.get(&probe as &dyn KeyView) {
+        if let Some(slot) = traces.get(app).and_then(|t| t.get(&(seed, instructions))) {
             // Key known: fill the slot only if no one materialised yet.
             return slot.set(trace).is_ok();
         }
-        let slot: TraceSlot = Arc::new(OnceLock::new());
-        slot.set(trace).expect("freshly created slot is empty");
-        traces.insert(
-            TraceKey {
-                app: app.to_owned(),
-                seed,
-                instructions,
-            },
-            slot,
-        );
+        traces
+            .entry(app.to_owned())
+            .or_default()
+            .insert((seed, instructions), Arc::new(OnceLock::from(trace)));
         true
     }
 
@@ -311,7 +210,8 @@ impl WorkloadStore {
 
     /// Number of distinct traces resident.
     pub fn len(&self) -> usize {
-        self.traces.lock().expect("not poisoned").len()
+        let traces = self.traces.lock().expect("not poisoned");
+        traces.values().map(HashMap::len).sum()
     }
 
     /// `true` when no trace has been materialised yet.
@@ -325,6 +225,7 @@ impl WorkloadStore {
             .lock()
             .expect("not poisoned")
             .values()
+            .flat_map(HashMap::values)
             .filter_map(|slot| slot.get())
             .map(|t| t.len() * std::mem::size_of::<Inst>())
             .sum()
@@ -394,30 +295,6 @@ mod tests {
         let store = WorkloadStore::new();
         store.get("art", 1, 100);
         assert_eq!(store.resident_bytes(), 100 * std::mem::size_of::<Inst>());
-    }
-
-    #[test]
-    fn borrowed_probe_and_owned_key_hash_identically() {
-        // The dyn-KeyView Borrow probe only works if its Hash matches the
-        // derive on TraceKey byte-for-byte; exercise it across apps with
-        // shared prefixes and keys differing in each field.
-        let store = WorkloadStore::new();
-        for (app, seed, n) in [
-            ("gzip", 1, 50),
-            ("gzip", 2, 50),
-            ("gzip", 1, 60),
-            ("gcc", 1, 50),
-            ("g", 1, 50u64),
-        ] {
-            if app == "g" {
-                continue; // no such profile; key shapes above suffice
-            }
-            let first = store.get(app, seed, n);
-            let again = store.get(app, seed, n);
-            assert!(Arc::ptr_eq(&first, &again), "{app}/{seed}/{n} must hit");
-        }
-        assert_eq!(store.hits(), 4);
-        assert_eq!(store.misses(), 4);
     }
 
     #[test]

@@ -13,17 +13,25 @@
 //! recovery — is untouched; the kernels are just another workload.
 
 use icr::core::{DataL1Config, Scheme};
+use icr::sim::cli;
 use icr::sim::{run_sim, SimConfig};
 use icr::trace::apps::ISA_APP_NAMES;
+use std::fmt;
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
+    cli::print(fmt::from_fn(run))
+}
+
+fn run(f: &mut fmt::Formatter<'_>) -> fmt::Result {
     let instructions = 100_000;
     let seed = 42;
 
     // Interpret one kernel directly to show what the workloads are:
     // real programs with architectural results.
     let (trace, retired, checksum) = icr::isa::run_kernel("isa:bubble", seed);
-    println!(
+    writeln!(
+        f,
         "isa:bubble retires {retired} instructions (checksum {checksum:#010x}); \
          first load at pc {:#x}",
         trace
@@ -31,27 +39,32 @@ fn main() {
             .find(|i| i.op == icr::trace::OpClass::Load)
             .map(|i| i.pc)
             .unwrap_or(0)
-    );
-    println!();
+    )?;
+    writeln!(f)?;
 
-    println!(
+    writeln!(
+        f,
         "{:<15} {:>8} {:>8} {:>10} {:>14}",
         "workload", "cycles", "IPC", "miss rate", "loads w/ repl"
-    );
+    )?;
     let dl1 = DataL1Config::paper_default(Scheme::ICR_P_PS_S);
     for app in ISA_APP_NAMES.iter().copied().chain(["gzip"]) {
         let cfg = SimConfig::paper(app, dl1.clone(), instructions, seed);
         let r = run_sim(&cfg);
-        println!(
+        writeln!(
+            f,
             "{:<15} {:>8} {:>8.2} {:>9.1}% {:>13.1}%",
             app,
             r.pipeline.cycles,
             r.pipeline.ipc(),
             100.0 * r.icr.miss_rate(),
             100.0 * r.icr.loads_with_replica(),
-        );
+        )?;
     }
-    println!();
-    println!("(kernels shorter than the budget retire to completion first;");
-    println!(" gzip is the synthetic profile stand-in for comparison)");
+    writeln!(f)?;
+    writeln!(
+        f,
+        "(kernels shorter than the budget retire to completion first;"
+    )?;
+    writeln!(f, " gzip is the synthetic profile stand-in for comparison)")
 }

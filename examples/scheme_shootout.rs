@@ -6,11 +6,18 @@
 //! ```
 
 use icr::core::{DataL1Config, Scheme};
-use icr::sim::exec::parallel_map;
+use icr::sim::cli;
+use icr::sim::exec::Pool;
 use icr::sim::{run_sim, SimConfig};
 use icr::trace::apps::APP_NAMES;
+use std::fmt;
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
+    cli::print(fmt::from_fn(run))
+}
+
+fn run(f: &mut fmt::Formatter<'_>) -> fmt::Result {
     let instructions: u64 = std::env::args()
         .nth(1)
         .and_then(|s| s.parse().ok())
@@ -22,7 +29,7 @@ fn main() {
         .iter()
         .flat_map(|&s| APP_NAMES.iter().map(move |&a| (s, a)))
         .collect();
-    let results = parallel_map(jobs, |(scheme, app)| {
+    let results = Pool::default().run(jobs, |(scheme, app)| {
         let cfg = SimConfig::paper(app, DataL1Config::paper_default(scheme), instructions, 42);
         ((scheme.name(), app), run_sim(&cfg).pipeline.cycles)
     });
@@ -34,24 +41,26 @@ fn main() {
             .expect("every job ran")
     };
 
-    print!("{:<18}", "scheme");
+    write!(f, "{:<18}", "scheme")?;
     for app in APP_NAMES {
-        print!(" {app:>7}");
+        write!(f, " {app:>7}")?;
     }
-    println!(" {:>7}", "AVG");
+    writeln!(f, " {:>7}", "AVG")?;
     for scheme in &schemes {
         let name = scheme.name();
-        print!("{name:<18}");
+        write!(f, "{name:<18}")?;
         let mut sum = 0.0;
         for app in APP_NAMES {
             let norm = cycles(&name, app) as f64 / cycles("BaseP", app) as f64;
             sum += norm;
-            print!(" {norm:>7.3}");
+            write!(f, " {norm:>7.3}")?;
         }
-        println!(" {:>7.3}", sum / APP_NAMES.len() as f64);
+        writeln!(f, " {:>7.3}", sum / APP_NAMES.len() as f64)?;
     }
 
-    println!();
-    println!("Paper shape: BaseP fastest; ICR-*-PS (S) within a few percent;");
-    println!("PP variants and BaseECC pay the 2-cycle load path on every hit.");
+    writeln!(f)?;
+    f.write_str(
+        "Paper shape: BaseP fastest; ICR-*-PS (S) within a few percent;\n\
+         PP variants and BaseECC pay the 2-cycle load path on every hit.\n",
+    )
 }

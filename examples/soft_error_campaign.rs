@@ -12,8 +12,15 @@
 
 use icr::core::Scheme;
 use icr::sim::campaign::{run_campaign, CampaignSpec};
+use icr::sim::cli;
+use std::fmt;
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
+    cli::print(fmt::from_fn(run))
+}
+
+fn run(f: &mut fmt::Formatter<'_>) -> fmt::Result {
     let mut spec = CampaignSpec::new(
         vec![
             Scheme::BASE_P,
@@ -30,17 +37,19 @@ fn main() {
     // Stop a cell early once its Wilson interval is this narrow.
     spec.target_ci_width = Some(0.25);
 
-    println!(
+    writeln!(
+        f,
         "campaign: {} schemes × {} apps × ≤{} single-fault trials each\n",
         spec.schemes.len(),
         spec.apps.len(),
         spec.trials_per_cell
-    );
+    )?;
 
     let report = run_campaign(&spec).expect("campaign tallies stay conserved");
     for cell in &report.cells {
         let (lo, hi) = cell.wilson95();
-        println!(
+        writeln!(
+            f,
             "  {:<16} {:<6} {:>3} trials  survived {:.3} [{:.3}, {:.3}]{}",
             cell.scheme.name(),
             cell.app,
@@ -49,10 +58,10 @@ fn main() {
             lo,
             hi,
             if cell.stopped_early { "  (early)" } else { "" },
-        );
+        )?;
     }
 
-    println!("\n{}", report.summary_table());
+    writeln!(f, "\n{}", report.summary_table())?;
 
     // The paper's claim, checked on the spot: ICR heals strictly more
     // faults than the parity-only baseline.
@@ -66,9 +75,10 @@ fn main() {
     };
     let base_p = recovered(Scheme::BASE_P);
     let icr_p = recovered(Scheme::ICR_P_PS_S);
-    println!("recovered faults: ICR-P-PS(S) {icr_p} vs BaseP {base_p}");
+    writeln!(f, "recovered faults: ICR-P-PS(S) {icr_p} vs BaseP {base_p}")?;
     assert!(
         icr_p > base_p,
         "ICR should recover strictly more faults than BaseP"
     );
+    Ok(())
 }

@@ -9,19 +9,27 @@
 
 use icr::core::{DataL1Config, Scheme};
 use icr::fault::ErrorModel;
+use icr::sim::cli;
 use icr::sim::{run_sim, FaultConfig, SimConfig};
 use icr::vuln::{ProtState, VulnClass};
+use std::fmt;
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
+    cli::print(fmt::from_fn(run))
+}
+
+fn run(f: &mut fmt::Formatter<'_>) -> fmt::Result {
     let app = "vortex";
     let instructions = 100_000;
     let p = 1e-3; // one fault every ~1000 cycles: a storm, deliberately
 
-    println!(
+    writeln!(
+        f,
         "workload: {app}; random single-bit fault every ~{:.0} cycles",
         1.0 / p
-    );
-    println!();
+    )?;
+    writeln!(f)?;
 
     for scheme in [
         Scheme::BASE_P,
@@ -29,11 +37,12 @@ fn main() {
         Scheme::ICR_ECC_PS_S,
         Scheme::BASE_ECC,
     ] {
-        println!("--- {} ---", scheme.name());
-        println!(
+        writeln!(f, "--- {} ---", scheme.name())?;
+        writeln!(
+            f,
             "{:<10} {:>9} {:>9} {:>9} {:>9} {:>9} {:>12}",
             "model", "injected", "detected", "ECC-fix", "replica", "L2-fetch", "lost loads"
-        );
+        )?;
         for model in ErrorModel::all() {
             let cfg = SimConfig::builder(app, DataL1Config::paper_default(scheme))
                 .instructions(instructions)
@@ -46,7 +55,8 @@ fn main() {
                 })
                 .build();
             let r = run_sim(&cfg);
-            println!(
+            writeln!(
+                f,
                 "{:<10} {:>9} {:>9} {:>9} {:>9} {:>9} {:>12}",
                 model.name(),
                 r.faults_injected,
@@ -55,7 +65,7 @@ fn main() {
                 r.icr.errors_recovered_replica,
                 r.icr.errors_recovered_l2,
                 r.icr.unrecoverable_loads,
-            );
+            )?;
         }
 
         // Residency-weighted exposure from a fault-free run: how long
@@ -65,7 +75,8 @@ fn main() {
         let w = run_sim(&cfg).exposure;
         let total = w.total_word_cycles.max(1) as f64;
         let share = |s: ProtState| 100.0 * w.residency[s.index()] as f64 / total;
-        println!(
+        writeln!(
+            f,
             "exposure: replicated {:.1}% / dirty-parity {:.1}% / ecc {:.1}% of \
              word-cycles; avg {:.0} unprotected words; one-shot survival {:.3} \
              (unrecoverable {:.3})",
@@ -75,12 +86,14 @@ fn main() {
             w.avg_words_in(ProtState::DirtyParity),
             w.one_shot_survived(),
             w.one_shot_probability(VulnClass::Unrecoverable),
-        );
-        println!();
+        )?;
+        writeln!(f)?;
     }
 
-    println!("Expected: BaseP loses dirty-line errors; ICR-P heals most from");
-    println!("replicas; ICR-ECC and BaseECC correct single-bit strikes, but the");
-    println!("adjacent-bit model defeats parity (silent) and ECC can only");
-    println!("detect it — the case the paper's NMR discussion worries about.");
+    f.write_str(
+        "Expected: BaseP loses dirty-line errors; ICR-P heals most from\n\
+         replicas; ICR-ECC and BaseECC correct single-bit strikes, but the\n\
+         adjacent-bit model defeats parity (silent) and ECC can only\n\
+         detect it — the case the paper's NMR discussion worries about.\n",
+    )
 }

@@ -8,9 +8,16 @@
 //! ```
 
 use icr::core::{DataL1Config, PlacementPolicy, ReplicationHints, Scheme};
+use icr::sim::cli;
 use icr::sim::{run_sim, SimConfig};
+use std::fmt;
+use std::process::ExitCode;
 
-fn main() {
+fn main() -> ExitCode {
+    cli::print(fmt::from_fn(run))
+}
+
+fn run(f: &mut fmt::Formatter<'_>) -> fmt::Result {
     let app = "gcc";
     let instructions = 150_000;
 
@@ -31,31 +38,35 @@ fn main() {
         // "critical table").
         .replicas(0x1000_0000..0x1000_1000, 2);
 
-    println!("workload: {app}; scheme: ICR-P-PS (S)");
-    println!(
+    writeln!(f, "workload: {app}; scheme: ICR-P-PS (S)")?;
+    writeln!(
+        f,
         "{:<22} {:>10} {:>14} {:>12} {:>10}",
         "configuration", "replicas", "loads w/ repl", "miss rate", "cycles"
-    );
+    )?;
     for (label, cfg) in [
         ("hardware only", base),
         ("hot-region only", hot_only),
         ("critical table x2", critical_x2),
     ] {
         let r = run_sim(&SimConfig::paper(app, cfg, instructions, 42));
-        println!(
+        writeln!(
+            f,
             "{:<22} {:>10} {:>13.1}% {:>11.1}% {:>10}",
             label,
             r.icr.replicas_created,
             100.0 * r.icr.loads_with_replica(),
             100.0 * r.icr.miss_rate(),
             r.pipeline.cycles,
-        );
+        )?;
     }
 
-    println!();
-    println!("Denying replication for cold data spends ~1/3 fewer replicas and");
-    println!("trims the replica-induced misses, at almost no coverage loss.");
-    println!("Hardening the critical table with double replicas is visible in");
-    println!("the opposite direction: more replica traffic and misses — a cost");
-    println!("software can now choose to pay only where it matters.");
+    writeln!(f)?;
+    f.write_str(
+        "Denying replication for cold data spends ~1/3 fewer replicas and\n\
+         trims the replica-induced misses, at almost no coverage loss.\n\
+         Hardening the critical table with double replicas is visible in\n\
+         the opposite direction: more replica traffic and misses — a cost\n\
+         software can now choose to pay only where it matters.\n",
+    )
 }

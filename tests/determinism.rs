@@ -6,7 +6,7 @@
 use icr::core::{DataL1Config, Scheme};
 use icr::fault::ErrorModel;
 use icr::sim::campaign::{run_campaign, CampaignSpec};
-use icr::sim::exec::parallel_map_with_threads;
+use icr::sim::exec::Pool;
 use icr::sim::{run_sim, FaultConfig, SimConfig};
 
 /// A faulty ICR run, debug-formatted: `SimResult` carries every counter
@@ -37,8 +37,7 @@ fn parallel_map_is_thread_count_invariant() {
     let items: Vec<u64> = (0..257).collect();
     let expect: Vec<u64> = items.iter().map(|x| x.wrapping_mul(0x9E37) ^ 11).collect();
     for workers in [1, 2, 3, 8] {
-        let got =
-            parallel_map_with_threads(items.clone(), workers, |x| x.wrapping_mul(0x9E37) ^ 11);
+        let got = Pool::new(workers).run(items.clone(), |x| x.wrapping_mul(0x9E37) ^ 11);
         assert_eq!(got, expect, "workers={workers} permuted or lost results");
     }
 }
