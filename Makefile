@@ -109,13 +109,17 @@ campaign:
 	$(CARGO) run --release -p icr-sim --bin icr-campaign -- --trials 100
 
 ## Crash-safety smoke for the checkpointed campaign service: run a
-## sharded campaign straight through, run the same campaign again with
-## a SIGKILL mid-run, resume it, and require the two JSON reports to be
-## byte-identical. (The integration tests in
-## crates/icr-sim/tests/campaign_kill.rs do this at randomized kill
-## points; this target is the fast release-build end-to-end check.)
+## sharded campaign straight through, run the same campaign again and
+## SIGKILL it as soon as its first shard checkpoint exists (waiting at
+## most 30 s), resume it, and require the two JSON reports to be
+## byte-identical. The kill must land mid-run: the target fails unless
+## it left at least one but fewer than all checkpoints and no report.
+## (The integration tests in crates/icr-sim/tests/campaign_kill.rs do
+## this at randomized kill points; this target is the fast
+## release-build end-to-end check.)
 CAMPAIGN_RESUME_ARGS = --schemes basep,icr-p-ps-s --apps gzip --trials 200 \
 	--insts 20000 --shard-size 10 --seed 7 --quiet
+CAMPAIGN_RESUME_SHARDS = 20
 campaign-resume:
 	$(CARGO) build --release -p icr-sim --bin icr-campaign
 	rm -rf target/ckpt-straight target/ckpt-killed
@@ -126,13 +130,20 @@ campaign-resume:
 	./target/release/icr-campaign $(CAMPAIGN_RESUME_ARGS) \
 		--checkpoint target/ckpt-killed --json target/cr-killed.json & \
 	pid=$$!; \
-	sleep 0.7; \
-	if kill -9 $$pid 2>/dev/null; then \
-		echo "campaign-resume: SIGKILLed pid $$pid mid-run"; \
-	else \
-		echo "campaign-resume: campaign finished before the kill"; \
+	polls=0; \
+	until ls target/ckpt-killed/shard-*.json >/dev/null 2>&1 || [ $$polls -ge 3000 ]; do \
+		sleep 0.01; polls=$$((polls + 1)); \
+	done; \
+	kill -9 $$pid 2>/dev/null || true; \
+	wait $$pid || true; \
+	shards=$$(ls target/ckpt-killed/shard-*.json 2>/dev/null | wc -l); \
+	if [ $$shards -eq 0 ] || [ $$shards -ge $(CAMPAIGN_RESUME_SHARDS) ] \
+		|| [ -e target/cr-killed.json ]; then \
+		echo "campaign-resume: FAILED: the kill left $$shards of $(CAMPAIGN_RESUME_SHARDS) checkpoints"; \
+		[ ! -e target/cr-killed.json ] || echo "campaign-resume: and the killed run wrote its report"; \
+		exit 1; \
 	fi; \
-	wait $$pid || true
+	echo "campaign-resume: SIGKILLed pid $$pid with $$shards of $(CAMPAIGN_RESUME_SHARDS) checkpoints written"
 	./target/release/icr-campaign $(CAMPAIGN_RESUME_ARGS) --resume \
 		--checkpoint target/ckpt-killed --json target/cr-killed.json
 	cmp target/cr-straight.json target/cr-killed.json

@@ -4,7 +4,7 @@
 //! per shard), plus a pure resume pass over the completed checkpoint
 //! set, and record the overhead (`value`, `checkpoint_overhead_pct`)
 //! plus one row per leg to `BENCH_campaign.json` at the repository
-//! root.
+//! root; the checkpointed row also carries its `trials_per_s`.
 //!
 //! ```text
 //! make bench-campaign      # or: cargo bench -p icr-bench --bench campaign
@@ -114,7 +114,11 @@ fn main() {
         ]),
         rows: vec![
             obj([("leg", text("in_memory")), ("wall_s", number(plain_s))]),
-            obj([("leg", text("checkpointed")), ("wall_s", number(ckpt_s))]),
+            obj([
+                ("leg", text("checkpointed")),
+                ("wall_s", number(ckpt_s)),
+                ("trials_per_s", number(trials_per_s)),
+            ]),
             obj([("leg", text("resume")), ("wall_s", number(resume_s))]),
         ],
     };

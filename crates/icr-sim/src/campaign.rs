@@ -76,7 +76,8 @@ use crate::checkpoint::{self, ShardCellState, ShardCheckpoint};
 use crate::engine::Engine;
 use crate::exec::Pool;
 use crate::json::{arr, count, number, obj, text, Value};
-use crate::simulator::{FaultConfig, SimConfig};
+use crate::replay::{self, CallLog};
+use crate::simulator::{run_sim, FaultConfig, SimConfig};
 use crate::stats::{wilson_ci95, wilson_ci95_f};
 use icr_core::{
     DataL1Config, ErrorOutcome, InjectionProposal, OutcomeTally, Scheme, WeightedTally,
@@ -298,19 +299,25 @@ struct CellProposal {
 /// *same* value and the arrival would be correlated with the site draw.
 const ARRIVAL_SALT: u64 = 0x9e37_79b9_7f4a_7c15;
 
+/// The fault-free configuration of one cell: the run its importance
+/// proposal profiles, and the reference whose call log its trials
+/// replay. A trial adds only the fault to it.
+fn cell_config(spec: &CampaignSpec, scheme: Scheme, app: &str) -> SimConfig {
+    let mut dl1 = DataL1Config::paper_default(scheme);
+    dl1.oracle = spec.oracle;
+    SimConfig::builder(app, dl1)
+        .instructions(spec.instructions)
+        .seed(spec.master_seed)
+        .build()
+}
+
 /// Derives a cell's importance proposal from one fault-free exposure
 /// profile. The profiling run is an ordinary engine run (memoised, so
 /// each cell pays for it once per process) and the proposal is a pure
 /// function of the spec — every worker of a fan-out derives the same
 /// proposal independently.
 fn cell_proposal(spec: &CampaignSpec, scheme: Scheme, app: &str) -> CellProposal {
-    let mut dl1 = DataL1Config::paper_default(scheme);
-    dl1.oracle = spec.oracle;
-    let cfg = SimConfig::builder(app, dl1)
-        .instructions(spec.instructions)
-        .seed(spec.master_seed)
-        .build();
-    let r = Engine::global().run(&cfg);
+    let r = Engine::global().run(&cell_config(spec, scheme, app));
     CellProposal {
         boost: InjectionProposal::from_windows(&r.exposure).dirty_boost,
         profile_cycles: r.pipeline.cycles.max(1),
@@ -323,7 +330,9 @@ fn cell_proposal(spec: &CampaignSpec, scheme: Scheme, app: &str) -> CellProposal
 /// strike-worthy sites — and classify the consequence. Returns the
 /// outcome and the trial's likelihood ratio (`1.0` for uniform trials
 /// and undelivered faults). A pure function of `(spec, scheme, app,
-/// cell_index, trial_index, proposal)`.
+/// cell_index, trial_index, proposal)`: with the cell's fault-free
+/// call `log`, the trial replays it instead of running the core, and
+/// runs in full only when its latencies leave the log's.
 fn run_trial(
     spec: &CampaignSpec,
     scheme: Scheme,
@@ -331,30 +340,29 @@ fn run_trial(
     cell_index: usize,
     trial: u64,
     proposal: Option<CellProposal>,
+    log: Option<&CallLog>,
 ) -> (ErrorOutcome, f64) {
     let global_index = cell_index as u64 * spec.trials_per_cell + trial;
     let fault_seed = trial_seed(spec.master_seed, global_index);
-    let mut dl1 = DataL1Config::paper_default(scheme);
-    dl1.oracle = spec.oracle;
-    let mut builder = SimConfig::builder(app, dl1)
-        .instructions(spec.instructions)
-        .seed(spec.master_seed)
-        .fault(FaultConfig::one_shot(
-            spec.model,
-            spec.effective_p(),
-            fault_seed,
-        ));
+    let mut cfg = cell_config(spec, scheme, app);
+    cfg.fault = Some(FaultConfig::one_shot(
+        spec.model,
+        spec.effective_p(),
+        fault_seed,
+    ));
     if let Some(p) = proposal {
         let arrival_seed = trial_seed(spec.master_seed ^ ARRIVAL_SALT, global_index);
-        builder = builder
-            .fault_bias(p.boost)
-            .fault_arrival(conditional_arrival(
-                spec.effective_p(),
-                p.profile_cycles,
-                arrival_seed,
-            ));
+        cfg.fault_bias = Some(p.boost);
+        cfg.fault_arrival = Some(conditional_arrival(
+            spec.effective_p(),
+            p.profile_cycles,
+            arrival_seed,
+        ));
     }
-    let r = Engine::global().run(&builder.build());
+    let r = Engine::global().run_with(&cfg, || {
+        log.and_then(|log| replay::replay(&cfg, log))
+            .unwrap_or_else(|| run_sim(&cfg))
+    });
     let outcome = ErrorOutcome::classify_single_fault(r.faults_injected, &r.icr);
     (outcome, r.fault_weight.unwrap_or(1.0))
 }
@@ -726,12 +734,17 @@ impl ShardedReport {
 }
 
 /// One cell's cumulative state in the shard loop: the report it
-/// becomes, its importance proposal, and whether it still runs.
+/// becomes, its importance proposal, whether it still runs, and its
+/// fault-free call log.
 struct CellSlot {
     report: CellReport,
     scheme_name: String,
     proposal: Option<CellProposal>,
     active: bool,
+    /// `None` until a shard first executes the cell's trials, which
+    /// records `Some(log)`, itself `None` when the reference cannot be
+    /// logged. Dropped again when the cell stops.
+    log: Option<Option<CallLog>>,
 }
 
 /// Runs a sharded campaign with optional durable checkpoints; see
@@ -765,6 +778,7 @@ fn shard_cells(base: &CampaignSpec, with_bias: bool) -> Vec<CellSlot> {
                 scheme_name: scheme.name(),
                 proposal: (with_bias && base.importance).then(|| cell_proposal(base, scheme, app)),
                 active: true,
+                log: None,
             })
         })
         .collect()
@@ -803,6 +817,7 @@ fn evaluate_stops(cells: &mut [CellSlot], base: &CampaignSpec) {
         });
         if budget_spent || ci_reached {
             slot.active = false;
+            slot.log = None;
             cell.stopped_early = !budget_spent;
         }
     }
@@ -944,6 +959,18 @@ pub fn run_sharded_campaign_observed(
         let trials_this_shard = match restored {
             Some(ckpt) => fold_shard(&mut cells, &ckpt.cells),
             None => {
+                // Only a shard that executes trials records logs, so a
+                // restore-only pass simulates nothing.
+                let unlogged: Vec<usize> = (0..cells.len())
+                    .filter(|&ci| cells[ci].active && cells[ci].log.is_none())
+                    .collect();
+                let logs = pool.run(unlogged.clone(), |ci| {
+                    let cell = &cells[ci].report;
+                    replay::record(&cell_config(base, cell.scheme, &cell.app))
+                });
+                for (ci, log) in unlogged.into_iter().zip(logs) {
+                    cells[ci].log = Some(log);
+                }
                 let jobs: Vec<(usize, u64)> = cells
                     .iter()
                     .enumerate()
@@ -959,6 +986,7 @@ pub fn run_sharded_campaign_observed(
                         ci,
                         trial,
                         slot.proposal,
+                        slot.log.as_ref().and_then(Option::as_ref),
                     )
                 });
                 let mut shard_states: Vec<ShardCellState> = cells

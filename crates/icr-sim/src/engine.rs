@@ -48,7 +48,7 @@ struct EngineCounters {
 /// A memoizing run cache over [`run_sim`]; see the module docs.
 #[derive(Default)]
 pub struct Engine {
-    cache: Mutex<HashMap<String, Arc<OnceLock<Arc<SimResult>>>>>,
+    cache: Mutex<HashMap<u128, Arc<OnceLock<Arc<SimResult>>>>>,
     counters: Mutex<EngineCounters>,
 }
 
@@ -64,12 +64,30 @@ impl Engine {
         ENGINE.get_or_init(Engine::new)
     }
 
-    /// The canonical cache key of a configuration: its complete `Debug`
-    /// rendering. Every field participates (floats round-trip exactly
-    /// under `{:?}`), so two configs share a key only when they are equal
-    /// — there is nothing to hash-collide.
-    fn key(config: &SimConfig) -> String {
-        format!("{config:?}")
+    /// The cache key of a configuration: the FNV-1a-128 digest of its
+    /// complete `Debug` rendering, hashed as the rendering is written so
+    /// no string is built. Every field participates (floats round-trip
+    /// exactly under `{:?}`), so equal configs share a key. Distinct
+    /// configs share one only if their renderings collide in 128 bits:
+    /// taking FNV-1a-128 as a random function over these non-adversarial
+    /// inputs, the birthday bound puts the chance for `n` distinct
+    /// configurations below `n² / 2¹²⁹`, under 10⁻²⁶ for a million runs.
+    fn key(config: &SimConfig) -> u128 {
+        use std::fmt::Write as _;
+        const OFFSET: u128 = 0x6c62_272e_07bb_0142_62b8_2175_6295_c58d;
+        const PRIME: u128 = 0x0000_0000_0100_0000_0000_0000_0000_013b;
+        struct Fnv(u128);
+        impl std::fmt::Write for Fnv {
+            fn write_str(&mut self, s: &str) -> std::fmt::Result {
+                for &b in s.as_bytes() {
+                    self.0 = (self.0 ^ u128::from(b)).wrapping_mul(PRIME);
+                }
+                Ok(())
+            }
+        }
+        let mut fnv = Fnv(OFFSET);
+        write!(fnv, "{config:?}").expect("hashing cannot fail");
+        fnv.0
     }
 
     /// Runs (or replays) one simulation.
@@ -84,6 +102,17 @@ impl Engine {
     /// Panics on an invalid configuration or unknown application name,
     /// like [`run_sim`].
     pub fn run(&self, config: &SimConfig) -> Arc<SimResult> {
+        self.run_with(config, || run_sim(config))
+    }
+
+    /// [`run`](Self::run), with `simulate` computing the result on a
+    /// miss. `simulate` must return exactly what `run_sim(config)`
+    /// returns, because the memo serves its result to every later `run`.
+    pub(crate) fn run_with(
+        &self,
+        config: &SimConfig,
+        simulate: impl FnOnce() -> SimResult,
+    ) -> Arc<SimResult> {
         let key = Engine::key(config);
         let slot = {
             let mut cache = self.cache.lock().expect("not poisoned");
@@ -102,7 +131,7 @@ impl Engine {
         // Simulate outside the map lock so distinct cells run in
         // parallel; duplicates of *this* cell block until the winner
         // publishes.
-        slot.get_or_init(|| Arc::new(run_sim(config))).clone()
+        slot.get_or_init(|| Arc::new(simulate())).clone()
     }
 
     /// This engine's counters, combined with the process-wide workload

@@ -66,6 +66,7 @@ pub mod engine;
 pub mod exec;
 pub mod experiment;
 pub mod json;
+mod replay;
 pub mod report;
 pub mod simulator;
 pub mod stats;

@@ -6,8 +6,9 @@ use icr_cpu::{CpuConfig, DataMemory, InstrMemory, Pipeline, PipelineStats};
 use icr_energy::AccessCounts;
 use icr_fault::{ErrorModel, FaultInjector, InjectedFault};
 use icr_mem::{Addr, CacheStats, HierarchyConfig, InstrCache, MemoryBackend};
+use icr_trace::Inst;
 use std::cell::RefCell;
-use std::rc::Rc;
+use std::sync::Arc;
 
 /// Fault-injection settings for a run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -367,8 +368,10 @@ impl SimResult {
     }
 }
 
-/// The machine state shared between the pipeline's two memory ports.
-struct Machine {
+/// The memory side of one run: the iL1, the dL1, the L2 and memory, the
+/// fault injector, the scrubber and the lockstep auditor — everything the
+/// core reaches through its two ports.
+pub(crate) struct Machine {
     dl1: DataL1,
     icache: InstrCache,
     backend: MemoryBackend,
@@ -382,7 +385,75 @@ struct Machine {
     checker: Option<Box<crate::audit::LockstepChecker>>,
 }
 
+/// What the core's ports drive: a [`Machine`], or a wrapper around one
+/// that also logs each call.
+pub(crate) trait MemorySide {
+    /// A load of the word at `addr` at cycle `now`; returns its latency.
+    fn load(&mut self, addr: u64, now: u64) -> u64;
+    /// A store to the word at `addr` at cycle `now`; returns the cycles
+    /// it occupies commit.
+    fn store(&mut self, addr: u64, now: u64) -> u64;
+    /// A fetch of the instruction at `pc`; returns its latency. The iL1
+    /// sees no faults, scrubbing or decay, so a fetch does not depend on
+    /// the cycle.
+    fn fetch(&mut self, pc: u64) -> u64;
+}
+
 impl Machine {
+    /// The memory side `config` describes, running its workload `trace`.
+    pub(crate) fn new(config: &SimConfig, trace: &[Inst]) -> Machine {
+        let mut dl1 = DataL1::new(config.dl1.clone());
+        if let Some(p) = config.vuln_arrival_p {
+            dl1.set_exposure_arrival(icr_core::Arrival::Geometric { p });
+        }
+        let checker = match config.check {
+            CheckMode::Off => None,
+            CheckMode::Lockstep => Some(Box::new(crate::audit::LockstepChecker::new(
+                &config.dl1,
+                &config.hierarchy,
+                &config.app,
+            ))),
+        };
+        Machine {
+            dl1,
+            icache: InstrCache::new(&config.hierarchy),
+            backend: MemoryBackend::new(&config.hierarchy),
+            injector: config.fault.map(|f| {
+                let mut inj = FaultInjector::new(f.model, f.p_per_cycle, f.seed);
+                if let Some(max) = f.max_faults {
+                    inj = inj.with_max_faults(max);
+                    // One-shot trials log their (single) fault for free:
+                    // campaigns and diagnostics read the strike site from
+                    // the result instead of re-deriving it.
+                    inj = inj.with_log();
+                }
+                if let Some(boost) = config.fault_bias {
+                    // The boosted class is loss-prone lines plus the
+                    // workload's store working set — the blocks a clean-line
+                    // strike can launder through once a later store dirties
+                    // them. The set is a pure function of the trace, so the
+                    // uniform (no-bias) RNG stream is untouched.
+                    let g = config.dl1.geometry;
+                    let stores: std::collections::HashSet<u64> = trace
+                        .iter()
+                        .filter(|i| i.op == icr_trace::OpClass::Store)
+                        .filter_map(|i| i.mem_addr)
+                        .map(|a| g.block_addr(Addr(a)).raw())
+                        .collect();
+                    inj = inj.with_site_bias(boost).with_hot_blocks(Arc::new(stores));
+                }
+                if let Some(cycle) = config.fault_arrival {
+                    inj = inj.with_forced_arrival(cycle);
+                }
+                inj
+            }),
+            fault_horizon: 0,
+            scrub: config.scrub,
+            next_scrub: config.scrub.map(|s| s.interval).unwrap_or(0),
+            checker,
+        }
+    }
+
     /// Brings fault injection up to `now` before an access observes state.
     fn advance_faults(&mut self, now: u64) {
         if let Some(inj) = &mut self.injector {
@@ -400,51 +471,112 @@ impl Machine {
             }
         }
     }
+
+    /// The run's result: this memory side's final state plus the core's
+    /// statistics.
+    pub(crate) fn finish(&self, config: &SimConfig, stats: PipelineStats) -> SimResult {
+        let icr = *self.dl1.stats();
+        let l2 = *self.backend.l2_stats();
+        let l1i = *self.icache.stats();
+
+        // Energy: in write-through mode the buffer coalesces stores, so L2
+        // write traffic is the buffer's drain count, not one write per store.
+        let l2_accesses = match self.dl1.config().write_policy {
+            WritePolicy::WriteBack => l2.accesses(),
+            WritePolicy::WriteThrough { .. } => {
+                let wb_writes = self
+                    .dl1
+                    .write_buffer()
+                    .map(|wb| wb.total_l2_writes())
+                    .unwrap_or(0);
+                l2.read_accesses + wb_writes
+            }
+        };
+        let energy_counts = AccessCounts {
+            l1_reads: icr.l1_read_ops,
+            l1_writes: icr.l1_write_ops,
+            parity_ops: icr.parity_ops,
+            ecc_ops: icr.ecc_ops,
+            l2_accesses,
+        };
+
+        let exposure = self.dl1.exposure_windows(stats.cycles);
+        SimResult {
+            app: config.app.clone(),
+            scheme: config.dl1.scheme.name(),
+            pipeline: stats,
+            icr,
+            l2,
+            l1i,
+            memory_reads: self.backend.memory_reads(),
+            memory_writes: self.backend.memory_writes(),
+            faults_injected: self.injector.as_ref().map(|i| i.injected()).unwrap_or(0),
+            energy_counts,
+            avg_vulnerable_words: exposure.avg_words_in(icr_core::ProtState::DirtyParity),
+            exposure,
+            fault_weight: match (config.fault_bias, self.injector.as_ref()) {
+                (Some(_), Some(inj)) => Some(inj.last_weight()),
+                _ => None,
+            },
+            fault_log: self
+                .injector
+                .as_ref()
+                .map(|i| i.log().to_vec())
+                .unwrap_or_default(),
+        }
+    }
 }
 
-struct DmemPort(Rc<RefCell<Machine>>);
-struct ImemPort(Rc<RefCell<Machine>>);
-
-impl DataMemory for DmemPort {
+impl MemorySide for Machine {
     fn load(&mut self, addr: u64, now: u64) -> u64 {
-        let mut m = self.0.borrow_mut();
-        m.advance_faults(now);
-        let m = &mut *m;
-        let lat = m.dl1.load(Addr(addr), now, &mut m.backend);
-        if let Some(chk) = &mut m.checker {
-            chk.after_load(addr, now, &m.dl1, &m.backend);
+        self.advance_faults(now);
+        let lat = self.dl1.load(Addr(addr), now, &mut self.backend);
+        if let Some(chk) = &mut self.checker {
+            chk.after_load(addr, now, &self.dl1, &self.backend);
         }
         lat
     }
 
     fn store(&mut self, addr: u64, now: u64) -> u64 {
-        let mut m = self.0.borrow_mut();
-        m.advance_faults(now);
-        let m = &mut *m;
-        let lat = m.dl1.store(Addr(addr), now, &mut m.backend);
-        if let Some(chk) = &mut m.checker {
-            chk.after_store(addr, now, &m.dl1, &m.backend);
+        self.advance_faults(now);
+        let lat = self.dl1.store(Addr(addr), now, &mut self.backend);
+        if let Some(chk) = &mut self.checker {
+            chk.after_store(addr, now, &self.dl1, &self.backend);
         }
         lat
     }
-}
 
-impl InstrMemory for ImemPort {
-    fn fetch(&mut self, pc: u64, now: u64) -> u64 {
-        let mut m = self.0.borrow_mut();
-        let m = &mut *m;
-        let _ = now;
-        m.icache.fetch(Addr(pc), &mut m.backend)
+    fn fetch(&mut self, pc: u64) -> u64 {
+        self.icache.fetch(Addr(pc), &mut self.backend)
     }
 }
 
-/// Runs one complete simulation.
+/// One of the core's two memory ports; both share one memory side.
+struct Port<'a, M>(&'a RefCell<M>);
+
+impl<M: MemorySide> DataMemory for Port<'_, M> {
+    fn load(&mut self, addr: u64, now: u64) -> u64 {
+        self.0.borrow_mut().load(addr, now)
+    }
+
+    fn store(&mut self, addr: u64, now: u64) -> u64 {
+        self.0.borrow_mut().store(addr, now)
+    }
+}
+
+impl<M: MemorySide> InstrMemory for Port<'_, M> {
+    fn fetch(&mut self, pc: u64, _now: u64) -> u64 {
+        self.0.borrow_mut().fetch(pc)
+    }
+}
+
+/// The workload trace `config` runs.
 ///
 /// # Panics
 ///
 /// Panics on a configuration that fails [`SimConfig::validate`] or an
 /// unknown application name.
-pub fn run_sim(config: &SimConfig) -> SimResult {
+pub(crate) fn workload(config: &SimConfig) -> Arc<[Inst]> {
     if let Err(e) = config.validate() {
         panic!("{e}");
     }
@@ -454,124 +586,31 @@ pub fn run_sim(config: &SimConfig) -> SimResult {
     // Traces are pure functions of (app, seed, instructions); the
     // process-wide store materialises each one once and shares it across
     // schemes, figures, trials and worker threads.
-    let trace = icr_trace::store::global().get(&config.app, config.seed, config.instructions);
-    let mut pipeline = Pipeline::new(config.cpu);
-
-    let mut dl1 = DataL1::new(config.dl1.clone());
-    if let Some(p) = config.vuln_arrival_p {
-        dl1.set_exposure_arrival(icr_core::Arrival::Geometric { p });
-    }
-    let checker = match config.check {
-        CheckMode::Off => None,
-        CheckMode::Lockstep => Some(Box::new(crate::audit::LockstepChecker::new(
-            &config.dl1,
-            &config.hierarchy,
-            &config.app,
-        ))),
-    };
-    let machine = Rc::new(RefCell::new(Machine {
-        dl1,
-        icache: InstrCache::new(&config.hierarchy),
-        backend: MemoryBackend::new(&config.hierarchy),
-        injector: config.fault.map(|f| {
-            let mut inj = FaultInjector::new(f.model, f.p_per_cycle, f.seed);
-            if let Some(max) = f.max_faults {
-                inj = inj.with_max_faults(max);
-                // One-shot trials log their (single) fault for free:
-                // campaigns and diagnostics read the strike site from
-                // the result instead of re-deriving it.
-                inj = inj.with_log();
-            }
-            if let Some(boost) = config.fault_bias {
-                // The boosted class is loss-prone lines plus the
-                // workload's store working set — the blocks a clean-line
-                // strike can launder through once a later store dirties
-                // them. The set is a pure function of the trace, so the
-                // uniform (no-bias) RNG stream is untouched.
-                let g = config.dl1.geometry;
-                let stores: std::collections::HashSet<u64> = trace
-                    .iter()
-                    .filter(|i| i.op == icr_trace::OpClass::Store)
-                    .filter_map(|i| i.mem_addr)
-                    .map(|a| g.block_addr(Addr(a)).raw())
-                    .collect();
-                inj = inj
-                    .with_site_bias(boost)
-                    .with_hot_blocks(std::sync::Arc::new(stores));
-            }
-            if let Some(cycle) = config.fault_arrival {
-                inj = inj.with_forced_arrival(cycle);
-            }
-            inj
-        }),
-        fault_horizon: 0,
-        scrub: config.scrub,
-        next_scrub: config.scrub.map(|s| s.interval).unwrap_or(0),
-        checker,
-    }));
-
-    let stats = pipeline.run(
-        trace.iter().copied(),
-        &mut ImemPort(machine.clone()),
-        &mut DmemPort(machine.clone()),
-    );
-
-    let m = machine.borrow();
-    let icr = *m.dl1.stats();
-    let l2 = *m.backend.l2_stats();
-    let l1i = *m.l1i_stats();
-
-    // Energy: in write-through mode the buffer coalesces stores, so L2
-    // write traffic is the buffer's drain count, not one write per store.
-    let l2_accesses = match m.dl1.config().write_policy {
-        WritePolicy::WriteBack => l2.accesses(),
-        WritePolicy::WriteThrough { .. } => {
-            let wb_writes = m
-                .dl1
-                .write_buffer()
-                .map(|wb| wb.total_l2_writes())
-                .unwrap_or(0);
-            l2.read_accesses + wb_writes
-        }
-    };
-    let energy_counts = AccessCounts {
-        l1_reads: icr.l1_read_ops,
-        l1_writes: icr.l1_write_ops,
-        parity_ops: icr.parity_ops,
-        ecc_ops: icr.ecc_ops,
-        l2_accesses,
-    };
-
-    let exposure = m.dl1.exposure_windows(stats.cycles);
-    SimResult {
-        app: config.app.clone(),
-        scheme: config.dl1.scheme.name(),
-        pipeline: stats,
-        icr,
-        l2,
-        l1i,
-        memory_reads: m.backend.memory_reads(),
-        memory_writes: m.backend.memory_writes(),
-        faults_injected: m.injector.as_ref().map(|i| i.injected()).unwrap_or(0),
-        energy_counts,
-        avg_vulnerable_words: exposure.avg_words_in(icr_core::ProtState::DirtyParity),
-        exposure,
-        fault_weight: match (config.fault_bias, m.injector.as_ref()) {
-            (Some(_), Some(inj)) => Some(inj.last_weight()),
-            _ => None,
-        },
-        fault_log: m
-            .injector
-            .as_ref()
-            .map(|i| i.log().to_vec())
-            .unwrap_or_default(),
-    }
+    icr_trace::store::global().get(&config.app, config.seed, config.instructions)
 }
 
-impl Machine {
-    fn l1i_stats(&self) -> &CacheStats {
-        self.icache.stats()
-    }
+/// Runs the core over `trace` against `side`; returns the side and the
+/// core's statistics.
+pub(crate) fn run_core<M: MemorySide>(
+    cpu: CpuConfig,
+    trace: &[Inst],
+    side: M,
+) -> (M, PipelineStats) {
+    let side = RefCell::new(side);
+    let stats = Pipeline::new(cpu).run(trace.iter().copied(), &mut Port(&side), &mut Port(&side));
+    (side.into_inner(), stats)
+}
+
+/// Runs one complete simulation.
+///
+/// # Panics
+///
+/// Panics on a configuration that fails [`SimConfig::validate`] or an
+/// unknown application name.
+pub fn run_sim(config: &SimConfig) -> SimResult {
+    let trace = workload(config);
+    let (machine, stats) = run_core(config.cpu, &trace, Machine::new(config, &trace));
+    machine.finish(config, stats)
 }
 
 #[cfg(test)]
