@@ -53,17 +53,21 @@ bench-build:
 	$(CARGO) build --release --offline --manifest-path benchmark/Cargo.toml
 
 ## One pass of the end-to-end benchmark's figures, campaign and isa
-## workloads (three cold iterations each, untraced, seed 0), failing
-## unless its result line reads "correct": true with "failed": 0: every
-## figure JSON, checkpoint file, sharded report and SimResult document
-## the workloads produce must match its digest in benchmark/digests.txt.
+## workloads (three cold iterations each, untraced, seed 0), then one
+## traced campaign pass, failing unless each result line reads
+## "correct": true with "failed": 0: every figure JSON, checkpoint file,
+## sharded report and SimResult document the workloads produce must
+## match its digest in benchmark/digests.txt, and the traced pass holds
+## every campaign trial's memoised result, replayed, stopped early or
+## run in full, equal to a fresh run_sim.
 BENCH_CHECK = $(CARGO) run --release --offline --quiet --manifest-path benchmark/Cargo.toml --
 bench-check:
-	@set -e; for w in figures campaign isa; do \
-		line=$$($(BENCH_CHECK) --workload $$w --seed 0 --seconds 0 --trace 0 | tail -n 1); \
+	@set -e; for run in "figures 0" "campaign 0" "isa 0" "campaign 1"; do \
+		set -- $$run; \
+		line=$$($(BENCH_CHECK) --workload $$1 --seed 0 --seconds 0 --trace $$2 | tail -n 1); \
 		case "$$line" in \
-			*'"correct": true,'*'"failed": 0,'*) echo "bench-check $$w: OK";; \
-			*) echo "bench-check $$w: FAILED: $$line"; exit 1;; \
+			*'"correct": true,'*'"failed": 0,'*) echo "bench-check $$1 (trace $$2): OK";; \
+			*) echo "bench-check $$1 (trace $$2): FAILED: $$line"; exit 1;; \
 		esac; \
 	done
 

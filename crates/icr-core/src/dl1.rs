@@ -42,7 +42,10 @@ use crate::side_cache::DuplicationCache;
 use crate::stats::IcrStats;
 use crate::victim::{CandidateLine, VictimPolicy};
 use icr_ecc::{CheckOutcome, ProtectedWord, Protection};
-use icr_mem::{Addr, BlockAddr, CacheGeometry, DataBlock, LruArray, MemoryBackend, WriteBuffer};
+use icr_mem::{
+    Addr, BlockAddr, CacheGeometry, DataBlock, LruArray, MemoryBackend, WriteBuffer,
+    MAX_BLOCK_BYTES,
+};
 use icr_vuln::{Arrival, ExposureLedger, ExposureWindows, LaunderKind, ProtState, VulnClass};
 
 /// Write policy of the dL1.
@@ -376,6 +379,33 @@ impl LineArrays {
     }
 }
 
+/// The footprint of the strikes a [`DataL1`] has taken, while
+/// [followed](DataL1::follow_footprint): the stored words that may differ
+/// from a fault-free run's.
+#[derive(Debug, Clone)]
+struct Footprint {
+    /// Per slot, bit `i` set when word `i` may hold struck bits or a copy
+    /// of them, in its data, its check bits or its oracle shadow.
+    tainted: Vec<u64>,
+    /// Slots with a nonzero mask.
+    slots: usize,
+    /// A strike has reached the dL1's words.
+    struck: bool,
+    /// A tainted line was copied out of the dL1, where the footprint is
+    /// not followed.
+    escaped: bool,
+}
+
+// One mask bit per word of a block.
+const _: () = assert!(MAX_BLOCK_BYTES / 8 <= 64);
+
+impl Footprint {
+    fn set(&mut self, slot: usize, mask: u64) {
+        let old = std::mem::replace(&mut self.tainted[slot], mask);
+        self.slots = self.slots + usize::from(mask != 0) - usize::from(old != 0);
+    }
+}
+
 /// Read-only view of a line, for tests, fault injection and inspection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LineView {
@@ -465,6 +495,9 @@ pub struct DataL1 {
     /// has been lazily extended by the first spill. Region slot `i` maps
     /// to ledger line `spill_base + i`.
     spill_base: Option<usize>,
+    /// The strikes' footprint; `None` unless
+    /// [`follow_footprint`](DataL1::follow_footprint) turned it on.
+    footprint: Option<Footprint>,
 }
 
 impl DataL1 {
@@ -503,6 +536,7 @@ impl DataL1 {
             exposure: ExposureLedger::new(g.num_sets() * g.associativity(), g.words_per_block()),
             spilled: std::collections::HashSet::new(),
             spill_base: None,
+            footprint: None,
         }
     }
 
@@ -872,6 +906,7 @@ impl DataL1 {
             return false;
         }
         self.lines.word_mut(sl, word).flip_data_bit(bit);
+        self.strike(sl, word);
         true
     }
 
@@ -883,7 +918,80 @@ impl DataL1 {
             return false;
         }
         self.lines.word_mut(sl, word).flip_check_bit(bit);
+        self.strike(sl, word);
         true
+    }
+
+    // ------------------------------------------------------------------
+    // The fault footprint
+    // ------------------------------------------------------------------
+
+    /// Starts following the footprint of the strikes
+    /// [`flip_data_bit`](Self::flip_data_bit) and
+    /// [`flip_check_bit`](Self::flip_check_bit) deliver from now on: the
+    /// struck words plus every dL1 copy made from them. A strike taints
+    /// its word; a new line takes the taint of the line it is copied
+    /// from (a replica from its primary, a primary filled from a
+    /// surviving §5.6 replica), while data from L2, memory or the spill
+    /// region is untainted. A word write clears that word, and a
+    /// whole-line refill, a replica drop or a clean eviction clears the
+    /// line. A tainted line copied out of the dL1 (a dirty write-back, a
+    /// spill, a duplication-cache record or a write-through push) takes
+    /// the footprint where it is not followed, and it never settles.
+    /// Off by default, when the footprint costs a branch per line-state
+    /// write.
+    pub fn follow_footprint(&mut self) {
+        self.footprint = Some(Footprint {
+            tainted: vec![0; self.lines.valid.len()],
+            slots: 0,
+            struck: false,
+            escaped: false,
+        });
+    }
+
+    /// `true` while the footprint is followed, a strike has reached this
+    /// dL1, every copy of the struck bits is gone, none ever left the
+    /// dL1, and no integrity check has fired (`errors_detected` and
+    /// `silent_corruptions` are 0). The cache's control flow depends on
+    /// stored data only through checks that bump those counters, and
+    /// invalid slots' words are never read, so this dL1 then holds what
+    /// it would hold had the strikes never happened. A strike it never
+    /// saw, on an L2 replica-region slot, leaves it unsettled.
+    pub fn footprint_settled(&self) -> bool {
+        self.footprint
+            .as_ref()
+            .is_some_and(|fp| fp.struck && fp.slots == 0 && !fp.escaped)
+            && self.stats.errors_detected == 0
+            && self.stats.silent_corruptions == 0
+    }
+
+    /// Adds word `word` of `slot` to the footprint, if followed.
+    fn strike(&mut self, slot: usize, word: usize) {
+        if let Some(fp) = &mut self.footprint {
+            fp.struck = true;
+            let mask = fp.tainted[slot] | 1 << word;
+            fp.set(slot, mask);
+        }
+    }
+
+    /// The footprint's words of `slot` (none while not followed).
+    fn taint(&self, slot: usize) -> u64 {
+        self.footprint.as_ref().map_or(0, |fp| fp.tainted[slot])
+    }
+
+    /// Sets the footprint's words of `slot` to `mask`, if followed.
+    fn set_taint(&mut self, slot: usize, mask: u64) {
+        if let Some(fp) = &mut self.footprint {
+            fp.set(slot, mask);
+        }
+    }
+
+    /// Notes that the line at `slot` is copied out of the dL1: a tainted
+    /// copy takes the footprint where it is not followed.
+    fn copy_out(&mut self, slot: usize) {
+        if let Some(fp) = &mut self.footprint {
+            fp.escaped |= fp.tainted[slot] != 0;
+        }
     }
 
     /// The stored data of a word (for verification in tests).
@@ -954,7 +1062,9 @@ impl DataL1 {
     /// (`set`, `way`): a replica, or else the primary. Replicas, and
     /// primaries whose block kept a copy in either tier (keep-replicas
     /// mode, or a spilled copy in the region), are parity-protected;
-    /// other primaries take the unreplicated code.
+    /// other primaries take the unreplicated code. The line starts
+    /// outside the footprint; a caller copying `data` from a dL1 line
+    /// gives it that line's taint.
     fn install_line(
         &mut self,
         set: usize,
@@ -976,6 +1086,7 @@ impl DataL1 {
         self.lines.addr[slot] = block;
         self.lines.prot[slot] = protection;
         self.encode_line(slot, data);
+        self.set_taint(slot, 0);
         self.touch_line(set, way, now);
         let state = self.exposure_state(set, way);
         self.exposure.begin_line(slot, state, now);
@@ -996,6 +1107,7 @@ impl DataL1 {
     fn drop_replica(&mut self, slot: usize, now: u64) {
         debug_assert!(self.lines.is_replica[slot], "drop_replica of a primary");
         self.lines.valid[slot] = false;
+        self.set_taint(slot, 0);
         self.exposure.end_line(slot, now);
         self.stats.replica_evictions += 1;
     }
@@ -1022,6 +1134,7 @@ impl DataL1 {
     /// to bring a replica in line with its refilled primary.
     fn put_line(&mut self, slot: usize, data: &DataBlock, now: u64) {
         self.encode_line(slot, data);
+        self.set_taint(slot, 0);
         self.exposure.refresh_line(slot, now);
     }
 
@@ -1039,6 +1152,7 @@ impl DataL1 {
     /// one array write and one code op.
     fn write_word(&mut self, slot: usize, word: usize, value: u64, now: u64) {
         self.put_word(slot, word, value, now);
+        self.set_taint(slot, self.taint(slot) & !(1 << word));
         self.stats.l1_write_ops += 1;
         self.count_code_op(self.lines.prot[slot]);
     }
@@ -1116,6 +1230,7 @@ impl DataL1 {
         if self.lines.dirty[slot] {
             self.stats.writebacks += 1;
             self.stats.cache.writebacks += 1;
+            self.copy_out(slot);
             backend.write_block(addr, self.lines.plain_data(slot));
             // The writeback makes any spilled replica stale — the
             // spill protocol invalidates it rather than updating it
@@ -1124,6 +1239,7 @@ impl DataL1 {
                 self.drop_spill(addr, now, backend);
             }
         }
+        self.set_taint(slot, 0);
         if !self.config.keep_replicas_on_evict {
             for attempt in 0..self.replica_attempts() {
                 if let Some((rs, rw)) = self.replica_in(addr, attempt) {
@@ -1157,16 +1273,18 @@ impl DataL1 {
         (s, way)
     }
 
-    /// Fills `block` on a load miss and, under an `LS` trigger, tries to
-    /// replicate it.
+    /// Fills `block` on a load miss, with the footprint `taint` of its
+    /// source, and, under an `LS` trigger, tries to replicate it.
     fn fill_on_miss(
         &mut self,
         block: BlockAddr,
         data: &DataBlock,
+        taint: u64,
         now: u64,
         backend: &mut MemoryBackend,
     ) {
-        self.fill_primary(block, data, now, backend);
+        let (s, w) = self.fill_primary(block, data, now, backend);
+        self.set_taint(self.lines.slot(s, w), taint);
         if self
             .config
             .scheme
@@ -1242,7 +1360,9 @@ impl DataL1 {
             return false;
         }
         let base = self.ensure_spill_ledger(backend);
-        let data = self.lines.plain_data(self.lines.slot(ps, pw));
+        let pslot = self.lines.slot(ps, pw);
+        self.copy_out(pslot);
+        let data = self.lines.plain_data(pslot);
         let ins = backend.replica_region_mut().insert(block, data.words());
         if let Some((eblock, eslot)) = ins.evicted {
             self.spilled.remove(&eblock);
@@ -1330,8 +1450,10 @@ impl DataL1 {
             }
             if let Some(way) = self.choose_replica_victim(target.0, block, now) {
                 self.evict_line(target.0, way, now, backend);
-                let data = self.lines.plain_data(self.lines.slot(ps, pw));
+                let pslot = self.lines.slot(ps, pw);
+                let (data, taint) = (self.lines.plain_data(pslot), self.taint(pslot));
                 self.install_line(target.0, way, block, true, &data, now);
+                self.set_taint(self.lines.slot(target.0, way), taint);
                 count += 1;
             }
         }
@@ -1696,12 +1818,12 @@ impl DataL1 {
                     // it keeps playing victim-cache for this block.
                     self.touch_line(rs, rw, now);
                     let rslot = self.lines.slot(rs, rw);
-                    let data = self.lines.plain_data(rslot);
+                    let (data, taint) = (self.lines.plain_data(rslot), self.taint(rslot));
                     // The replica's stored bits are trusted into the new
                     // primary (and the oracle's shadow), so its open word
                     // windows end here unconsumed.
                     self.exposure.refresh_line(rslot, now);
-                    self.fill_on_miss(block, &data, now, backend);
+                    self.fill_on_miss(block, &data, taint, now, backend);
                     // One extra cycle instead of the L2 trip.
                     self.port_free_at = now + port_wait + 1;
                     return self.config.scheme.load_hit_latency(true) + 1 + port_wait;
@@ -1733,14 +1855,14 @@ impl DataL1 {
                 }
                 if verified == wpb {
                     self.stats.misses_served_by_spill += 1;
-                    self.fill_on_miss(block, &data, now, backend);
+                    self.fill_on_miss(block, &data, 0, now, backend);
                     self.port_free_at = now + port_wait + 1;
                     return 1 + backend.l2_latency() + port_wait;
                 }
                 self.drop_spill(block, now, backend);
             }
             let (data, l2_lat) = backend.read_block(block);
-            self.fill_on_miss(block, &data, now, backend);
+            self.fill_on_miss(block, &data, 0, now, backend);
             let occ = self.check_occupancy(self.unreplicated_protection());
             self.port_free_at = now + port_wait + occ;
             self.config.scheme.load_hit_latency(false) + l2_lat + port_wait
@@ -1794,14 +1916,19 @@ impl DataL1 {
         };
         if let Some((s, w)) = resident {
             let slot = self.store_word(s, w, word, value, now);
+            let mut recorded = false;
             if let Some(dup) = &mut self.duplication {
                 // A hit updates a held duplicate in place; a fill, or a
                 // hit with no duplicate, records the whole block.
                 if hit.is_none() || !dup.update_word(block, word, value) {
                     dup.record(block, self.lines.plain_data(slot).words());
-                    self.stats.l1_write_ops += 1;
-                    self.stats.parity_ops += 1;
+                    recorded = true;
                 }
+            }
+            if recorded {
+                self.copy_out(slot);
+                self.stats.l1_write_ops += 1;
+                self.stats.parity_ops += 1;
             }
         }
 
@@ -1838,7 +1965,11 @@ impl DataL1 {
         let mut stall = 0;
         if write_through {
             let data = match resident {
-                Some((s, w)) => self.lines.plain_data(self.lines.slot(s, w)),
+                Some((s, w)) => {
+                    let slot = self.lines.slot(s, w);
+                    self.copy_out(slot);
+                    self.lines.plain_data(slot)
+                }
                 None => {
                     // No-allocate miss: merge the word into the L2 copy.
                     let mut d = backend.golden_block(block);
@@ -2725,5 +2856,171 @@ mod tests {
         let mut cfg = DataL1Config::paper_default(Scheme::BASE_P);
         cfg.write_policy = WritePolicy::WriteThrough { buffer_entries: 0 };
         assert!(cfg.validate().is_err());
+    }
+
+    /// The footprint rules of [`DataL1::follow_footprint`].
+    mod footprint {
+        use super::*;
+
+        /// A dL1 of `scheme` (aggressive settings) following its footprint.
+        fn followed(scheme: Scheme) -> DataL1 {
+            let mut c = DataL1::new(DataL1Config::aggressive(scheme));
+            c.follow_footprint();
+            c
+        }
+
+        /// The slot of `addr`'s primary.
+        fn primary_slot(c: &DataL1, addr: Addr) -> usize {
+            let (s, w) = c.find_primary(c.geometry().block_addr(addr)).unwrap();
+            c.lines.slot(s, w)
+        }
+
+        /// Four loads of other blocks of `addr`'s set, which evict its
+        /// primary by LRU.
+        fn evict_by_loads(c: &mut DataL1, b: &mut MemoryBackend, addr: Addr, now: u64) {
+            let g = c.geometry();
+            let set = g.set_index(g.block_addr(addr)).0;
+            for t in 1..=4u64 {
+                c.load(addr_for_set(g, set, 100 + t), now + t, b);
+            }
+            assert!(!c.is_resident(addr));
+        }
+
+        #[test]
+        fn struck_words_overwritten_by_stores_settle() {
+            let mut b = backend();
+            let mut c = followed(Scheme::BASE_P);
+            let a = Addr(0x1000_0000);
+            c.store(a, 0, &mut b);
+            assert!(!c.footprint_settled(), "nothing has struck yet");
+            let (s, w) = c.find_primary(c.geometry().block_addr(a)).unwrap();
+            c.flip_data_bit(s, w, 0, 5);
+            c.flip_check_bit(s, w, 1, 0);
+            c.store(a, 1, &mut b);
+            assert!(
+                !c.footprint_settled(),
+                "word 1 still holds a struck check bit"
+            );
+            c.store(Addr(a.raw() + 8), 2, &mut b);
+            assert!(c.footprint_settled(), "both struck words were overwritten");
+            assert_eq!(c.stats().errors_detected, 0);
+        }
+
+        #[test]
+        fn a_struck_clean_line_that_is_evicted_settles() {
+            let mut b = backend();
+            let mut c = followed(Scheme::BASE_P);
+            let a = Addr(0x1000_0000);
+            c.load(a, 0, &mut b);
+            let (s, w) = c.find_primary(c.geometry().block_addr(a)).unwrap();
+            c.flip_data_bit(s, w, 3, 9);
+            assert!(!c.footprint_settled());
+            evict_by_loads(&mut c, &mut b, a, 1);
+            assert!(c.footprint_settled(), "the clean copy was dropped unread");
+        }
+
+        #[test]
+        fn a_struck_dirty_line_that_is_evicted_never_settles() {
+            let mut b = backend();
+            let mut c = followed(Scheme::BASE_P);
+            let a = Addr(0x1000_0000);
+            c.store(a, 0, &mut b);
+            let (s, w) = c.find_primary(c.geometry().block_addr(a)).unwrap();
+            c.flip_data_bit(s, w, 3, 9);
+            evict_by_loads(&mut c, &mut b, a, 1);
+            assert!(
+                !c.footprint_settled(),
+                "the write-back took the strike to L2"
+            );
+            // The block comes back from L2, struck bit and all, into a line
+            // the footprint no longer marks: the footprint stays escaped.
+            c.load(a, 10, &mut b);
+            c.store(Addr(a.raw() + 24), 11, &mut b);
+            assert_eq!(c.taint(primary_slot(&c, a)), 0);
+            assert!(!c.footprint_settled());
+        }
+
+        #[test]
+        fn a_replica_copied_from_a_struck_primary_carries_the_taint() {
+            let mut b = backend();
+            let mut c = followed(Scheme::ICR_P_PS_S);
+            let g = c.geometry();
+            let a = Addr(0x1000_0000);
+            c.load(a, 0, &mut b); // a clean fill: the S trigger does not replicate
+            let pslot = primary_slot(&c, a);
+            let (s, w) = (pslot / c.lines.assoc, pslot % c.lines.assoc);
+            c.flip_data_bit(s, w, g.word_index(a), 2);
+            // A store to another word replicates the block, struck word and all.
+            c.store(Addr(a.raw() + 8), 1, &mut b);
+            let (rs, rw) = c.find_replicas(g.block_addr(a))[0];
+            assert_eq!(c.taint(c.lines.slot(rs, rw)), 1 << g.word_index(a));
+            assert!(!c.footprint_settled());
+            // A store to the struck word rewrites both copies.
+            c.store(a, 2, &mut b);
+            assert!(c.footprint_settled());
+        }
+
+        #[test]
+        fn a_primary_filled_from_a_struck_replica_carries_the_taint() {
+            let mut b = backend();
+            let mut cfg = DataL1Config::aggressive(Scheme::ICR_P_PS_S);
+            cfg.keep_replicas_on_evict = true;
+            let g = cfg.geometry;
+            let mut c = DataL1::new(cfg);
+            c.follow_footprint();
+            let a = addr_for_set(g, 0, 0);
+            c.store(a, 0, &mut b);
+            let (rs, rw) = c.find_replicas(g.block_addr(a))[0];
+            let rslot = c.lines.slot(rs, rw);
+            c.flip_data_bit(rs, rw, 5, 30);
+            // The untainted dirty primary is written back; the replica stays.
+            evict_by_loads(&mut c, &mut b, a, 1);
+            assert_eq!(c.taint(rslot), 1 << 5);
+            // The §5.6 miss fills the primary from the struck replica.
+            assert_eq!(c.load(a, 10, &mut b), 2);
+            assert_eq!(c.taint(primary_slot(&c, a)), 1 << 5);
+            c.store(Addr(a.raw() + 40), 11, &mut b);
+            assert!(c.footprint_settled(), "the store rewrote both copies");
+        }
+
+        #[test]
+        fn a_loaded_struck_word_fires_a_check_and_never_settles() {
+            let mut b = backend();
+            let mut c = followed(Scheme::BASE_P);
+            let a = Addr(0x1000_0000);
+            c.load(a, 0, &mut b);
+            let (s, w) = c.find_primary(c.geometry().block_addr(a)).unwrap();
+            c.flip_data_bit(s, w, c.geometry().word_index(a), 1);
+            c.load(a, 1, &mut b);
+            assert_eq!(c.stats().errors_detected, 1);
+            assert_eq!(c.taint(primary_slot(&c, a)), 0, "the refetch healed it");
+            c.store(a, 2, &mut b);
+            assert!(!c.footprint_settled(), "the check fired");
+        }
+
+        #[test]
+        fn a_region_strike_never_settles() {
+            let mut b = backend();
+            let mut cfg = DataL1Config::paper_default(Scheme::ICR_P_PS_S_L2);
+            cfg.victim = VictimPolicy::DeadOnly;
+            let g = cfg.geometry;
+            let mut c = DataL1::new(cfg);
+            c.follow_footprint();
+            pin_set_live(&mut c, &mut b, g, 35);
+            let a = addr_for_set(g, 3, 5);
+            c.store(a, 1, &mut b);
+            let block = g.block_addr(a);
+            assert!(c.is_spilled(block));
+            let slot = b.replica_region().slot_of(block).unwrap();
+            assert!(b
+                .replica_region_mut()
+                .flip_data_bit(slot, g.word_index(a), 4));
+            // The store rewrites the struck region word, but the dL1 never saw
+            // the strike, so its footprint cannot vouch for the region.
+            c.store(a, 2, &mut b);
+            c.load(a, 3, &mut b);
+            assert_eq!(c.stats().errors_detected, 0);
+            assert!(!c.footprint_settled());
+        }
     }
 }

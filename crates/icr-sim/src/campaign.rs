@@ -32,9 +32,10 @@
 //! report — is still thread-count independent.
 //!
 //! **Importance sampling.** With [`CampaignSpec::importance`], each
-//! cell first runs one fault-free profile (memoised by the engine) and
-//! keeps two things from it: an [`icr_core::InjectionProposal`] site
-//! boost from the exposure windows, and the run's cycle count `C`.
+//! cell keeps two things from its fault-free reference run (the one its
+//! trials replay, run when a shard first executes the cell): an
+//! [`icr_core::InjectionProposal`] site boost from the exposure windows,
+//! and the run's cycle count `C`.
 //! Importance trials then change the proposal on both axes of the
 //! injection:
 //!
@@ -77,7 +78,7 @@ use crate::engine::Engine;
 use crate::exec::Pool;
 use crate::json::{arr, count, number, obj, text, Value};
 use crate::replay::{self, CallLog};
-use crate::simulator::{run_sim, FaultConfig, SimConfig};
+use crate::simulator::{run_sim, FaultConfig, SimConfig, SimResult};
 use crate::stats::{wilson_ci95, wilson_ci95_f};
 use icr_core::{
     DataL1Config, ErrorOutcome, InjectionProposal, OutcomeTally, Scheme, WeightedTally,
@@ -279,8 +280,8 @@ fn check_conservation(cell: &CellReport) -> io::Result<()> {
     Ok(())
 }
 
-/// A cell's importance proposal, derived once per cell from a
-/// fault-free profiling run: the site boost and the profiled cycle
+/// A cell's importance proposal, derived once per cell from its
+/// fault-free reference run: the site boost and the profiled cycle
 /// count `C` that bounds the forced-arrival draw.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct CellProposal {
@@ -311,16 +312,34 @@ fn cell_config(spec: &CampaignSpec, scheme: Scheme, app: &str) -> SimConfig {
         .build()
 }
 
-/// Derives a cell's importance proposal from one fault-free exposure
-/// profile. The profiling run is an ordinary engine run (memoised, so
-/// each cell pays for it once per process) and the proposal is a pure
-/// function of the spec — every worker of a fan-out derives the same
-/// proposal independently.
-fn cell_proposal(spec: &CampaignSpec, scheme: Scheme, app: &str) -> CellProposal {
-    let r = Engine::global().run(&cell_config(spec, scheme, app));
-    CellProposal {
-        boost: InjectionProposal::from_windows(&r.exposure).dirty_boost,
-        profile_cycles: r.pipeline.cycles.max(1),
+impl CellProposal {
+    /// The proposal profiled from a cell's fault-free `reference` run.
+    /// A pure function of the spec, so every worker of a fan-out derives
+    /// the same proposal independently.
+    fn profile(reference: &SimResult) -> Self {
+        CellProposal {
+            boost: InjectionProposal::from_windows(&reference.exposure).dirty_boost,
+            profile_cycles: reference.pipeline.cycles.max(1),
+        }
+    }
+}
+
+/// What a cell's trials take from its one fault-free reference run: the
+/// importance proposal (importance campaigns only) and the call log they
+/// replay (`None` when the run cannot be logged).
+struct CellReference {
+    proposal: Option<CellProposal>,
+    log: Option<CallLog>,
+}
+
+impl CellReference {
+    /// Runs the fault-free reference of `spec`'s cell (`scheme`, `app`).
+    fn run(spec: &CampaignSpec, scheme: Scheme, app: &str) -> Self {
+        let (result, log) = replay::record(&cell_config(spec, scheme, app));
+        CellReference {
+            proposal: spec.importance.then(|| CellProposal::profile(&result)),
+            log,
+        }
     }
 }
 
@@ -330,17 +349,16 @@ fn cell_proposal(spec: &CampaignSpec, scheme: Scheme, app: &str) -> CellProposal
 /// strike-worthy sites — and classify the consequence. Returns the
 /// outcome and the trial's likelihood ratio (`1.0` for uniform trials
 /// and undelivered faults). A pure function of `(spec, scheme, app,
-/// cell_index, trial_index, proposal)`: with the cell's fault-free
-/// call `log`, the trial replays it instead of running the core, and
-/// runs in full only when its latencies leave the log's.
+/// cell_index, trial_index)`: the trial replays its cell's fault-free
+/// call log instead of running the core, and runs in full only when its
+/// latencies leave the log's.
 fn run_trial(
     spec: &CampaignSpec,
     scheme: Scheme,
     app: &str,
     cell_index: usize,
     trial: u64,
-    proposal: Option<CellProposal>,
-    log: Option<&CallLog>,
+    reference: &CellReference,
 ) -> (ErrorOutcome, f64) {
     let global_index = cell_index as u64 * spec.trials_per_cell + trial;
     let fault_seed = trial_seed(spec.master_seed, global_index);
@@ -350,7 +368,7 @@ fn run_trial(
         spec.effective_p(),
         fault_seed,
     ));
-    if let Some(p) = proposal {
+    if let Some(p) = reference.proposal {
         let arrival_seed = trial_seed(spec.master_seed ^ ARRIVAL_SALT, global_index);
         cfg.fault_bias = Some(p.boost);
         cfg.fault_arrival = Some(conditional_arrival(
@@ -360,8 +378,11 @@ fn run_trial(
         ));
     }
     let r = Engine::global().run_with(&cfg, || {
-        log.and_then(|log| replay::replay(&cfg, log))
-            .unwrap_or_else(|| run_sim(&cfg))
+        reference
+            .log
+            .as_ref()
+            .and_then(|log| replay::replay(&cfg, log))
+            .map_or_else(|| run_sim(&cfg), |(result, _)| result)
     });
     let outcome = ErrorOutcome::classify_single_fault(r.faults_injected, &r.icr);
     (outcome, r.fault_weight.unwrap_or(1.0))
@@ -734,17 +755,14 @@ impl ShardedReport {
 }
 
 /// One cell's cumulative state in the shard loop: the report it
-/// becomes, its importance proposal, whether it still runs, and its
-/// fault-free call log.
+/// becomes, whether it still runs, and its fault-free reference.
 struct CellSlot {
     report: CellReport,
     scheme_name: String,
-    proposal: Option<CellProposal>,
     active: bool,
-    /// `None` until a shard first executes the cell's trials, which
-    /// records `Some(log)`, itself `None` when the reference cannot be
-    /// logged. Dropped again when the cell stops.
-    log: Option<Option<CallLog>>,
+    /// `None` until a shard first executes the cell's trials, which runs
+    /// the reference. Dropped again when the cell stops.
+    reference: Option<CellReference>,
 }
 
 /// Runs a sharded campaign with optional durable checkpoints; see
@@ -758,11 +776,9 @@ pub fn run_sharded_campaign(
     run_sharded_campaign_observed(spec, dir, resume, &stop, |_| {})
 }
 
-/// Builds the per-cell accumulation slots for a sharded run. `with_bias`
-/// derives each cell's importance proposal from a fault-free profiling
-/// run; the restore-only merge path passes `false` so it never
-/// simulates anything.
-fn shard_cells(base: &CampaignSpec, with_bias: bool) -> Vec<CellSlot> {
+/// Builds the per-cell accumulation slots for a sharded run; nothing is
+/// simulated until a shard executes.
+fn shard_cells(base: &CampaignSpec) -> Vec<CellSlot> {
     base.schemes
         .iter()
         .flat_map(|&scheme| {
@@ -776,9 +792,8 @@ fn shard_cells(base: &CampaignSpec, with_bias: bool) -> Vec<CellSlot> {
                     weighted: base.importance.then(WeightedTally::default),
                 },
                 scheme_name: scheme.name(),
-                proposal: (with_bias && base.importance).then(|| cell_proposal(base, scheme, app)),
                 active: true,
-                log: None,
+                reference: None,
             })
         })
         .collect()
@@ -817,7 +832,7 @@ fn evaluate_stops(cells: &mut [CellSlot], base: &CampaignSpec) {
         });
         if budget_spent || ci_reached {
             slot.active = false;
-            slot.log = None;
+            slot.reference = None;
             cell.stopped_early = !budget_spent;
         }
     }
@@ -889,7 +904,7 @@ pub fn run_sharded_campaign_observed(
     let fingerprint = spec.fingerprint();
     let pool = Pool::new(base.threads);
 
-    let mut cells = shard_cells(base, true);
+    let mut cells = shard_cells(base);
 
     let mut available: std::collections::BTreeMap<u64, PathBuf> = Default::default();
     if let Some(dir) = dir {
@@ -959,17 +974,17 @@ pub fn run_sharded_campaign_observed(
         let trials_this_shard = match restored {
             Some(ckpt) => fold_shard(&mut cells, &ckpt.cells),
             None => {
-                // Only a shard that executes trials records logs, so a
+                // Only a shard that executes trials runs references, so a
                 // restore-only pass simulates nothing.
-                let unlogged: Vec<usize> = (0..cells.len())
-                    .filter(|&ci| cells[ci].active && cells[ci].log.is_none())
+                let unreferenced: Vec<usize> = (0..cells.len())
+                    .filter(|&ci| cells[ci].active && cells[ci].reference.is_none())
                     .collect();
-                let logs = pool.run(unlogged.clone(), |ci| {
+                let references = pool.run(unreferenced.clone(), |ci| {
                     let cell = &cells[ci].report;
-                    replay::record(&cell_config(base, cell.scheme, &cell.app))
+                    CellReference::run(base, cell.scheme, &cell.app)
                 });
-                for (ci, log) in unlogged.into_iter().zip(logs) {
-                    cells[ci].log = Some(log);
+                for (ci, reference) in unreferenced.into_iter().zip(references) {
+                    cells[ci].reference = Some(reference);
                 }
                 let jobs: Vec<(usize, u64)> = cells
                     .iter()
@@ -979,14 +994,17 @@ pub fn run_sharded_campaign_observed(
                     .collect();
                 let results = pool.run(jobs.clone(), |(ci, trial)| {
                     let slot = &cells[ci];
+                    let reference = slot
+                        .reference
+                        .as_ref()
+                        .expect("active cells have run theirs");
                     run_trial(
                         base,
                         slot.report.scheme,
                         &slot.report.app,
                         ci,
                         trial,
-                        slot.proposal,
-                        slot.log.as_ref().and_then(Option::as_ref),
+                        reference,
                     )
                 });
                 let mut shard_states: Vec<ShardCellState> = cells
@@ -1105,7 +1123,7 @@ pub fn merge_sharded_campaign(
         }
     }
 
-    let mut cells = shard_cells(base, false);
+    let mut cells = shard_cells(base);
     let shards_total = spec.shards_total();
     let mut shards_done = 0u64;
 

@@ -12,6 +12,17 @@
 //! latency that differs, the trial's timeline has left the reference's,
 //! and [`replay`] returns `None` so the caller runs the trial in full.
 //!
+//! A log replays only trials of its reference's own configuration, which
+//! differ from it only by their fault.
+//!
+//! **Early stop.** A replayed trial follows its fault's footprint in its
+//! dL1 (`DataL1::follow_footprint`). After the first load or store
+//! at which the fault has been delivered, every copy of its bits is
+//! gone, none ever left the dL1 and no integrity check has fired, the
+//! trial's memory side holds what the reference's held after that call,
+//! so the rest of the run is the reference's: [`replay`] stops there
+//! and returns the reference's result with the trial's fault record.
+//!
 //! **Format.** A [`CallLog`] is one byte string of LEB128 varints,
 //! written as the reference runs. A record's first varint holds a tag in
 //! its low two bits:
@@ -28,7 +39,6 @@
 //! and non-decreasing `now`; a reference that breaks either gets no log.
 
 use crate::simulator::{run_core, workload, Machine, MemorySide, SimConfig, SimResult};
-use icr_cpu::{CpuConfig, PipelineStats};
 use icr_trace::Inst;
 use std::sync::Arc;
 
@@ -50,13 +60,16 @@ enum Call {
 }
 
 /// A fault-free run's memory-side calls, with what a replay needs
-/// besides: the run's core configuration and trace, which a trial must
-/// share, and its core statistics.
+/// besides: the run's configuration and trace, which a trial must share,
+/// and its result.
 pub(crate) struct CallLog {
     bytes: Vec<u8>,
-    cpu: CpuConfig,
+    config: SimConfig,
     trace: Arc<[Inst]>,
-    stats: PipelineStats,
+    /// The reference's result: its core statistics are every replayed
+    /// trial's, and all of it, fault record aside, an early-stopped
+    /// trial's.
+    result: SimResult,
 }
 
 impl CallLog {
@@ -66,6 +79,14 @@ impl CallLog {
             bytes: &self.bytes,
             ..Calls::default()
         }
+    }
+
+    /// `true` when `config` is the reference's configuration apart from
+    /// its fault: the trials that may replay the log.
+    fn is_reference_of(&self, config: &SimConfig) -> bool {
+        let mut bare = config.clone();
+        (bare.fault, bare.fault_bias, bare.fault_arrival) = (None, None, None);
+        bare == self.config
     }
 }
 
@@ -236,13 +257,14 @@ impl MemorySide for Recorder<'_> {
     }
 }
 
-/// Runs `reference` in full and logs its memory-side calls. `None` when
-/// the run breaks a fact the log format relies on.
+/// Runs `reference` in full, logging its memory-side calls. Returns the
+/// run's result, which equals `run_sim(reference)`, and its log, `None`
+/// when the run breaks a fact the log format relies on.
 ///
 /// # Panics
 ///
 /// Panics where `run_sim` does.
-pub(crate) fn record(reference: &SimConfig) -> Option<CallLog> {
+pub(crate) fn record(reference: &SimConfig) -> (SimResult, Option<CallLog>) {
     let trace = workload(reference);
     let recorder = Recorder {
         machine: Machine::new(reference, &trace),
@@ -250,31 +272,36 @@ pub(crate) fn record(reference: &SimConfig) -> Option<CallLog> {
         log: LogWriter::default(),
     };
     let (recorder, stats) = run_core(reference.cpu, &trace, recorder);
-    let bytes = recorder.log.finish()?;
-    Some(CallLog {
+    let result = recorder.machine.finish(reference, stats);
+    let log = recorder.log.finish().map(|bytes| CallLog {
         bytes,
-        cpu: reference.cpu,
+        config: reference.clone(),
         trace,
-        stats,
-    })
+        result: result.clone(),
+    });
+    (result, log)
 }
 
 /// `run_sim(config)`, computed by replaying `log` into a fresh memory
 /// side built for `config` instead of running the core, or `None` at the
-/// first latency that differs from the log's. A log recorded for another
-/// core configuration or trace is refused with `None`.
+/// first latency that differs from the log's. Also gives the number of
+/// calls replayed when the trial stopped early (`None` when it ran to
+/// the end of the log). A log recorded for a configuration that is not
+/// `config` apart from its fault, or for another trace, is refused with
+/// `None`.
 ///
 /// # Panics
 ///
 /// Panics where `run_sim` does.
-pub(crate) fn replay(config: &SimConfig, log: &CallLog) -> Option<SimResult> {
+pub(crate) fn replay(config: &SimConfig, log: &CallLog) -> Option<(SimResult, Option<usize>)> {
     let trace = workload(config);
-    if config.cpu != log.cpu || !Arc::ptr_eq(&trace, &log.trace) {
+    if !log.is_reference_of(config) || !Arc::ptr_eq(&trace, &log.trace) {
         return None;
     }
     let mut machine = Machine::new(config, &trace);
+    machine.follow_footprint();
     let mut pcs = trace.iter().map(|i| i.pc);
-    for call in log.calls() {
+    for (at, call) in log.calls().enumerate() {
         let same = match call {
             Call::Fetch { latency } => machine.fetch(pcs.next()?) == latency,
             Call::Load { addr, now, latency } => machine.load(addr, now) == latency,
@@ -283,15 +310,19 @@ pub(crate) fn replay(config: &SimConfig, log: &CallLog) -> Option<SimResult> {
         if !same {
             return None;
         }
+        // Only a load or a store reaches the dL1.
+        if !matches!(call, Call::Fetch { .. }) && machine.settled() {
+            return Some((machine.settled_result(config, &log.result), Some(at + 1)));
+        }
     }
-    Some(machine.finish(config, log.stats))
+    Some((machine.finish(config, log.result.pipeline), None))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::simulator::{run_sim, FaultConfig};
-    use icr_core::{DataL1Config, Scheme};
+    use crate::simulator::{run_sim, FaultConfig, ScrubConfig};
+    use icr_core::{DataL1Config, Scheme, WritePolicy};
     use icr_fault::{conditional_arrival, trial_seed, ErrorModel};
     use icr_trace::apps::APP_NAMES;
     use proptest::prelude::*;
@@ -412,90 +443,137 @@ mod tests {
     }
 
     fn reference(scheme: Scheme, app: &str, seed: u64, insts: u64) -> SimConfig {
+        with_option(scheme, app, seed, insts, 0)
+    }
+
+    /// The options the replay sweep crosses with the schemes.
+    const OPTIONS: usize = 6;
+
+    /// [`reference`] with option `option`: 0 the paper's dL1 with the
+    /// oracle on, then write-through, a 32-block duplication cache,
+    /// keep-replicas, the oracle off, and background scrubbing.
+    fn with_option(scheme: Scheme, app: &str, seed: u64, insts: u64, option: usize) -> SimConfig {
         let mut dl1 = DataL1Config::paper_default(scheme);
-        dl1.oracle = true;
-        SimConfig::builder(app, dl1)
+        dl1.oracle = option != 4;
+        match option {
+            1 => dl1.write_policy = WritePolicy::WriteThrough { buffer_entries: 8 },
+            2 => dl1.duplication_cache = Some(32),
+            3 => dl1.keep_replicas_on_evict = true,
+            _ => {}
+        }
+        let mut cfg = SimConfig::builder(app, dl1)
             .instructions(insts)
             .seed(seed)
-            .build()
+            .build();
+        if option == 5 {
+            cfg.scrub = Some(ScrubConfig {
+                interval: 200,
+                lines_per_step: 4,
+            });
+        }
+        cfg
     }
 
     #[test]
     fn a_fault_free_replay_is_the_reference_run() {
         let cfg = reference(Scheme::ICR_P_PS_S, "gzip", 3, 4_000);
-        let log = record(&cfg).expect("the core fetches in order at non-decreasing cycles");
-        assert_eq!(replay(&cfg, &log), Some(run_sim(&cfg)));
+        let (result, log) = record(&cfg);
+        let log = log.expect("the core fetches in order at non-decreasing cycles");
+        assert_eq!(result, run_sim(&cfg), "the recorder runs the reference");
+        assert_eq!(replay(&cfg, &log), Some((result, None)));
         let count = |kind: fn(&Call) -> bool| log.calls().filter(kind).count() as u64;
         assert_eq!(count(|c| matches!(c, Call::Fetch { .. })), 4_000);
-        assert_eq!(count(|c| matches!(c, Call::Store { .. })), log.stats.stores);
+        let stats = log.result.pipeline;
+        assert_eq!(count(|c| matches!(c, Call::Store { .. })), stats.stores);
         // Loads served from the store queue never reach the memory side.
-        assert!(count(|c| matches!(c, Call::Load { .. })) <= log.stats.loads);
+        assert!(count(|c| matches!(c, Call::Load { .. })) <= stats.loads);
     }
 
     #[test]
-    fn a_log_of_another_trace_or_core_is_refused() {
+    fn a_log_of_another_trace_core_or_dl1_is_refused() {
         let cfg = reference(Scheme::BASE_P, "gzip", 3, 3_000);
-        let log = record(&cfg).expect("loggable");
+        let log = record(&cfg).1.expect("loggable");
         assert!(replay(&reference(Scheme::BASE_P, "gzip", 4, 3_000), &log).is_none());
         let mut wider = cfg.clone();
         wider.cpu.ruu_size /= 2;
         assert!(replay(&wider, &log).is_none());
+        assert!(replay(&reference(Scheme::ICR_P_PS_S, "gzip", 3, 3_000), &log).is_none());
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(3))]
-        /// Every named scheme, `-L2` descriptors included, runs one
-        /// uniform and one importance trial (`fault_bias` plus
-        /// `fault_arrival`), with the four error models in turn, at a
-        /// random app, workload seed, trial index and length. Each
-        /// replay equals `run_sim` or reports a divergence, and each
-        /// sweep has both.
+        /// Every named scheme, `-L2` descriptors included, at a random
+        /// app, workload seed, trial index and length, replays two
+        /// references: option 0 and one of the other five options in
+        /// turn. Each reference runs one trial of each error model, two
+        /// of them uniform and two importance-sampled (`fault_bias` plus
+        /// `fault_arrival`). Each replay equals `run_sim` or reports a
+        /// divergence, and each sweep has trials that stop early, run to
+        /// the end of the log and diverge.
         #[test]
         fn a_replay_is_run_sim_or_reports_divergence(
+            first_option in 0..OPTIONS - 1,
             draws in prop::collection::vec(
                 (0..APP_NAMES.len(), 0u64..1_000, 0u64..1_000_000, 3_000u64..=5_000),
                 Scheme::all_named_schemes().len(),
             ),
         ) {
-            let (mut replayed, mut diverged) = (0, 0);
+            let (mut stopped, mut ran_out, mut diverged) = (0, 0, 0);
             let schemes = Scheme::all_named_schemes();
             for (k, (&scheme, &(app, seed, trial, insts))) in schemes.iter().zip(&draws).enumerate() {
-                let reference = reference(scheme, APP_NAMES[app], seed, insts);
-                let log = record(&reference).expect("the core fetches in order at non-decreasing cycles");
-                let p = 8.0 / insts as f64;
-                for importance in [false, true] {
-                    let model = ErrorModel::all()[(2 * k + usize::from(importance)) % 4];
-                    let mut cfg = reference.clone();
-                    cfg.fault = Some(FaultConfig::one_shot(model, p, trial_seed(seed, trial)));
-                    if importance {
-                        cfg.fault_bias = Some(1.0 + (trial % 16) as f64);
-                        cfg.fault_arrival = Some(conditional_arrival(
-                            p,
-                            log.stats.cycles,
-                            trial_seed(!seed, trial),
-                        ));
-                    }
-                    match replay(&cfg, &log) {
-                        Some(r) => {
-                            prop_assert_eq!(r, run_sim(&cfg), "{} on {}", scheme, APP_NAMES[app]);
-                            replayed += 1;
+                let rotated = 1 + (first_option + k) % (OPTIONS - 1);
+                for (r, option) in [0, rotated].into_iter().enumerate() {
+                    let reference = with_option(scheme, APP_NAMES[app], seed, insts, option);
+                    let log = record(&reference).1.expect("the core fetches in order at non-decreasing cycles");
+                    let p = 8.0 / insts as f64;
+                    for (j, model) in ErrorModel::all().into_iter().enumerate() {
+                        let (importance, trial) = (j % 2 == 1, trial + (4 * r + j + k) as u64);
+                        let mut cfg = reference.clone();
+                        cfg.fault = Some(FaultConfig::one_shot(model, p, trial_seed(seed, trial)));
+                        if importance {
+                            cfg.fault_bias = Some(1.0 + (trial % 16) as f64);
+                            cfg.fault_arrival = Some(conditional_arrival(
+                                p,
+                                log.result.pipeline.cycles,
+                                trial_seed(!seed, trial),
+                            ));
                         }
-                        None => diverged += 1,
+                        match replay(&cfg, &log) {
+                            Some((result, stop)) => {
+                                prop_assert_eq!(
+                                    result,
+                                    run_sim(&cfg),
+                                    "{} on {} with option {}, stopped at {:?}",
+                                    scheme,
+                                    APP_NAMES[app],
+                                    option,
+                                    stop
+                                );
+                                match stop {
+                                    Some(_) => stopped += 1,
+                                    None => ran_out += 1,
+                                }
+                            }
+                            None => diverged += 1,
+                        }
                     }
                 }
             }
             prop_assert!(
-                replayed > 0 && diverged > 0,
-                "{replayed} replayed and {diverged} diverged trials"
+                stopped > 0 && ran_out > 0 && diverged > 0,
+                "{stopped} stopped early, {ran_out} ran to the end and {diverged} diverged"
             );
         }
     }
 
     /// Prints, per cell of the benchmark's campaign matrix (64 one-shot
     /// trials a cell at 20k instructions and the auto rate, oracle on),
-    /// how many trials replay and the size of the cell's log, for the
-    /// random model at master seed 1 and the other three models at
-    /// seed 3. Run with
+    /// how many trials replay, how many of those stop early and the
+    /// median point they stop at (as a share of the log's calls), and
+    /// the size of the cell's log, for the random model at master seed 1
+    /// and the other three models at seed 3; then, per model, the
+    /// totals, the stop points' 10th, 50th and 90th percentiles and the
+    /// time the replays took. Run with
     /// `cargo test -p icr-sim --release --lib -- --ignored replay_census --nocapture`.
     #[test]
     #[ignore = "a census to print, not a check"]
@@ -513,32 +591,60 @@ mod tests {
             (ErrorModel::Adjacent, 3),
             (ErrorModel::Column, 3),
         ];
+        // The `q` quantile of the sorted stop points, in percent; 0 when
+        // no trial stopped.
+        let percent = |share: &[f64], q: f64| match share.len() {
+            0 => 0.0,
+            n => share[((n - 1) as f64 * q) as usize] * 100.0,
+        };
         for (model, master) in runs {
-            let mut total = 0;
+            let (mut replayed, mut stops, mut elapsed) = (0, Vec::new(), 0.0);
             for (cell, (scheme, app)) in schemes
                 .iter()
                 .flat_map(|&s| apps.map(move |a| (s, a)))
                 .enumerate()
             {
                 let reference = reference(scheme, app, master, insts);
-                let log = record(&reference).expect("loggable");
-                let replayed = (0..trials)
-                    .filter(|t| {
+                let log = record(&reference).1.expect("loggable");
+                let calls = log.calls().count();
+                let start = std::time::Instant::now();
+                let outcomes: Vec<_> = (0..trials)
+                    .filter_map(|t| {
                         let mut cfg = reference.clone();
                         let seed = trial_seed(master, cell as u64 * trials + t);
                         cfg.fault = Some(FaultConfig::one_shot(model, 8.0 / insts as f64, seed));
-                        replay(&cfg, &log).is_some()
+                        replay(&cfg, &log).map(|(_, stop)| stop)
                     })
-                    .count();
-                total += replayed;
+                    .collect();
+                elapsed += start.elapsed().as_secs_f64();
+                let mut share: Vec<f64> = outcomes
+                    .iter()
+                    .flatten()
+                    .map(|&at| at as f64 / calls as f64)
+                    .collect();
+                share.sort_by(f64::total_cmp);
                 println!(
-                    "{model:?} seed {master}: {scheme} on {app}: {replayed}/{trials} replayed, \
-                     log {} B for {} calls",
+                    "{model:?} seed {master}: {scheme} on {app}: {}/{trials} replayed, \
+                     {} stopped early at a median {:.1}% of {calls} calls, log {} B",
+                    outcomes.len(),
+                    share.len(),
+                    percent(&share, 0.5),
                     log.bytes.len(),
-                    log.calls().count()
                 );
+                replayed += outcomes.len();
+                stops.extend(share);
             }
-            println!("{model:?} seed {master}: {total}/{} replayed", 8 * trials);
+            stops.sort_by(f64::total_cmp);
+            println!(
+                "{model:?} seed {master}: {replayed}/{} replayed, {} stopped early at \
+                 p10 {:.1}%, median {:.1}%, p90 {:.1}% of the calls; replays took {:.0} ms",
+                8 * trials,
+                stops.len(),
+                percent(&stops, 0.1),
+                percent(&stops, 0.5),
+                percent(&stops, 0.9),
+                elapsed * 1e3,
+            );
         }
     }
 }

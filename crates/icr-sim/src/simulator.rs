@@ -472,6 +472,42 @@ impl Machine {
         }
     }
 
+    /// Starts following the dL1's fault footprint (see
+    /// `DataL1::follow_footprint`).
+    pub(crate) fn follow_footprint(&mut self) {
+        self.dl1.follow_footprint();
+    }
+
+    /// `true` once this memory side holds what it would hold had its
+    /// one-shot fault never struck: the fault has been delivered, and its
+    /// footprint in the dL1 has settled (`DataL1::footprint_settled`).
+    /// Only the fault's record then sets the run apart.
+    pub(crate) fn settled(&self) -> bool {
+        self.dl1.footprint_settled() && self.injector.as_ref().is_some_and(|i| i.quiesced())
+    }
+
+    /// The result of a run that [settled](Self::settled) back into
+    /// `reference`, its fault-free run's result: that result with this
+    /// run's fault record.
+    pub(crate) fn settled_result(&self, config: &SimConfig, reference: &SimResult) -> SimResult {
+        let (faults_injected, fault_weight, fault_log) = self.fault_record(config);
+        SimResult {
+            faults_injected,
+            fault_weight,
+            fault_log,
+            ..reference.clone()
+        }
+    }
+
+    /// The run's faults injected, importance weight and strike log.
+    fn fault_record(&self, config: &SimConfig) -> (u64, Option<f64>, Vec<InjectedFault>) {
+        let Some(inj) = &self.injector else {
+            return (0, None, Vec::new());
+        };
+        let weight = config.fault_bias.map(|_| inj.last_weight());
+        (inj.injected(), weight, inj.log().to_vec())
+    }
+
     /// The run's result: this memory side's final state plus the core's
     /// statistics.
     pub(crate) fn finish(&self, config: &SimConfig, stats: PipelineStats) -> SimResult {
@@ -501,6 +537,7 @@ impl Machine {
         };
 
         let exposure = self.dl1.exposure_windows(stats.cycles);
+        let (faults_injected, fault_weight, fault_log) = self.fault_record(config);
         SimResult {
             app: config.app.clone(),
             scheme: config.dl1.scheme.name(),
@@ -510,19 +547,12 @@ impl Machine {
             l1i,
             memory_reads: self.backend.memory_reads(),
             memory_writes: self.backend.memory_writes(),
-            faults_injected: self.injector.as_ref().map(|i| i.injected()).unwrap_or(0),
+            faults_injected,
             energy_counts,
             avg_vulnerable_words: exposure.avg_words_in(icr_core::ProtState::DirtyParity),
             exposure,
-            fault_weight: match (config.fault_bias, self.injector.as_ref()) {
-                (Some(_), Some(inj)) => Some(inj.last_weight()),
-                _ => None,
-            },
-            fault_log: self
-                .injector
-                .as_ref()
-                .map(|i| i.log().to_vec())
-                .unwrap_or_default(),
+            fault_weight,
+            fault_log,
         }
     }
 }
