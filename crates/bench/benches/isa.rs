@@ -8,11 +8,11 @@
 //! make bench-isa           # or: cargo bench -p icr-bench --bench isa
 //! ```
 //!
-//! Replay is the whole point of the on-disk trace cache: the second and
-//! later simulations of a kernel should pay a decode-and-validate pass,
-//! not a full RV32IM interpretation. The bench asserts that the total
-//! replay time beats the total interpret time, so the cache earning its
-//! keep is checked every time this target runs — alongside the recorded
+//! Replay is what `icr-run --trace-in` does with a trace saved by
+//! `--trace-out`: the simulation pays a decode-and-validate pass instead
+//! of a full RV32IM interpretation. The bench asserts that the total
+//! replay time beats the total interpret time, so what replay saves is
+//! checked every time this target runs — alongside the recorded
 //! numbers, which make the margin visible in review.
 //!
 //! Not a criterion target: the interesting quantities are single cold
@@ -75,7 +75,7 @@ fn main() {
     assert!(
         total_replay < total_interp,
         "replaying stored traces ({total_replay:.4}s) must beat re-interpreting \
-         ({total_interp:.4}s) — the disk cache is not earning its keep"
+         ({total_interp:.4}s) — `icr-run --trace-in` replay saves nothing"
     );
     finish(record);
 }

@@ -37,8 +37,7 @@ impl DecayConfig {
 
     /// The 2-bit counter value for a line last touched at `last_access`,
     /// observed at `now` — the free-function form of
-    /// [`DecayState::counter`], written branch-free so the batch tick
-    /// over a whole last-access vector vectorises.
+    /// [`DecayState::counter`], written branch-free.
     ///
     /// `elapsed >= window` covers saturation for every window including
     /// 0 (where it is always true), so the only data-dependent operation
@@ -58,19 +57,6 @@ impl DecayConfig {
     #[inline]
     pub fn dead_at(&self, last_access: u64, now: u64) -> bool {
         now.saturating_sub(last_access) >= self.window
-    }
-
-    /// Batch decay tick: writes the counter of every slot of
-    /// `last_access` into `out`. One pass, branch-free per element.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slices differ in length.
-    pub fn counters_into(&self, last_access: &[u64], now: u64, out: &mut [u8]) {
-        assert_eq!(last_access.len(), out.len(), "batch tick slice lengths");
-        for (o, &last) in out.iter_mut().zip(last_access) {
-            *o = self.counter_at(last, now);
-        }
     }
 }
 

@@ -63,10 +63,11 @@ pub enum WritePolicy {
 
 /// Full configuration of the dL1.
 ///
-/// Construct via [`DataL1Config::paper_default`],
-/// [`DataL1Config::aggressive`] or [`DataL1Config::builder`]; the struct
-/// is `#[non_exhaustive]` so new knobs can be added without breaking
-/// downstream constructors (fields stay public for read/mutate access).
+/// Construct via [`DataL1Config::paper_default`] or
+/// [`DataL1Config::aggressive`] and assign the fields to change; the
+/// struct is `#[non_exhaustive]` so new knobs can be added without
+/// breaking downstream constructors. A new `geometry` needs a matching
+/// `placement` (`PlacementPolicy::vertical(geometry)` for the paper's).
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub struct DataL1Config {
@@ -130,26 +131,6 @@ impl DataL1Config {
         }
     }
 
-    /// A fluent builder starting from [`DataL1Config::paper_default`] for
-    /// `scheme` — the cross-crate way to customize the configuration now
-    /// that the struct is `#[non_exhaustive]`.
-    ///
-    /// ```
-    /// use icr_core::{DataL1Config, Scheme, VictimPolicy};
-    ///
-    /// let cfg = DataL1Config::builder(Scheme::ICR_P_PS_S)
-    ///     .victim(VictimPolicy::DeadOnly)
-    ///     .keep_replicas_on_evict(true)
-    ///     .build();
-    /// assert_eq!(cfg.victim, VictimPolicy::DeadOnly);
-    /// ```
-    pub fn builder(scheme: Scheme) -> DataL1ConfigBuilder {
-        DataL1ConfigBuilder {
-            config: DataL1Config::paper_default(scheme),
-            placement_set: false,
-        }
-    }
-
     /// Validates the configuration.
     ///
     /// # Errors
@@ -169,101 +150,15 @@ impl DataL1Config {
     }
 }
 
-/// Builder for [`DataL1Config`], produced by [`DataL1Config::builder`].
-///
-/// Mirrors `SimConfig::builder` / `HierarchyConfig::builder`: every
-/// setter takes and returns the builder by value, and
-/// [`build`](DataL1ConfigBuilder::build) hands back the finished
-/// config.
-#[derive(Debug, Clone)]
-pub struct DataL1ConfigBuilder {
-    config: DataL1Config,
-    placement_set: bool,
-}
-
-impl DataL1ConfigBuilder {
-    /// Cache shape. Unless [`placement`](Self::placement) was set
-    /// explicitly, the placement policy is re-derived as vertical
-    /// single-replica over the new geometry (matching
-    /// [`DataL1Config::paper_default`]).
-    pub fn geometry(mut self, geometry: CacheGeometry) -> Self {
-        self.config.geometry = geometry;
-        if !self.placement_set {
-            self.config.placement = PlacementPolicy::vertical(geometry);
-        }
-        self
-    }
-
-    /// Protection/replication scheme.
-    pub fn scheme(mut self, scheme: Scheme) -> Self {
-        self.config.scheme = scheme;
-        self
-    }
-
-    /// Dead-block decay window.
-    pub fn decay(mut self, decay: DecayConfig) -> Self {
-        self.config.decay = decay;
-        self
-    }
-
-    /// Replica placement policy.
-    pub fn placement(mut self, placement: PlacementPolicy) -> Self {
-        self.config.placement = placement;
-        self.placement_set = true;
-        self
-    }
-
-    /// Replica victim-selection policy.
-    pub fn victim(mut self, victim: VictimPolicy) -> Self {
-        self.config.victim = victim;
-        self
-    }
-
-    /// §5.6 performance mode: replicas survive their primary's eviction.
-    pub fn keep_replicas_on_evict(mut self, keep: bool) -> Self {
-        self.config.keep_replicas_on_evict = keep;
-        self
-    }
-
-    /// Write-back (default) or write-through with a buffer.
-    pub fn write_policy(mut self, policy: WritePolicy) -> Self {
-        self.config.write_policy = policy;
-        self
-    }
-
-    /// Software replication directives (§6 future work).
-    pub fn hints(mut self, hints: ReplicationHints) -> Self {
-        self.config.hints = hints;
-        self
-    }
-
-    /// Attaches a Kim–Somani duplication cache of `blocks` blocks.
-    pub fn duplication_cache(mut self, blocks: usize) -> Self {
-        self.config.duplication_cache = Some(blocks);
-        self
-    }
-
-    /// Maintains the oracle shadow for silent-corruption counting.
-    pub fn oracle(mut self, oracle: bool) -> Self {
-        self.config.oracle = oracle;
-        self
-    }
-
-    /// The finished configuration.
-    pub fn build(self) -> DataL1Config {
-        self.config
-    }
-}
-
 /// Structure-of-arrays line storage: every per-line attribute lives in
 /// its own parallel vector, indexed by the flat slot `set * assoc + way`
 /// (the same index the exposure ledger uses), and the stored words live
 /// in one flat array with `words_per_block` entries per slot. Hot scans —
-/// tag match, replica probes, victim candidate passes, and the batch
-/// decay tick in [`DataL1::export_lines`] — walk short contiguous runs
-/// of these vectors instead of striding over per-line structs. Recency
-/// is one flat [`LruArray`] for all sets, and the oracle's shadow is a
-/// second word array indexed like `words`, so no access allocates.
+/// tag match, replica probes and victim candidate passes — walk short
+/// contiguous runs of these vectors instead of striding over per-line
+/// structs. Recency is one flat [`LruArray`] for all sets, and the
+/// oracle's shadow is a second word array indexed like `words`, so no
+/// access allocates.
 #[derive(Debug, Clone)]
 struct LineArrays {
     assoc: usize,
@@ -775,33 +670,12 @@ impl DataL1 {
     }
 
     /// Exports every valid line with its full observable state at cycle
-    /// `now`, for lockstep auditing against a reference model. The decay
-    /// counters come from the real production path — one branchless batch
-    /// tick ([`DecayConfig::counters_into`]) over the whole last-access
-    /// vector — so a bug there shows up as a divergence from the
-    /// auditor's from-scratch recomputation.
+    /// `now`, for lockstep auditing against a reference model: every
+    /// set's [`export_set_lines`](DataL1::export_set_lines), in set order.
     pub fn export_lines(&self, now: u64) -> Vec<LineExport> {
-        let assoc = self.lines.assoc;
-        let mut counters = vec![0u8; self.lines.valid.len()];
-        self.config
-            .decay
-            .counters_into(&self.lines.last_access, now, &mut counters);
         let mut out = Vec::new();
-        for (sl, &counter) in counters.iter().enumerate() {
-            if !self.lines.valid[sl] {
-                continue;
-            }
-            out.push(LineExport {
-                set: sl / assoc,
-                way: sl % assoc,
-                addr: self.lines.addr[sl],
-                dirty: self.lines.dirty[sl],
-                is_replica: self.lines.is_replica[sl],
-                protection: self.lines.prot[sl],
-                last_access: self.lines.last_access[sl],
-                counter,
-                dead: counter == 3,
-            });
+        for set in 0..self.config.geometry.num_sets() {
+            self.export_set_lines(set, now, &mut out);
         }
         out
     }
@@ -809,8 +683,9 @@ impl DataL1 {
     /// Exports the valid lines of one set at cycle `now`, appended to
     /// `out` — the per-set slice of [`export_lines`](DataL1::export_lines)
     /// for the incremental lockstep diff, which snapshots only the sets
-    /// an access touched. Decay counters use the same production
-    /// [`DecayConfig::counter_at`] path the hot victim scan uses.
+    /// an access touched. Decay counters come from
+    /// [`DecayConfig::counter_at`], which saturates exactly when the
+    /// victim scan's [`DecayConfig::dead_at`] holds.
     ///
     /// # Panics
     ///
@@ -2359,7 +2234,8 @@ mod tests {
 
     #[test]
     fn region_capacity_eviction_demotes_the_displaced_primary() {
-        let hier = HierarchyConfig::builder().l2_replica_blocks(1).build();
+        let mut hier = HierarchyConfig::default();
+        hier.l2_replica_blocks = 1;
         let mut b = MemoryBackend::new(&hier);
         let mut cfg = DataL1Config::paper_default(Scheme::ICR_ECC_PS_S_L2);
         cfg.victim = VictimPolicy::DeadOnly;

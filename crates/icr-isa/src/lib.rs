@@ -22,9 +22,8 @@
 //! assert!(!trace.is_empty());
 //! ```
 //!
-//! Full kernel runs are memoised in memory and cached on disk under
-//! `target/isa-traces/` in the [`icr_trace::disk`] format, so repeated
-//! simulations replay a stored trace instead of re-interpreting.
+//! The store caches each `(kernel, seed, instructions)` trace once, like
+//! every other workload's; the kernel source itself keeps nothing.
 
 #![warn(missing_docs)]
 
@@ -38,18 +37,16 @@ pub use decode::{decode, Decoded};
 pub use interp::{ExecError, Machine};
 
 use icr_trace::store::WorkloadSource;
-use icr_trace::{disk, Inst};
-use std::collections::HashMap;
-use std::path::PathBuf;
-use std::sync::{Arc, Mutex, Once};
+use icr_trace::Inst;
+use std::sync::{Arc, Once};
 
 /// Ceiling on retired instructions per kernel run; the embedded kernels
 /// finish far below it, so hitting this means a kernel bug.
 pub const MAX_KERNEL_INSTRUCTIONS: u64 = 5_000_000;
 
-/// Interprets the named kernel to completion with a fresh machine — no
-/// memoisation, no disk cache. Returns the full trace, the retired
-/// count and the kernel's exit checksum (`a0`).
+/// Interprets the named kernel to completion with a fresh machine.
+/// Returns the full trace, the retired count and the kernel's exit
+/// checksum (`a0`).
 ///
 /// # Panics
 ///
@@ -67,76 +64,12 @@ pub fn run_kernel(app: &str, seed: u64) -> (Vec<Inst>, u64, u32) {
     (trace, machine.retired, machine.exit_value())
 }
 
-/// Directory the kernel traces are cached in, inside the workspace
-/// `target/` tree (kept out of version control and `cargo clean`-able).
-fn cache_dir() -> PathBuf {
-    PathBuf::from(concat!(
-        env!("CARGO_MANIFEST_DIR"),
-        "/../../target/isa-traces"
-    ))
-}
-
-fn cache_path(app: &str, seed: u64) -> PathBuf {
-    // "isa:bubble" → "bubble-<seed>.icrt"
-    let stem = app.strip_prefix("isa:").unwrap_or(app);
-    cache_dir().join(format!("{stem}-{seed:016x}.icrt"))
-}
-
 /// The [`WorkloadSource`] serving `isa:*` app names from the embedded
-/// kernels.
-///
-/// A full kernel run is materialised once per `(kernel, seed)` — first
-/// from the on-disk cache if a digest-valid file exists, else by
-/// interpreting (and then writing the cache, best-effort) — and sliced
-/// to each requested instruction budget. Shorter-than-requested results
-/// mean the kernel retired to completion first; the store's contract
-/// allows that for execution-driven sources.
-#[derive(Default)]
-pub struct KernelSource {
-    full_runs: Mutex<FullRunCache>,
-}
-
-/// Memo of completed kernel runs, keyed by `(kernel name, seed)`.
-type FullRunCache = HashMap<(String, u64), Arc<[Inst]>>;
-
-impl KernelSource {
-    fn full_run(&self, app: &str, seed: u64) -> Arc<[Inst]> {
-        let key = (app.to_owned(), seed);
-        if let Some(full) = self.full_runs.lock().expect("not poisoned").get(&key) {
-            return full.clone();
-        }
-        // Interpret (or load) outside the memo lock: kernels are
-        // hundreds of thousands of steps, and distinct kernels must not
-        // serialise each other. A racing duplicate run is deterministic
-        // and merely wasted work.
-        let full = self.load_or_interpret(app, seed);
-        self.full_runs
-            .lock()
-            .expect("not poisoned")
-            .entry(key)
-            .or_insert(full)
-            .clone()
-    }
-
-    fn load_or_interpret(&self, app: &str, seed: u64) -> Arc<[Inst]> {
-        let path = cache_path(app, seed);
-        // A digest-valid cached trace for the same identity replays
-        // directly; any mismatch or corruption falls back to the
-        // interpreter (and rewrites the cache).
-        if let Ok(stored) = disk::read_trace(&path) {
-            if stored.app == app && stored.seed == seed {
-                return stored.insts.into();
-            }
-        }
-        let (trace, _, _) = run_kernel(app, seed);
-        if std::fs::create_dir_all(cache_dir()).is_ok() {
-            // Cache write is best-effort: read-only checkouts still work,
-            // they just re-interpret each process.
-            let _ = disk::write_trace(&path, app, seed, &trace);
-        }
-        trace.into()
-    }
-}
+/// kernels: each request interprets the kernel to completion and
+/// truncates the trace to the requested instruction budget. A
+/// shorter-than-requested result means the kernel retired to completion
+/// first; the store's contract allows that for execution-driven sources.
+pub struct KernelSource;
 
 impl WorkloadSource for KernelSource {
     fn matches(&self, app: &str) -> bool {
@@ -144,11 +77,9 @@ impl WorkloadSource for KernelSource {
     }
 
     fn materialise(&self, app: &str, seed: u64, instructions: u64) -> Arc<[Inst]> {
-        let full = self.full_run(app, seed);
-        match usize::try_from(instructions) {
-            Ok(n) if n < full.len() => full[..n].into(),
-            _ => full,
-        }
+        let (mut trace, _, _) = run_kernel(app, seed);
+        trace.truncate(usize::try_from(instructions).unwrap_or(usize::MAX));
+        trace.into()
     }
 }
 
@@ -158,7 +89,7 @@ impl WorkloadSource for KernelSource {
 pub fn install() {
     static INSTALL: Once = Once::new();
     INSTALL.call_once(|| {
-        icr_trace::store::global().register_source(Arc::new(KernelSource::default()));
+        icr_trace::store::global().register_source(Arc::new(KernelSource));
     });
 }
 
@@ -168,7 +99,7 @@ mod tests {
 
     #[test]
     fn kernel_source_slices_to_budget() {
-        let source = KernelSource::default();
+        let source = KernelSource;
         assert!(source.matches("isa:bubble"));
         assert!(!source.matches("gzip"));
         let short = source.materialise("isa:bubble", 7, 100);

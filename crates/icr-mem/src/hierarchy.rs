@@ -22,9 +22,8 @@ use icr_ecc::{ProtectedWord, Protection};
 /// Shapes and latencies of the memory system (Table 1 of the paper).
 ///
 /// `#[non_exhaustive]`: construct one with [`HierarchyConfig::default`]
-/// or [`HierarchyConfig::builder`] (fields stay readable and assignable,
-/// but new configuration axes can be added without breaking downstream
-/// literals).
+/// and assign the fields to change (new configuration axes can be added
+/// without breaking downstream literals).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct HierarchyConfig {
@@ -64,14 +63,6 @@ impl Default for HierarchyConfig {
 }
 
 impl HierarchyConfig {
-    /// A builder over every knob, starting from the paper's Table 1
-    /// defaults — mirrors `SimConfig::builder()`.
-    pub fn builder() -> HierarchyConfigBuilder {
-        HierarchyConfigBuilder {
-            config: HierarchyConfig::default(),
-        }
-    }
-
     /// Validates the relation between the cache shapes. Each shape
     /// already respects the block bound ([`crate::MAX_BLOCK_BYTES`]),
     /// which [`CacheGeometry::new`] enforces.
@@ -91,61 +82,6 @@ impl HierarchyConfig {
             ));
         }
         Ok(())
-    }
-}
-
-/// Builds a [`HierarchyConfig`]; obtained from [`HierarchyConfig::builder`].
-#[derive(Debug, Clone)]
-pub struct HierarchyConfigBuilder {
-    config: HierarchyConfig,
-}
-
-impl HierarchyConfigBuilder {
-    /// L1 instruction cache shape.
-    pub fn l1i_geometry(mut self, g: CacheGeometry) -> Self {
-        self.config.l1i_geometry = g;
-        self
-    }
-
-    /// L1I hit latency in cycles.
-    pub fn l1i_latency(mut self, cycles: u64) -> Self {
-        self.config.l1i_latency = cycles;
-        self
-    }
-
-    /// Unified L2 shape.
-    pub fn l2_geometry(mut self, g: CacheGeometry) -> Self {
-        self.config.l2_geometry = g;
-        self
-    }
-
-    /// L2 hit latency in cycles.
-    pub fn l2_latency(mut self, cycles: u64) -> Self {
-        self.config.l2_latency = cycles;
-        self
-    }
-
-    /// Main-memory latency in cycles.
-    pub fn memory_latency(mut self, cycles: u64) -> Self {
-        self.config.memory_latency = cycles;
-        self
-    }
-
-    /// DRAM open-page model (default: the paper's flat latency).
-    pub fn memory_row_buffer(mut self, rb: crate::memory::RowBufferConfig) -> Self {
-        self.config.memory_row_buffer = Some(rb);
-        self
-    }
-
-    /// Capacity of the replica-aware L2 region, in blocks.
-    pub fn l2_replica_blocks(mut self, blocks: usize) -> Self {
-        self.config.l2_replica_blocks = blocks;
-        self
-    }
-
-    /// The finished configuration.
-    pub fn build(self) -> HierarchyConfig {
-        self.config
     }
 }
 
@@ -589,13 +525,15 @@ mod tests {
     #[test]
     fn validate_keeps_il1_blocks_within_one_l2_block() {
         assert!(HierarchyConfig::default().validate().is_ok());
-        let same = HierarchyConfig::builder()
-            .l1i_geometry(CacheGeometry::new(16 * 1024, 1, 64))
-            .build();
+        let same = HierarchyConfig {
+            l1i_geometry: CacheGeometry::new(16 * 1024, 1, 64),
+            ..HierarchyConfig::default()
+        };
         assert!(same.validate().is_ok());
-        let wide = HierarchyConfig::builder()
-            .l1i_geometry(CacheGeometry::new(16 * 1024, 1, 128))
-            .build();
+        let wide = HierarchyConfig {
+            l1i_geometry: CacheGeometry::new(16 * 1024, 1, 128),
+            ..HierarchyConfig::default()
+        };
         let err = wide.validate().unwrap_err();
         assert!(err.contains("128 B") && err.contains("64 B"), "{err}");
     }

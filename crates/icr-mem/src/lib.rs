@@ -40,10 +40,7 @@ pub mod write_buffer;
 pub use addr::{Addr, BlockAddr, CacheGeometry, SetIndex};
 pub use block::{splitmix64, DataBlock, MAX_BLOCK_BYTES};
 pub use cache::{AccessKind, Cache, Evicted};
-pub use hierarchy::{
-    HierarchyConfig, HierarchyConfigBuilder, InstrCache, L2ReplicaRegion, MemoryBackend,
-    RegionInsert,
-};
+pub use hierarchy::{HierarchyConfig, InstrCache, L2ReplicaRegion, MemoryBackend, RegionInsert};
 pub use lru::LruArray;
 pub use memory::{MainMemory, RowBufferConfig};
 pub use stats::CacheStats;

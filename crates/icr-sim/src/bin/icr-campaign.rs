@@ -188,28 +188,13 @@ fn run(args: impl Iterator<Item = String>) -> Result<ExitCode, Usage> {
     if shard_size.is_some() && checkpoint_dir.is_none() && !merge_mode {
         return Err(Usage("--shard-size requires --checkpoint DIR".into()));
     }
-    if let Some((idx, total)) = worker {
-        if checkpoint_dir.is_none() {
-            return Err(Usage("--worker requires --checkpoint DIR".into()));
-        }
-        if total == 0 {
-            return Err(Usage(
-                "--worker I/N needs at least one worker (N >= 1)".into(),
-            ));
-        }
-        if idx >= total {
-            return Err(Usage(format!(
-                "--worker index {idx} is out of range for {total} worker(s)"
-            )));
-        }
-        if spec.target_ci_width.is_some() {
-            return Err(Usage(
-                "--worker is incompatible with --ci-width: early stopping needs \
-                 the full cumulative shard order, which a worker slice cannot see"
-                    .into(),
-            ));
-        }
+    if worker.is_some() && checkpoint_dir.is_none() {
+        return Err(Usage("--worker requires --checkpoint DIR".into()));
     }
+    let shard_size = shard_size.unwrap_or(spec.batch);
+    let mut sspec = ShardedCampaignSpec::new(spec, shard_size);
+    sspec.worker = worker;
+    sspec.validate().map_err(Usage)?;
     if merge_mode {
         if checkpoint_dir.is_some() || resume || worker.is_some() {
             return Err(Usage(
@@ -224,6 +209,7 @@ fn run(args: impl Iterator<Item = String>) -> Result<ExitCode, Usage> {
             ));
         }
     }
+    let spec = &sspec.base;
     cli::check_apps(&spec.apps)?;
 
     let total_trials_max =
@@ -242,30 +228,19 @@ fn run(args: impl Iterator<Item = String>) -> Result<ExitCode, Usage> {
     }
 
     if merge_mode {
-        return Ok(run_merge(spec, shard_size, &merge_dirs, json_path, quiet));
+        return Ok(run_merge(&sspec, &merge_dirs, json_path, quiet));
     }
-    run_shards(
-        spec,
-        checkpoint_dir.as_deref(),
-        resume,
-        shard_size,
-        worker,
-        json_path,
-        quiet,
-    )
+    run_shards(&sspec, checkpoint_dir.as_deref(), resume, json_path, quiet)
 }
 
 /// `icr-campaign merge` — replay worker checkpoint directories into the
 /// single-process report, restore-only.
 fn run_merge(
-    spec: CampaignSpec,
-    shard_size: Option<u64>,
+    sspec: &ShardedCampaignSpec,
     dirs: &[PathBuf],
     json_path: Option<String>,
     quiet: bool,
 ) -> ExitCode {
-    let shard_size = shard_size.unwrap_or(spec.batch);
-    let sspec = ShardedCampaignSpec::new(spec, shard_size);
     if !quiet {
         cli::eprint(format_args!(
             "merging {} checkpoint directories: {} shards of {} trials/cell (spec fingerprint {:#018x})\n",
@@ -275,7 +250,7 @@ fn run_merge(
             sspec.fingerprint(),
         ));
     }
-    let report = match merge_sharded_campaign(&sspec, dirs) {
+    let report = match merge_sharded_campaign(sspec, dirs) {
         Ok(r) => r,
         Err(e) => {
             cli::eprint(format_args!("error: {e}\n"));
@@ -297,19 +272,13 @@ fn run_merge(
 /// (the service mode, with the SIGINT drain), otherwise in memory with
 /// `--batch` trials per shard, writing the plain report.
 fn run_shards(
-    spec: CampaignSpec,
+    sspec: &ShardedCampaignSpec,
     dir: Option<&str>,
     resume: bool,
-    shard_size: Option<u64>,
-    worker: Option<(u64, u64)>,
     json_path: Option<String>,
     quiet: bool,
 ) -> Result<ExitCode, Usage> {
-    let shard_size = shard_size.unwrap_or(spec.batch);
-    let mut sspec = ShardedCampaignSpec::new(spec, shard_size);
-    if let Some((idx, total)) = worker {
-        sspec = sspec.with_worker(idx, total);
-    }
+    let worker = sspec.worker;
     // Only a checkpointed run can drain: a plain report has no
     // `complete` marker, so ^C keeps its default meaning there.
     let never = AtomicBool::new(false);
@@ -333,7 +302,7 @@ fn run_shards(
     }
 
     let started = Instant::now();
-    let result = run_sharded_campaign_observed(&sspec, dir.map(Path::new), resume, stop, |e| {
+    let result = run_sharded_campaign_observed(sspec, dir.map(Path::new), resume, stop, |e| {
         match e {
             // Quarantine diagnostics always print: silently re-running a
             // corrupt checkpoint's shard would hide data damage.

@@ -32,8 +32,8 @@
 //! report — is still thread-count independent.
 //!
 //! **Importance sampling.** With [`CampaignSpec::importance`], each
-//! cell keeps two things from its fault-free reference run (the one its
-//! trials replay, run when a shard first executes the cell): an
+//! trial reads two things off its cell's fault-free reference run (the
+//! one its trials replay, run when a shard first executes the cell): an
 //! [`icr_core::InjectionProposal`] site boost from the exposure windows,
 //! and the run's cycle count `C`.
 //! Importance trials then change the proposal on both axes of the
@@ -78,7 +78,7 @@ use crate::engine::Engine;
 use crate::exec::Pool;
 use crate::json::{arr, count, number, obj, text, Value};
 use crate::replay::{self, CallLog};
-use crate::simulator::{run_sim, FaultConfig, SimConfig, SimResult};
+use crate::simulator::{run_sim, FaultConfig, SimConfig};
 use crate::stats::{wilson_ci95, wilson_ci95_f};
 use icr_core::{
     DataL1Config, ErrorOutcome, InjectionProposal, OutcomeTally, Scheme, WeightedTally,
@@ -164,18 +164,27 @@ impl CampaignSpec {
         }
     }
 
-    fn validate(&self) {
-        assert!(
-            !self.schemes.is_empty(),
+    /// Checks that the campaign can run: at least one scheme, app and
+    /// trial, a positive batch and a positive instruction budget.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first violated rule.
+    pub fn validate(&self) -> Result<(), String> {
+        let broken = if self.schemes.is_empty() {
             "campaign needs at least one scheme"
-        );
-        assert!(!self.apps.is_empty(), "campaign needs at least one app");
-        assert!(
-            self.trials_per_cell > 0,
+        } else if self.apps.is_empty() {
+            "campaign needs at least one app"
+        } else if self.trials_per_cell == 0 {
             "campaign needs at least one trial"
-        );
-        assert!(self.batch > 0, "batch size must be positive");
-        assert!(self.instructions > 0, "trials need instructions to run");
+        } else if self.batch == 0 {
+            "batch size must be positive"
+        } else if self.instructions == 0 {
+            "trials need instructions to run"
+        } else {
+            return Ok(());
+        };
+        Err(broken.into())
     }
 }
 
@@ -280,29 +289,15 @@ fn check_conservation(cell: &CellReport) -> io::Result<()> {
     Ok(())
 }
 
-/// A cell's importance proposal, derived once per cell from its
-/// fault-free reference run: the site boost and the profiled cycle
-/// count `C` that bounds the forced-arrival draw.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct CellProposal {
-    /// Site boost for strike-worthy lines (the profiled inverse
-    /// loss-prone residency fraction, clamped).
-    boost: f64,
-    /// Cycle count of the fault-free profile. The pre-fault timeline of
-    /// a faulted run is fault-free, so this is the exact arrival
-    /// horizon every one-shot trial of the cell faces.
-    profile_cycles: u64,
-}
-
 /// Seed salt separating the forced-arrival stream from the injector's
 /// site/word/bit stream: both are SplitMix64 functions of
 /// `(master_seed, global_index)`, so without a salt they would be the
 /// *same* value and the arrival would be correlated with the site draw.
 const ARRIVAL_SALT: u64 = 0x9e37_79b9_7f4a_7c15;
 
-/// The fault-free configuration of one cell: the run its importance
-/// proposal profiles, and the reference whose call log its trials
-/// replay. A trial adds only the fault to it.
+/// The fault-free configuration of one cell: the reference run whose
+/// exposure profile gives an importance campaign's proposal and whose
+/// call log its trials replay. A trial adds only the fault to it.
 fn cell_config(spec: &CampaignSpec, scheme: Scheme, app: &str) -> SimConfig {
     let mut dl1 = DataL1Config::paper_default(scheme);
     dl1.oracle = spec.oracle;
@@ -312,77 +307,45 @@ fn cell_config(spec: &CampaignSpec, scheme: Scheme, app: &str) -> SimConfig {
         .build()
 }
 
-impl CellProposal {
-    /// The proposal profiled from a cell's fault-free `reference` run.
-    /// A pure function of the spec, so every worker of a fan-out derives
-    /// the same proposal independently.
-    fn profile(reference: &SimResult) -> Self {
-        CellProposal {
-            boost: InjectionProposal::from_windows(&reference.exposure).dirty_boost,
-            profile_cycles: reference.pipeline.cycles.max(1),
-        }
-    }
-}
-
-/// What a cell's trials take from its one fault-free reference run: the
-/// importance proposal (importance campaigns only) and the call log they
-/// replay (`None` when the run cannot be logged).
-struct CellReference {
-    proposal: Option<CellProposal>,
-    log: Option<CallLog>,
-}
-
-impl CellReference {
-    /// Runs the fault-free reference of `spec`'s cell (`scheme`, `app`).
-    fn run(spec: &CampaignSpec, scheme: Scheme, app: &str) -> Self {
-        let (result, log) = replay::record(&cell_config(spec, scheme, app));
-        CellReference {
-            proposal: spec.importance.then(|| CellProposal::profile(&result)),
-            log,
-        }
-    }
-}
-
 /// One trial: simulate the machine with a single fault — arriving
 /// per-cycle Bernoulli and placed uniformly, or (importance mode)
 /// forced to a conditional arrival draw and tilted toward
 /// strike-worthy sites — and classify the consequence. Returns the
 /// outcome and the trial's likelihood ratio (`1.0` for uniform trials
-/// and undelivered faults). A pure function of `(spec, scheme, app,
-/// cell_index, trial_index)`: the trial replays its cell's fault-free
-/// call log instead of running the core, and runs in full only when its
-/// latencies leave the log's.
+/// and undelivered faults). A pure function of `(spec, cell_index,
+/// trial_index)` and the cell's fault-free reference `log`, whose
+/// configuration the trial adds its fault to: the trial replays the
+/// log's calls instead of running the core, and runs in full only when
+/// its latencies leave the log's.
 fn run_trial(
     spec: &CampaignSpec,
-    scheme: Scheme,
-    app: &str,
     cell_index: usize,
     trial: u64,
-    reference: &CellReference,
+    log: &CallLog,
 ) -> (ErrorOutcome, f64) {
     let global_index = cell_index as u64 * spec.trials_per_cell + trial;
     let fault_seed = trial_seed(spec.master_seed, global_index);
-    let mut cfg = cell_config(spec, scheme, app);
+    let mut cfg = log.config.clone();
     cfg.fault = Some(FaultConfig::one_shot(
         spec.model,
         spec.effective_p(),
         fault_seed,
     ));
-    if let Some(p) = reference.proposal {
+    if spec.importance {
+        // The proposal comes from the reference's exposure profile: the
+        // site boost is its inverse loss-prone residency fraction, and
+        // its cycle count is the exact arrival horizon of every one-shot
+        // trial of the cell, whose pre-fault timeline is fault-free.
         let arrival_seed = trial_seed(spec.master_seed ^ ARRIVAL_SALT, global_index);
-        cfg.fault_bias = Some(p.boost);
+        cfg.fault_bias = Some(InjectionProposal::from_windows(&log.result.exposure).dirty_boost);
         cfg.fault_arrival = Some(conditional_arrival(
             spec.effective_p(),
-            p.profile_cycles,
+            log.result.pipeline.cycles.max(1),
             arrival_seed,
         ));
     }
     let r = Engine::global().run_with(&cfg, || {
-        reference
-            .log
-            .as_ref()
-            .and_then(|log| replay::replay(&cfg, log))
-            .map_or_else(|| run_sim(&cfg), |(result, _)| result)
+        replay::replay(&cfg, log).map_or_else(|| run_sim(&cfg), |(result, _)| result)
     });
     let outcome = ErrorOutcome::classify_single_fault(r.faults_injected, &r.icr);
     (outcome, r.fault_weight.unwrap_or(1.0))
@@ -647,17 +610,30 @@ impl ShardedCampaignSpec {
         checkpoint::fnv1a64(canon.as_bytes())
     }
 
-    fn validate(&self) {
-        self.base.validate();
-        assert!(self.shard_size > 0, "shard size must be positive");
-        if let Some((i, n)) = self.worker {
-            assert!(n > 0, "worker fan-out must have at least one worker");
-            assert!(i < n, "worker index {i} out of range for {n} workers");
-            assert!(
-                self.base.target_ci_width.is_none(),
-                "early stopping needs the full cumulative shard order; \
-                 a worker slice cannot evaluate it"
-            );
+    /// Checks the base spec, a positive shard size and, for a worker
+    /// slice, a worker index below a positive worker count and no early
+    /// stopping, which needs the full cumulative shard order. The worker
+    /// diagnostics name `icr-campaign`'s `--worker` and `--ci-width`.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first violated rule.
+    pub fn validate(&self) -> Result<(), String> {
+        self.base.validate()?;
+        if self.shard_size == 0 {
+            return Err("shard size must be positive".into());
+        }
+        match self.worker {
+            Some((_, 0)) => Err("--worker I/N needs at least one worker (N >= 1)".into()),
+            Some((i, n)) if i >= n => Err(format!(
+                "--worker index {i} is out of range for {n} worker(s)"
+            )),
+            Some(_) if self.base.target_ci_width.is_some() => Err(
+                "--worker is incompatible with --ci-width: early stopping needs \
+                 the full cumulative shard order, which a worker slice cannot see"
+                    .into(),
+            ),
+            _ => Ok(()),
         }
     }
 }
@@ -762,7 +738,7 @@ struct CellSlot {
     active: bool,
     /// `None` until a shard first executes the cell's trials, which runs
     /// the reference. Dropped again when the cell stops.
-    reference: Option<CellReference>,
+    reference: Option<CallLog>,
 }
 
 /// Runs a sharded campaign with optional durable checkpoints; see
@@ -885,7 +861,9 @@ fn finish_sharded(
 ///
 /// # Errors
 ///
-/// Propagates checkpoint-directory I/O failures. Without `resume`, a
+/// Propagates checkpoint-directory I/O failures. A spec that fails
+/// [`ShardedCampaignSpec::validate`], or `resume` without a directory, is
+/// refused with [`io::ErrorKind::InvalidInput`]. Without `resume`, a
 /// directory already holding shard checkpoints is refused with
 /// [`io::ErrorKind::AlreadyExists`] rather than silently overwritten.
 pub fn run_sharded_campaign_observed(
@@ -895,11 +873,10 @@ pub fn run_sharded_campaign_observed(
     stop: &AtomicBool,
     mut observer: impl FnMut(&ShardEvent),
 ) -> io::Result<ShardedReport> {
-    spec.validate();
-    assert!(
-        dir.is_some() || !resume,
-        "resume requires a checkpoint directory"
-    );
+    spec.validate().map_err(invalid_input)?;
+    if resume && dir.is_none() {
+        return Err(invalid_input("resume requires a checkpoint directory"));
+    }
     let base = &spec.base;
     let fingerprint = spec.fingerprint();
     let pool = Pool::new(base.threads);
@@ -981,7 +958,7 @@ pub fn run_sharded_campaign_observed(
                     .collect();
                 let references = pool.run(unreferenced.clone(), |ci| {
                     let cell = &cells[ci].report;
-                    CellReference::run(base, cell.scheme, &cell.app)
+                    replay::record(&cell_config(base, cell.scheme, &cell.app))
                 });
                 for (ci, reference) in unreferenced.into_iter().zip(references) {
                     cells[ci].reference = Some(reference);
@@ -993,19 +970,8 @@ pub fn run_sharded_campaign_observed(
                     .flat_map(|(ci, _)| (start..end).map(move |t| (ci, t)))
                     .collect();
                 let results = pool.run(jobs.clone(), |(ci, trial)| {
-                    let slot = &cells[ci];
-                    let reference = slot
-                        .reference
-                        .as_ref()
-                        .expect("active cells have run theirs");
-                    run_trial(
-                        base,
-                        slot.report.scheme,
-                        &slot.report.app,
-                        ci,
-                        trial,
-                        reference,
-                    )
+                    let log = cells[ci].reference.as_ref();
+                    run_trial(base, ci, trial, log.expect("active cells have run theirs"))
                 });
                 let mut shard_states: Vec<ShardCellState> = cells
                     .iter()
@@ -1083,16 +1049,19 @@ pub fn run_sharded_campaign_observed(
 /// Fails on I/O problems, a missing shard, a checkpoint failing any
 /// verification step (merge never quarantines — the inputs are other
 /// workers' property and are left untouched), conflicting duplicate
-/// shards, or a conservation violation in the merged tallies.
+/// shards, or a conservation violation in the merged tallies. A spec
+/// that fails [`ShardedCampaignSpec::validate`] or carries a worker
+/// slice is refused with [`io::ErrorKind::InvalidInput`].
 pub fn merge_sharded_campaign(
     spec: &ShardedCampaignSpec,
     dirs: &[PathBuf],
 ) -> io::Result<ShardedReport> {
-    spec.validate();
-    assert!(
-        spec.worker.is_none(),
-        "merge covers the whole shard space; give it the spec without a worker slice"
-    );
+    spec.validate().map_err(invalid_input)?;
+    if spec.worker.is_some() {
+        return Err(invalid_input(
+            "merge covers the whole shard space; give it the spec without a worker slice",
+        ));
+    }
     if dirs.is_empty() {
         return Err(io::Error::other(
             "merge needs at least one checkpoint directory",
@@ -1153,6 +1122,12 @@ pub fn merge_sharded_campaign(
     }
 
     finish_sharded(spec, cells, shards_done, shards_done, 0)
+}
+
+/// An [`io::ErrorKind::InvalidInput`] error: the caller's spec or
+/// arguments break a rule, so nothing ran.
+fn invalid_input(e: impl Into<String>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidInput, e.into())
 }
 
 /// Checks a decoded checkpoint against the replayed campaign state: it
@@ -1286,6 +1261,48 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("icr_campaign_{name}_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
         dir
+    }
+
+    #[test]
+    fn broken_spec_rules_are_invalid_input_errors_not_panics() {
+        let spec = ShardedCampaignSpec::new(tiny_spec(), 3);
+        assert_eq!(spec.validate(), Ok(()));
+        let broken = |edit: fn(&mut ShardedCampaignSpec)| {
+            let mut s = spec.clone();
+            edit(&mut s);
+            s
+        };
+        let dir = scratch("invalid_spec");
+        let dirs = std::slice::from_ref(&dir);
+        for case in [
+            broken(|s| s.base.schemes.clear()),
+            broken(|s| s.base.apps.clear()),
+            broken(|s| s.base.trials_per_cell = 0),
+            broken(|s| s.base.batch = 0),
+            broken(|s| s.base.instructions = 0),
+            broken(|s| s.shard_size = 0),
+            spec.clone().with_worker(0, 0),
+            spec.clone().with_worker(2, 2),
+            broken(|s| {
+                s.worker = Some((0, 2));
+                s.base.target_ci_width = Some(0.1);
+            }),
+        ] {
+            let rule = case.validate().expect_err("a broken rule");
+            for err in [
+                run_sharded_campaign(&case, Some(&dir), false).expect_err("refused"),
+                merge_sharded_campaign(&case, dirs).expect_err("refused"),
+            ] {
+                assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{rule}");
+                assert_eq!(err.to_string(), rule);
+            }
+        }
+        let err = run_sharded_campaign(&spec, None, true).expect_err("no directory to resume");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        let slice = spec.clone().with_worker(0, 2);
+        let err = merge_sharded_campaign(&slice, dirs).expect_err("a worker slice");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(!dir.exists(), "a refused run touches no directory");
     }
 
     #[test]

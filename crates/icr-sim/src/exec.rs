@@ -1,7 +1,8 @@
-//! The unified job layer: one work-stealing pool behind every figure
-//! runner, Monte-Carlo campaign and vulnerability sweep.
+//! The unified job layer: one job pool behind every figure runner,
+//! Monte-Carlo campaign and vulnerability sweep.
 //!
-//! [`Pool::run`] is the order-preserving work-stealing scheduler. The
+//! [`Pool::run`] is the order-preserving scheduler: its workers share
+//! one queue of indexed items. The
 //! [`Pool`] carries its resolved worker count, and adds an observed
 //! variant with per-job timing, a progress callback, and the row ×
 //! column grid form every figure, vuln and audit matrix runs through.
@@ -26,7 +27,7 @@ pub struct JobProgress {
     pub elapsed: Duration,
 }
 
-/// A work-stealing worker pool with a resolved thread count.
+/// A shared-queue worker pool with a resolved thread count.
 ///
 /// `Pool` is deliberately stateless between calls — it records how many
 /// workers to use and hands each batch to the same order-preserving
@@ -57,12 +58,11 @@ impl Pool {
 
     /// Runs `f` over `items`, preserving order.
     ///
-    /// Each worker owns a deque seeded with a contiguous chunk of item
-    /// indices and pops from its front; a worker whose deque runs dry
-    /// steals from the *back* of the fullest remaining deque, so a
-    /// straggler item (e.g. one slow scheme × app cell) cannot serialize
-    /// the tail of the run. Results are written by item index, which
-    /// makes the output — and everything built on top of it —
+    /// Workers take `(index, item)` pairs from one shared queue, in
+    /// input order, and write each result at its index. A straggler item
+    /// (e.g. one slow scheme × app cell) holds up only the worker running
+    /// it: the others keep draining the queue. Because results land by
+    /// index, the output — and everything built on top of it — is
     /// independent of the worker count and of which thread executed
     /// which item.
     pub fn run<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
@@ -71,69 +71,24 @@ impl Pool {
         R: Send,
         F: Fn(T) -> R + Sync,
     {
-        use std::collections::VecDeque;
         use std::sync::Mutex;
 
         let n = items.len();
-        if n == 0 {
-            return Vec::new();
-        }
-        let workers = self.threads.clamp(1, n);
-        let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
-        let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let queues: Vec<Mutex<VecDeque<usize>>> = (0..workers)
-            .map(|w| Mutex::new((w * n / workers..(w + 1) * n / workers).collect()))
-            .collect();
-
-        // Pop from the worker's own deque, else steal; `None` only once every
-        // deque is empty (claimed items live outside the deques, so empty
-        // deques mean no work is left to hand out).
-        let next_index = |w: usize| -> Option<usize> {
-            if let Some(i) = queues[w].lock().expect("not poisoned").pop_front() {
-                return Some(i);
-            }
-            loop {
-                let mut victim = None;
-                let mut victim_len = 0;
-                for (v, q) in queues.iter().enumerate() {
-                    let len = q.lock().expect("not poisoned").len();
-                    if v != w && len > victim_len {
-                        victim_len = len;
-                        victim = Some(v);
-                    }
-                }
-                match victim {
-                    None => return None,
-                    Some(v) => {
-                        if let Some(i) = queues[v].lock().expect("not poisoned").pop_back() {
-                            return Some(i);
-                        }
-                        // Raced with another thief; rescan.
-                    }
-                }
-            }
-        };
-
+        let queue = Mutex::new(items.into_iter().enumerate());
+        let results = Mutex::new(Vec::from_iter(std::iter::repeat_with(|| None).take(n)));
         std::thread::scope(|s| {
-            for w in 0..workers {
-                let (slots, results, f, next_index) = (&slots, &results, &f, &next_index);
-                s.spawn(move || {
-                    while let Some(i) = next_index(w) {
-                        let item = slots[i]
-                            .lock()
-                            .expect("not poisoned")
-                            .take()
-                            .expect("each item taken once");
-                        let r = f(item);
-                        *results[i].lock().expect("not poisoned") = Some(r);
-                    }
+            for _ in 0..self.threads.min(n) {
+                s.spawn(|| loop {
+                    // The guard drops with this statement, before `f` runs.
+                    let next = queue.lock().expect("not poisoned").next();
+                    let Some((i, item)) = next else { break };
+                    let r = f(item);
+                    results.lock().expect("not poisoned")[i] = Some(r);
                 });
             }
         });
-        results
-            .into_iter()
-            .map(|m| m.into_inner().expect("not poisoned").expect("filled"))
-            .collect()
+        let results = results.into_inner().expect("not poisoned");
+        results.into_iter().map(|r| r.expect("filled")).collect()
     }
 
     /// Runs `f` on every `(row, col)` pair of `rows × cols` as one batch,
@@ -223,6 +178,32 @@ mod tests {
             let got = Pool::new(threads).run(items.clone(), |x| x.wrapping_mul(0x9E37) ^ 11);
             assert_eq!(got, expect, "threads={threads}");
         }
+    }
+
+    #[test]
+    fn a_straggler_holds_up_only_its_own_worker() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        // Item 0 spins until every other item has run, so the run ends
+        // only if the second worker drains the queue meanwhile; a static
+        // per-worker split would leave items queued behind item 0.
+        let n = 64;
+        let others_done = AtomicUsize::new(0);
+        let out = Pool::new(2).run((0..n).collect(), |i: usize| {
+            if i == 0 {
+                let started = Instant::now();
+                while others_done.load(Ordering::SeqCst) < n - 1 {
+                    assert!(
+                        started.elapsed() < Duration::from_secs(10),
+                        "items stayed queued behind the straggler"
+                    );
+                    std::thread::yield_now();
+                }
+            } else {
+                others_done.fetch_add(1, Ordering::SeqCst);
+            }
+            i
+        });
+        assert_eq!(out, (0..n).collect::<Vec<_>>());
     }
 
     #[test]

@@ -12,8 +12,9 @@
 //!   through: each distinct cell executes once per process and is shared
 //!   behind `Arc`s, workload traces are materialised once in the
 //!   process-wide `icr_trace::store`;
-//! * [`exec`] — the unified job layer: an order-preserving work-stealing
-//!   [`Pool`] with per-job timing and progress callbacks;
+//! * [`exec`] — the unified job layer: an order-preserving [`Pool`]
+//!   whose workers share one job queue, with per-job timing and
+//!   progress callbacks;
 //! * [`experiment`] — `table1`, `fig1` … `fig17`, `sensitivity`,
 //!   `victim_ablation`;
 //! * [`campaign`] — deterministic parallel Monte-Carlo fault-injection

@@ -36,7 +36,8 @@
 //! No fetch carries its pc: `Pipeline::run` fetches each trace
 //! instruction once, in order, so replay takes the pc from the trace.
 //! The recorder checks both facts the format relies on, in-order fetch
-//! and non-decreasing `now`; a reference that breaks either gets no log.
+//! and non-decreasing `now`; a reference that breaks either keeps no
+//! call bytes, and its trials run in full.
 
 use crate::simulator::{run_core, workload, Machine, MemorySide, SimConfig, SimResult};
 use icr_trace::Inst;
@@ -59,24 +60,26 @@ enum Call {
     Store { addr: u64, now: u64, latency: u64 },
 }
 
-/// A fault-free run's memory-side calls, with what a replay needs
-/// besides: the run's configuration and trace, which a trial must share,
-/// and its result.
+/// A fault-free reference run: its configuration and trace, which a
+/// trial must share, its result, and its memory-side calls.
 pub(crate) struct CallLog {
-    bytes: Vec<u8>,
-    config: SimConfig,
+    /// The logged calls; `None` when the run broke a fact the format
+    /// relies on, so no trial replays it.
+    bytes: Option<Vec<u8>>,
+    /// The reference's configuration: a trial's, less its fault.
+    pub(crate) config: SimConfig,
     trace: Arc<[Inst]>,
     /// The reference's result: its core statistics are every replayed
     /// trial's, and all of it, fault record aside, an early-stopped
     /// trial's.
-    result: SimResult,
+    pub(crate) result: SimResult,
 }
 
 impl CallLog {
-    /// The logged calls, in order.
+    /// The logged calls, in order (none when the log kept no bytes).
     fn calls(&self) -> Calls<'_> {
         Calls {
-            bytes: &self.bytes,
+            bytes: self.bytes.as_deref().unwrap_or_default(),
             ..Calls::default()
         }
     }
@@ -257,14 +260,14 @@ impl MemorySide for Recorder<'_> {
     }
 }
 
-/// Runs `reference` in full, logging its memory-side calls. Returns the
-/// run's result, which equals `run_sim(reference)`, and its log, `None`
-/// when the run breaks a fact the log format relies on.
+/// Runs `reference` in full, logging its memory-side calls. The log's
+/// result equals `run_sim(reference)`; its call bytes are `None` when
+/// the run breaks a fact the log format relies on.
 ///
 /// # Panics
 ///
 /// Panics where `run_sim` does.
-pub(crate) fn record(reference: &SimConfig) -> (SimResult, Option<CallLog>) {
+pub(crate) fn record(reference: &SimConfig) -> CallLog {
     let trace = workload(reference);
     let recorder = Recorder {
         machine: Machine::new(reference, &trace),
@@ -272,30 +275,28 @@ pub(crate) fn record(reference: &SimConfig) -> (SimResult, Option<CallLog>) {
         log: LogWriter::default(),
     };
     let (recorder, stats) = run_core(reference.cpu, &trace, recorder);
-    let result = recorder.machine.finish(reference, stats);
-    let log = recorder.log.finish().map(|bytes| CallLog {
-        bytes,
+    CallLog {
+        result: recorder.machine.finish(reference, stats),
+        bytes: recorder.log.finish(),
         config: reference.clone(),
         trace,
-        result: result.clone(),
-    });
-    (result, log)
+    }
 }
 
 /// `run_sim(config)`, computed by replaying `log` into a fresh memory
 /// side built for `config` instead of running the core, or `None` at the
 /// first latency that differs from the log's. Also gives the number of
 /// calls replayed when the trial stopped early (`None` when it ran to
-/// the end of the log). A log recorded for a configuration that is not
-/// `config` apart from its fault, or for another trace, is refused with
-/// `None`.
+/// the end of the log). A log without call bytes, or recorded for a
+/// configuration that is not `config` apart from its fault, or for
+/// another trace, is refused with `None`.
 ///
 /// # Panics
 ///
 /// Panics where `run_sim` does.
 pub(crate) fn replay(config: &SimConfig, log: &CallLog) -> Option<(SimResult, Option<usize>)> {
     let trace = workload(config);
-    if !log.is_reference_of(config) || !Arc::ptr_eq(&trace, &log.trace) {
+    if log.bytes.is_none() || !log.is_reference_of(config) || !Arc::ptr_eq(&trace, &log.trace) {
         return None;
     }
     let mut machine = Machine::new(config, &trace);
@@ -477,10 +478,13 @@ mod tests {
     #[test]
     fn a_fault_free_replay_is_the_reference_run() {
         let cfg = reference(Scheme::ICR_P_PS_S, "gzip", 3, 4_000);
-        let (result, log) = record(&cfg);
-        let log = log.expect("the core fetches in order at non-decreasing cycles");
-        assert_eq!(result, run_sim(&cfg), "the recorder runs the reference");
-        assert_eq!(replay(&cfg, &log), Some((result, None)));
+        let log = record(&cfg);
+        assert!(
+            log.bytes.is_some(),
+            "the core fetches in order at non-decreasing cycles"
+        );
+        assert_eq!(log.result, run_sim(&cfg), "the recorder runs the reference");
+        assert_eq!(replay(&cfg, &log), Some((log.result.clone(), None)));
         let count = |kind: fn(&Call) -> bool| log.calls().filter(kind).count() as u64;
         assert_eq!(count(|c| matches!(c, Call::Fetch { .. })), 4_000);
         let stats = log.result.pipeline;
@@ -492,7 +496,8 @@ mod tests {
     #[test]
     fn a_log_of_another_trace_core_or_dl1_is_refused() {
         let cfg = reference(Scheme::BASE_P, "gzip", 3, 3_000);
-        let log = record(&cfg).1.expect("loggable");
+        let log = record(&cfg);
+        assert!(log.bytes.is_some(), "loggable");
         assert!(replay(&reference(Scheme::BASE_P, "gzip", 4, 3_000), &log).is_none());
         let mut wider = cfg.clone();
         wider.cpu.ruu_size /= 2;
@@ -524,7 +529,8 @@ mod tests {
                 let rotated = 1 + (first_option + k) % (OPTIONS - 1);
                 for (r, option) in [0, rotated].into_iter().enumerate() {
                     let reference = with_option(scheme, APP_NAMES[app], seed, insts, option);
-                    let log = record(&reference).1.expect("the core fetches in order at non-decreasing cycles");
+                    let log = record(&reference);
+                    prop_assert!(log.bytes.is_some(), "the core fetches in order at non-decreasing cycles");
                     let p = 8.0 / insts as f64;
                     for (j, model) in ErrorModel::all().into_iter().enumerate() {
                         let (importance, trial) = (j % 2 == 1, trial + (4 * r + j + k) as u64);
@@ -605,7 +611,7 @@ mod tests {
                 .enumerate()
             {
                 let reference = reference(scheme, app, master, insts);
-                let log = record(&reference).1.expect("loggable");
+                let log = record(&reference);
                 let calls = log.calls().count();
                 let start = std::time::Instant::now();
                 let outcomes: Vec<_> = (0..trials)
@@ -629,7 +635,7 @@ mod tests {
                     outcomes.len(),
                     share.len(),
                     percent(&share, 0.5),
-                    log.bytes.len(),
+                    log.bytes.as_ref().expect("loggable").len(),
                 );
                 replayed += outcomes.len();
                 stops.extend(share);

@@ -66,9 +66,10 @@ pub enum CheckMode {
 /// A complete simulation configuration.
 ///
 /// Construct one with [`SimConfig::paper`] (the paper's machine, the
-/// common case) or [`SimConfig::builder`] (every knob). The struct is
-/// `#[non_exhaustive]`: fields stay readable and assignable, but new
-/// configuration axes can be added without breaking downstream literals.
+/// common case) or [`SimConfig::builder`] (budget, seed, fault and audit
+/// mode), and assign any other field directly. The struct is
+/// `#[non_exhaustive]`: new configuration axes can be added without
+/// breaking downstream literals.
 #[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub struct SimConfig {
@@ -151,9 +152,9 @@ impl SimConfig {
         Ok(())
     }
 
-    /// A builder over every configuration knob, starting from the
-    /// paper's machine running `app` with the given dL1 for the repo's
-    /// default budget (200k instructions, seed 42).
+    /// A builder starting from the paper's machine running `app` with the
+    /// given dL1 for the repo's default budget (200k instructions, seed
+    /// 42), with no faults, no scrubbing and no audit.
     pub fn builder(app: &str, dl1: DataL1Config) -> SimConfigBuilder {
         SimConfigBuilder {
             config: SimConfig {
@@ -181,18 +182,6 @@ pub struct SimConfigBuilder {
 }
 
 impl SimConfigBuilder {
-    /// Core parameters (defaults to the paper's Table 1 machine).
-    pub fn cpu(mut self, cpu: CpuConfig) -> Self {
-        self.config.cpu = cpu;
-        self
-    }
-
-    /// iL1/L2/memory parameters (defaults to the paper's Table 1).
-    pub fn hierarchy(mut self, hierarchy: HierarchyConfig) -> Self {
-        self.config.hierarchy = hierarchy;
-        self
-    }
-
     /// Dynamic instructions to simulate.
     pub fn instructions(mut self, instructions: u64) -> Self {
         self.config.instructions = instructions;
@@ -208,30 +197,6 @@ impl SimConfigBuilder {
     /// Adds fault injection.
     pub fn fault(mut self, fault: FaultConfig) -> Self {
         self.config.fault = Some(fault);
-        self
-    }
-
-    /// Adds background scrubbing.
-    pub fn scrub(mut self, scrub: ScrubConfig) -> Self {
-        self.config.scrub = Some(scrub);
-        self
-    }
-
-    /// Biases the fault injector's site draw toward strike-worthy
-    /// parity lines — dirty primaries and lines holding the workload's
-    /// store working set — by `boost`× (importance sampling; see
-    /// `FaultInjector::with_site_bias`). Requires fault injection to be
-    /// configured to have any effect.
-    pub fn fault_bias(mut self, boost: f64) -> Self {
-        self.config.fault_bias = Some(boost);
-        self
-    }
-
-    /// Forces the fault arrival to the given cycle (see
-    /// `FaultInjector::with_forced_arrival`). Requires fault injection
-    /// to be configured to have any effect.
-    pub fn fault_arrival(mut self, cycle: u64) -> Self {
-        self.config.fault_arrival = Some(cycle);
         self
     }
 
@@ -646,7 +611,7 @@ pub fn run_sim(config: &SimConfig) -> SimResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use icr_core::Scheme;
+    use icr_core::{PlacementPolicy, Scheme};
 
     fn quick(app: &str, dl1: DataL1Config) -> SimResult {
         run_sim(&SimConfig::paper(app, dl1, 20_000, 1))
@@ -689,9 +654,9 @@ mod tests {
     /// A gzip run on a 16KB/4-way dL1 with `block_bytes` blocks under
     /// the default hierarchy (64 B L2 blocks).
     fn dl1_with_block(block_bytes: usize) -> SimResult {
-        let dl1 = DataL1Config::builder(Scheme::ICR_P_PS_S)
-            .geometry(icr_mem::CacheGeometry::new(16 * 1024, 4, block_bytes))
-            .build();
+        let mut dl1 = DataL1Config::paper_default(Scheme::ICR_P_PS_S);
+        dl1.geometry = icr_mem::CacheGeometry::new(16 * 1024, 4, block_bytes);
+        dl1.placement = PlacementPolicy::vertical(dl1.geometry);
         run_sim(&SimConfig::paper("gzip", dl1, 200_000, 1))
     }
 
@@ -710,14 +675,10 @@ mod tests {
     #[test]
     #[should_panic(expected = "invalid hierarchy config: the iL1 block (128 B)")]
     fn il1_blocks_larger_than_l2_blocks_are_rejected() {
-        let cfg = SimConfig::builder("gzip", DataL1Config::paper_default(Scheme::BASE_P))
-            .hierarchy(
-                HierarchyConfig::builder()
-                    .l1i_geometry(icr_mem::CacheGeometry::new(16 * 1024, 1, 128))
-                    .build(),
-            )
+        let mut cfg = SimConfig::builder("gzip", DataL1Config::paper_default(Scheme::BASE_P))
             .instructions(2_000)
             .build();
+        cfg.hierarchy.l1i_geometry = icr_mem::CacheGeometry::new(16 * 1024, 1, 128);
         run_sim(&cfg);
     }
 
@@ -725,17 +686,14 @@ mod tests {
     /// evictions included (a small L2 forces them).
     #[test]
     fn blocks_at_the_bound_run_with_l2_writebacks() {
-        let h = HierarchyConfig::builder()
-            .l2_geometry(icr_mem::CacheGeometry::new(32 * 1024, 4, 128))
-            .build();
-        let dl1 = DataL1Config::builder(Scheme::ICR_P_PS_S)
-            .geometry(icr_mem::CacheGeometry::new(16 * 1024, 4, 128))
-            .build();
-        let cfg = SimConfig::builder("gzip", dl1)
-            .hierarchy(h)
+        let mut dl1 = DataL1Config::paper_default(Scheme::ICR_P_PS_S);
+        dl1.geometry = icr_mem::CacheGeometry::new(16 * 1024, 4, 128);
+        dl1.placement = PlacementPolicy::vertical(dl1.geometry);
+        let mut cfg = SimConfig::builder("gzip", dl1)
             .instructions(20_000)
             .seed(1)
             .build();
+        cfg.hierarchy.l2_geometry = icr_mem::CacheGeometry::new(32 * 1024, 4, 128);
         let r = run_sim(&cfg);
         assert_eq!(r.pipeline.committed, 20_000);
         assert!(r.memory_writes > 0, "dirty 128 B L2 blocks reach memory");
@@ -772,14 +730,16 @@ mod tests {
 
     #[test]
     fn fault_weight_reported_only_under_bias() {
-        let base = SimConfig::builder("gzip", DataL1Config::paper_default(Scheme::BASE_P))
+        let mut cfg = SimConfig::builder("gzip", DataL1Config::paper_default(Scheme::BASE_P))
             .instructions(5_000)
             .seed(1)
-            .fault(FaultConfig::one_shot(ErrorModel::Random, 0.001, 9));
-        let uniform = run_sim(&base.clone().build());
+            .fault(FaultConfig::one_shot(ErrorModel::Random, 0.001, 9))
+            .build();
+        let uniform = run_sim(&cfg);
         assert_eq!(uniform.fault_weight, None);
 
-        let biased = run_sim(&base.fault_bias(8.0).build());
+        cfg.fault_bias = Some(8.0);
+        let biased = run_sim(&cfg);
         let w = biased.fault_weight.expect("biased runs report a weight");
         assert!(w.is_finite() && w > 0.0, "bad weight {w}");
         if biased.faults_injected == 0 {

@@ -109,13 +109,11 @@ fn matrix() -> Vec<(String, &'static str, DataL1Config)> {
             ));
         }
     }
-    let write_through = DataL1Config::builder(Scheme::BASE_P)
-        .write_policy(WritePolicy::WriteThrough { buffer_entries: 8 })
-        .build();
+    let mut write_through = DataL1Config::paper_default(Scheme::BASE_P);
+    write_through.write_policy = WritePolicy::WriteThrough { buffer_entries: 8 };
     cells.push(("BaseP write-through".into(), "gzip", write_through));
-    let dup_cache = DataL1Config::builder(Scheme::BASE_P)
-        .duplication_cache(64)
-        .build();
+    let mut dup_cache = DataL1Config::paper_default(Scheme::BASE_P);
+    dup_cache.duplication_cache = Some(64);
     cells.push(("BaseP + 64-block dup cache".into(), "gzip", dup_cache));
     cells
 }

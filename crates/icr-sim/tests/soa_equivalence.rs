@@ -475,13 +475,11 @@ fn faulted_cells() -> Vec<(String, DataL1Config, &'static str)> {
             cells.push((format!("{} x {app}", scheme.name()), cfg, app));
         }
     }
-    let dup = DataL1Config::builder(Scheme::BASE_P)
-        .duplication_cache(16)
-        .build();
+    let mut dup = DataL1Config::paper_default(Scheme::BASE_P);
+    dup.duplication_cache = Some(16);
     cells.push(("BaseP + duplication cache x gzip".into(), dup, "gzip"));
-    let keep = DataL1Config::builder(Scheme::ICR_P_PS_LS)
-        .keep_replicas_on_evict(true)
-        .build();
+    let mut keep = DataL1Config::paper_default(Scheme::ICR_P_PS_LS);
+    keep.keep_replicas_on_evict = true;
     cells.push(("ICR-P-PS (LS) keeping replicas x mcf".into(), keep, "mcf"));
     cells
 }
