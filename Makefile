@@ -3,7 +3,7 @@
 
 CARGO ?= cargo
 
-.PHONY: verify check build test fmt fmt-check clippy doc bench-build bench-check bench bench-all bench-all-gate bench-isa bench-campaign bench-importance bench-spill bench-spill-check trace-roundtrip campaign campaign-resume campaign-fanout campaign-plain audit isa-audit clean
+.PHONY: verify check build test fmt fmt-check clippy doc replay-check bench-build bench-check bench bench-all bench-all-gate bench-isa bench-campaign bench-importance bench-spill bench-spill-check trace-roundtrip campaign campaign-resume campaign-fanout campaign-plain audit isa-audit clean
 
 ## Full verification: build + all tests + formatting + lints + docs,
 ## plus a build-only check of every icr-bench target and of the
@@ -16,9 +16,10 @@ CARGO ?= cargo
 ## kill-and-resume smoke of the checkpointed campaign service, a
 ## two-worker fan-out whose merge must be byte-identical to the
 ## single-process run, a plain (in-memory) campaign whose report
-## must match the checkpointed run's, and one pass of the end-to-end
+## must match the checkpointed run's, a wider pass of the campaign
+## replay's equivalence property, and one pass of the end-to-end
 ## benchmark's workloads against their recorded output digests.
-verify: build test fmt-check clippy doc bench-build bench-check bench-spill-check trace-roundtrip campaign-resume campaign-fanout campaign-plain audit
+verify: build test fmt-check clippy doc replay-check bench-build bench-check bench-spill-check trace-roundtrip campaign-resume campaign-fanout campaign-plain audit
 	@echo "verify: OK"
 
 ## Tier-1 gate (ROADMAP.md): release build + quiet tests.
@@ -44,6 +45,14 @@ clippy:
 ## API docs must build warnings-clean (broken intra-doc links, etc.).
 doc:
 	RUSTDOCFLAGS="-D warnings" $(CARGO) doc --no-deps --workspace
+
+## Campaign trials replay their cell's fault-free memory-call log
+## without checking that they share its configuration and trace; this
+## runs the property holding each replayed or early-stopped result
+## equal to run_sim (and each divergence reported) over 50 cases
+## instead of the 3 a plain `cargo test` runs.
+replay-check:
+	PROPTEST_CASES=50 $(CARGO) test -q -p icr-sim --release --lib a_replay_is_run_sim_or_reports_divergence
 
 ## Compile every icr-bench target (criterion and standalone alike) and
 ## the end-to-end benchmark package (its own workspace, which imports

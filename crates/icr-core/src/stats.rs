@@ -387,22 +387,21 @@ pub struct WeightedEstimate {
     pub n_eff: f64,
 }
 
-/// Likelihood-ratio-weighted tallies of [`ErrorOutcome`]s for one
-/// importance-sampled campaign cell, kept alongside the raw
-/// [`OutcomeTally`].
+/// Likelihood-ratio weight sums of [`ErrorOutcome`]s for one
+/// importance-sampled campaign cell. The cell's trial counts live in
+/// its [`OutcomeTally`], which records the same trials.
 ///
 /// Each delivered trial contributes its importance weight
 /// `w = P_uniform(site) / P_proposal(site)` to its outcome bucket;
-/// per bucket the tally keeps the trial count, `Σw` and `Σw²`, which is
-/// exactly enough to form self-normalized probability estimates with
-/// delta-method variances ([`WeightedTally::estimate`]) without storing
-/// per-trial weights. Sums are plain `f64` additions, so *byte-identical*
+/// per bucket the tally keeps `Σw` and `Σw²`, which is exactly enough
+/// to form self-normalized probability estimates with delta-method
+/// variances ([`WeightedTally::estimate`]) without storing per-trial
+/// weights. Sums are plain `f64` additions, so *byte-identical*
 /// reproduction additionally requires a fixed accumulation order — the
 /// campaign records in trial order within a shard and merges shards in
 /// shard-index order.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct WeightedTally {
-    counts: [u64; ErrorOutcome::ALL.len()],
     wsum: [f64; ErrorOutcome::ALL.len()],
     wsq: [f64; ErrorOutcome::ALL.len()],
 }
@@ -417,24 +416,13 @@ impl WeightedTally {
             "importance weight must be finite and non-negative, got {weight}"
         );
         let i = OutcomeTally::index(outcome);
-        self.counts[i] += 1;
         self.wsum[i] += weight;
         self.wsq[i] += weight * weight;
-    }
-
-    /// Trials that ended with `outcome`.
-    pub fn count(&self, outcome: ErrorOutcome) -> u64 {
-        self.counts[OutcomeTally::index(outcome)]
     }
 
     /// Total weight recorded for `outcome`.
     pub fn weight(&self, outcome: ErrorOutcome) -> f64 {
         self.wsum[OutcomeTally::index(outcome)]
-    }
-
-    /// Total trials recorded.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
     }
 
     /// Total weight over *delivered* trials (the estimator's
@@ -509,15 +497,9 @@ impl WeightedTally {
     /// sums must fix the order in which tallies are merged.
     pub fn merge(&mut self, other: &WeightedTally) {
         for i in 0..ErrorOutcome::ALL.len() {
-            self.counts[i] += other.counts[i];
             self.wsum[i] += other.wsum[i];
             self.wsq[i] += other.wsq[i];
         }
-    }
-
-    /// The raw per-outcome trial counts, in [`ErrorOutcome::ALL`] order.
-    pub fn counts(&self) -> [u64; ErrorOutcome::ALL.len()] {
-        self.counts
     }
 
     /// The per-outcome weight sums, in [`ErrorOutcome::ALL`] order.
@@ -532,40 +514,33 @@ impl WeightedTally {
     }
 
     /// Rebuilds a tally from its serialized parts — the inverse of
-    /// [`counts`](WeightedTally::counts) /
     /// [`weights`](WeightedTally::weights) /
     /// [`weight_squares`](WeightedTally::weight_squares). Callers
     /// restoring untrusted data should validate with
     /// [`check_consistent`](WeightedTally::check_consistent).
     pub fn from_parts(
-        counts: [u64; ErrorOutcome::ALL.len()],
         weights: [f64; ErrorOutcome::ALL.len()],
         weight_squares: [f64; ErrorOutcome::ALL.len()],
     ) -> Self {
         WeightedTally {
-            counts,
             wsum: weights,
             wsq: weight_squares,
         }
     }
 
-    /// `true` when no trial has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.counts.iter().all(|&c| c == 0)
-    }
-
-    /// Checks the internal invariants any tally built through
+    /// Checks the invariants any tally built through
     /// [`record`](WeightedTally::record) / [`merge`](WeightedTally::merge)
-    /// satisfies, for validating restored checkpoint data:
+    /// satisfies against `tally`, the counts of the same trials, for
+    /// validating restored checkpoint data:
     ///
     /// * every weight sum and squared sum is finite and non-negative;
     /// * a bucket with zero trials carries zero weight, and a bucket
     ///   with positive weight has at least one trial;
     /// * Cauchy–Schwarz: `(Σw)² ≤ n · Σw²` per bucket (with a small
     ///   relative tolerance for accumulated rounding).
-    pub fn check_consistent(&self) -> Result<(), String> {
+    pub fn check_consistent(&self, tally: &OutcomeTally) -> Result<(), String> {
         for (i, &o) in ErrorOutcome::ALL.iter().enumerate() {
-            let (n, w, w2) = (self.counts[i], self.wsum[i], self.wsq[i]);
+            let (n, w, w2) = (tally.counts[i], self.wsum[i], self.wsq[i]);
             if !w.is_finite() || !w2.is_finite() || w < 0.0 || w2 < 0.0 {
                 return Err(format!(
                     "weighted tally for {o}: non-finite or negative sums (w={w}, w2={w2})"
@@ -773,36 +748,36 @@ mod tests {
 
     #[test]
     fn weighted_tally_round_trips_and_validates() {
-        let mut w = WeightedTally::default();
-        w.record(ErrorOutcome::CorrectedByEcc, 0.5);
-        w.record(ErrorOutcome::CorrectedByEcc, 2.0);
-        w.record(ErrorOutcome::NotInjected, 1.0);
-        assert!(w.check_consistent().is_ok());
-        let back = WeightedTally::from_parts(w.counts(), w.weights(), w.weight_squares());
+        let (mut t, mut w) = (OutcomeTally::default(), WeightedTally::default());
+        for (o, weight) in [
+            (ErrorOutcome::CorrectedByEcc, 0.5),
+            (ErrorOutcome::CorrectedByEcc, 2.0),
+            (ErrorOutcome::NotInjected, 1.0),
+        ] {
+            t.record(o);
+            w.record(o, weight);
+        }
+        assert!(w.check_consistent(&t).is_ok());
+        let back = WeightedTally::from_parts(w.weights(), w.weight_squares());
         assert_eq!(back, w);
 
         // Hand-built inconsistent states are rejected.
         let mut counts = [0u64; 8];
         let mut ws = [0f64; 8];
         let wsq = [0f64; 8];
+        let consistent = |ws, wsq, counts| {
+            WeightedTally::from_parts(ws, wsq).check_consistent(&OutcomeTally::from_counts(counts))
+        };
         ws[0] = 1.0; // weight without a trial
-        assert!(WeightedTally::from_parts(counts, ws, wsq)
-            .check_consistent()
-            .is_err());
+        assert!(consistent(ws, wsq, counts).is_err());
         counts[0] = 1; // weight without squared weight
-        assert!(WeightedTally::from_parts(counts, ws, wsq)
-            .check_consistent()
-            .is_err());
+        assert!(consistent(ws, wsq, counts).is_err());
         let mut wsq2 = [0f64; 8];
         wsq2[0] = 0.5; // (Σw)² = 4 > n·Σw² = 0.5
         ws[0] = 2.0;
-        assert!(WeightedTally::from_parts(counts, ws, wsq2)
-            .check_consistent()
-            .is_err());
+        assert!(consistent(ws, wsq2, counts).is_err());
         ws[0] = f64::NAN;
-        assert!(WeightedTally::from_parts(counts, ws, wsq2)
-            .check_consistent()
-            .is_err());
+        assert!(consistent(ws, wsq2, counts).is_err());
     }
 
     #[test]

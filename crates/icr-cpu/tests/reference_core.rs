@@ -14,6 +14,12 @@
 //! or cycle changes everything after it. An identical call sequence is
 //! what makes every `SimResult` above the core byte-identical: the caches
 //! see the same accesses at the same cycles.
+//!
+//! Before that comparison, the shipped core's calls are held to the two
+//! facts the campaign's memory-call log (`icr-sim`'s `replay.rs`) takes
+//! from it unchecked: the fetches are the trace's instructions, each
+//! once and in order, and loads and stores come at cycles that never
+//! decrease.
 
 use icr_cpu::{op_latency, Btb, Combined, DirPredictor, FuPool};
 use icr_cpu::{CpuConfig, DataMemory, InstrMemory, Pipeline, PipelineStats};
@@ -414,6 +420,28 @@ impl InstrMemory for StubMemory {
     }
 }
 
+/// The first break, if any, of the call order the campaign's call log
+/// relies on: the `'F'` calls' pcs must be the trace's pcs, each once,
+/// in order, and the `'L'`/`'S'` calls' cycles must never decrease.
+fn call_order_violation(trace: &[Inst], calls: &[Call]) -> Option<String> {
+    let pcs: Vec<u64> = trace.iter().map(|i| i.pc).collect();
+    let fetched: Vec<u64> = calls.iter().filter(|c| c.0 == 'F').map(|c| c.1).collect();
+    if let Some(k) = (0..pcs.len().max(fetched.len())).find(|&k| fetched.get(k) != pcs.get(k)) {
+        return Some(format!(
+            "fetch {k} is of pc {:x?}, but trace instruction {k} is at pc {:x?}",
+            fetched.get(k),
+            pcs.get(k)
+        ));
+    }
+    let accesses: Vec<&Call> = calls.iter().filter(|c| c.0 != 'F').collect();
+    accesses.windows(2).find(|w| w[1].2 < w[0].2).map(|w| {
+        format!(
+            "{:?} follows {:?}: load and store cycles must never decrease",
+            w[1], w[0]
+        )
+    })
+}
+
 /// Runs `trace` through one core with fresh stub memories; returns the
 /// statistics and the logged call sequence.
 fn run_logged(
@@ -533,6 +561,7 @@ proptest! {
     ) {
         let [(stats, calls), (ref_stats, ref_calls)] =
             both_cores(cfg, &trace, seed, slow_every);
+        prop_assert_eq!(call_order_violation(&trace, &calls), None, "under {:?}", cfg);
         if let Some(i) = (0..calls.len()).find(|&i| calls.get(i) != ref_calls.get(i)) {
             prop_assert!(
                 false,
@@ -562,6 +591,11 @@ fn core_matches_scan_reference_on_app_traces() {
                 ..CpuConfig::default()
             };
             let [shipped, reference] = both_cores(cfg, &trace, i as u64, 4);
+            assert_eq!(
+                call_order_violation(&trace, &shipped.1),
+                None,
+                "{app} RUU {ruu_size}"
+            );
             assert_eq!(shipped.0.committed, 4_000, "{app} RUU {ruu_size}");
             assert!(
                 shipped == reference,

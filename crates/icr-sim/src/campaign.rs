@@ -165,7 +165,8 @@ impl CampaignSpec {
     }
 
     /// Checks that the campaign can run: at least one scheme, app and
-    /// trial, a positive batch and a positive instruction budget.
+    /// trial, a positive batch, a positive instruction budget and a
+    /// fault probability in `[0, 1]`.
     ///
     /// # Errors
     ///
@@ -181,6 +182,8 @@ impl CampaignSpec {
             "batch size must be positive"
         } else if self.instructions == 0 {
             "trials need instructions to run"
+        } else if !(0.0..=1.0).contains(&self.p_per_cycle) {
+            "the per-cycle fault probability must be in [0, 1]"
         } else {
             return Ok(());
         };
@@ -277,14 +280,7 @@ fn check_conservation(cell: &CellReport) -> io::Result<()> {
     )
     .map_err(|e| fail(e.to_string()))?;
     if let Some(w) = weighted {
-        w.check_consistent().map_err(fail)?;
-        if w.counts() != tally.counts() {
-            return Err(fail(format!(
-                "weighted trial counts {:?} disagree with outcome counts {:?}",
-                w.counts(),
-                tally.counts()
-            )));
-        }
+        w.check_consistent(tally).map_err(fail)?;
     }
     Ok(())
 }
@@ -1280,6 +1276,8 @@ mod tests {
             broken(|s| s.base.trials_per_cell = 0),
             broken(|s| s.base.batch = 0),
             broken(|s| s.base.instructions = 0),
+            broken(|s| s.base.p_per_cycle = 2.0),
+            broken(|s| s.base.p_per_cycle = f64::NAN),
             broken(|s| s.shard_size = 0),
             spec.clone().with_worker(0, 0),
             spec.clone().with_worker(2, 2),
@@ -1484,12 +1482,8 @@ mod tests {
                 .weighted
                 .as_ref()
                 .expect("importance cells carry weights");
-            w.check_consistent().expect("weights stay consistent");
-            assert_eq!(
-                w.counts(),
-                cell.tally.counts(),
-                "weighted counts mirror the outcome tally"
-            );
+            w.check_consistent(&cell.tally)
+                .expect("weights stay consistent");
             if cell.tally.injected() > 0 {
                 // n_eff is the delta-method effective sample size: it
                 // may exceed the raw trial count when the tilt makes
@@ -1555,14 +1549,14 @@ mod tests {
         );
         assert!(msg.contains("quarantined from the report"), "got: {msg}");
 
-        // Weighted counts disagreeing with the outcome tally.
+        // Weights of two trials against an outcome tally of one.
         let mut w = WeightedTally::default();
         w.record(ErrorOutcome::Masked, 1.0);
         w.record(ErrorOutcome::Masked, 1.0);
         let mut t2 = OutcomeTally::default();
         t2.record(ErrorOutcome::Masked);
         let err = check_conservation(&cell(Scheme::BASE_P, "gcc", 1, t2, Some(w))).unwrap_err();
-        assert!(err.to_string().contains("disagree"), "got: {err}");
+        assert!(err.to_string().contains("Cauchy-Schwarz"), "got: {err}");
 
         // And the happy path stays silent.
         check_conservation(&cell(Scheme::BASE_P, "gcc", 1, t2, None)).unwrap();

@@ -44,18 +44,8 @@ pub const MAGIC: &str = "ICRC";
 /// Current checkpoint format version.
 pub const VERSION: u64 = 1;
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a over `bytes` — the same digest the `.icrt` trace format uses.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
+/// FNV-1a over `bytes` — the digest the `.icrt` trace format uses.
+pub use icr_trace::disk::fnv1a64;
 
 /// Why a checkpoint file was rejected. Every rejection leads to the
 /// file being quarantined and its shard re-run.
@@ -342,7 +332,6 @@ pub fn read_shard(path: &Path, fingerprint: u64) -> Result<ShardCheckpoint, Chec
             (false, false) => None,
             (true, true) => {
                 let w = WeightedTally::from_parts(
-                    counts,
                     get_f64_array(cv, "weights")?,
                     get_f64_array(cv, "weight_squares")?,
                 );
@@ -350,7 +339,8 @@ pub fn read_shard(path: &Path, fingerprint: u64) -> Result<ShardCheckpoint, Chec
                 // recorder maintains; a violation means the weighted
                 // data cannot have come from this campaign's trials,
                 // even though the digest matched the file contents.
-                w.check_consistent().map_err(CheckpointError::BadShape)?;
+                w.check_consistent(&tally)
+                    .map_err(CheckpointError::BadShape)?;
                 Some(w)
             }
             _ => {
@@ -502,7 +492,6 @@ mod tests {
         let dir = scratch("badweights");
         let mut ckpt = sample();
         ckpt.cells[0].weighted = Some(WeightedTally::from_parts(
-            ckpt.cells[0].tally.counts(),
             [5.0; ErrorOutcome::ALL.len()],
             [0.5; ErrorOutcome::ALL.len()],
         ));

@@ -63,9 +63,13 @@ impl std::fmt::Display for Summary {
 /// Unlike the normal (Wald) interval it never leaves `[0, 1]` and stays
 /// honest near 0 and 1 — exactly where fault-injection campaigns live
 /// (recovery fractions close to 1, silent-corruption rates close to 0).
-/// `(0, 1)` for zero trials.
+/// `(0, 1)` for zero trials; panics when `successes > trials`.
 pub fn wilson_ci95(successes: u64, trials: u64) -> (f64, f64) {
-    wilson_interval(successes, trials, 1.96)
+    assert!(
+        successes <= trials,
+        "successes {successes} > trials {trials}"
+    );
+    wilson_ci95_f(successes as f64, trials as f64)
 }
 
 /// Wilson score interval at 95% confidence over *fractional* counts —
@@ -85,24 +89,6 @@ pub fn wilson_ci95_f(successes: f64, trials: f64) -> (f64, f64) {
     let n = trials;
     let p = (successes / n).clamp(0.0, 1.0);
     let z = 1.96;
-    let z2 = z * z;
-    let denom = 1.0 + z2 / n;
-    let center = (p + z2 / (2.0 * n)) / denom;
-    let half = (z / denom) * (p * (1.0 - p) / n + z2 / (4.0 * n * n)).sqrt();
-    ((center - half).max(0.0), (center + half).min(1.0))
-}
-
-/// Wilson score interval at critical value `z`.
-pub fn wilson_interval(successes: u64, trials: u64, z: f64) -> (f64, f64) {
-    assert!(
-        successes <= trials,
-        "successes {successes} > trials {trials}"
-    );
-    if trials == 0 {
-        return (0.0, 1.0);
-    }
-    let n = trials as f64;
-    let p = successes as f64 / n;
     let z2 = z * z;
     let denom = 1.0 + z2 / n;
     let center = (p + z2 / (2.0 * n)) / denom;

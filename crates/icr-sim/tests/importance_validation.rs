@@ -48,7 +48,9 @@ fn importance_estimates_sit_inside_uniform_wilson_intervals() {
             "cell order is fixed"
         );
         let tally = w.weighted.as_ref().expect("importance cells carry weights");
-        tally.check_consistent().expect("weights stay consistent");
+        tally
+            .check_consistent(&w.tally)
+            .expect("weights stay consistent");
         let injected = w.tally.injected();
         assert!(
             injected >= importance_spec.trials_per_cell / 2,

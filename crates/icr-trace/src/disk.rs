@@ -49,6 +49,20 @@ const FLAG_RESERVED: u8 = 0b1000_0000;
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
+/// FNV-1a-64 over `bytes`: the payload digest of a stored trace, and
+/// the digest of the campaign checkpoints.
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    fnv1a64_extend(FNV_OFFSET, bytes)
+}
+
+/// [`fnv1a64`] of some bytes followed by `bytes`, given `digest`, the
+/// [`fnv1a64`] of those first bytes.
+fn fnv1a64_extend(digest: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(digest, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
+}
+
 /// Why a read or write was rejected. Every corruption the mutation tests
 /// inject maps to a distinct, precise variant.
 #[derive(Debug)]
@@ -234,18 +248,12 @@ impl DeltaState {
 pub fn trace_digest(insts: &[Inst]) -> u64 {
     let mut state = DeltaState::default();
     let mut buf = Vec::new();
-    let mut digest = FNV_OFFSET;
     for inst in insts {
-        buf.clear();
         state
             .encode(inst, &mut buf)
             .expect("digest input must satisfy the stream contract");
-        for &b in &buf {
-            digest ^= u64::from(b);
-            digest = digest.wrapping_mul(FNV_PRIME);
-        }
     }
-    digest
+    fnv1a64(&buf)
 }
 
 /// Streaming writer. Records go out as they arrive; `count` and the
@@ -290,10 +298,7 @@ impl<W: Write + Seek> TraceWriter<W> {
     pub fn write(&mut self, inst: &Inst) -> Result<(), DiskError> {
         self.buf.clear();
         self.state.encode(inst, &mut self.buf)?;
-        for &b in &self.buf {
-            self.digest ^= u64::from(b);
-            self.digest = self.digest.wrapping_mul(FNV_PRIME);
-        }
+        self.digest = fnv1a64_extend(self.digest, &self.buf);
         self.sink.write_all(&self.buf)?;
         self.count += 1;
         Ok(())
@@ -697,11 +702,7 @@ pub fn decode_trace(data: &[u8]) -> Result<StoredTrace, DiskError> {
     for _ in 0..count {
         insts.push(r.record(&mut state)?);
     }
-    let mut digest = FNV_OFFSET;
-    for &b in &data[payload_start..r.pos] {
-        digest ^= u64::from(b);
-        digest = digest.wrapping_mul(FNV_PRIME);
-    }
+    let digest = fnv1a64(&data[payload_start..r.pos]);
     if digest != expected_digest {
         return Err(DiskError::DigestMismatch {
             expected: expected_digest,
