@@ -11,15 +11,16 @@ CARGO ?= cargo
 ## placement benchmark (fast enough to run, not just build; its record
 ## goes under target/, so verify leaves the tree clean), a lockstep
 ## audit of the full scheme × app matrix — ten paper presets plus two
-## L2-spill descriptors — against the icr-check reference model, a
-## byte-identical trace save/replay round-trip through icr-run, a
-## kill-and-resume smoke of the checkpointed campaign service, a
-## two-worker fan-out whose merge must be byte-identical to the
-## single-process run, a plain (in-memory) campaign whose report
-## must match the checkpointed run's, a wider pass of the campaign
-## replay's equivalence property, and one pass of the end-to-end
-## benchmark's workloads against their recorded output digests.
-verify: build test fmt-check clippy doc replay-check bench-build bench-check bench-spill-check trace-roundtrip campaign-resume campaign-fanout campaign-plain audit
+## L2-spill descriptors — against the icr-check reference model, the
+## same audit over the seven RV32IM kernels, a byte-identical trace
+## save/replay round-trip through icr-run, a kill-and-resume smoke of
+## the checkpointed campaign service, a two-worker fan-out whose merge
+## must be byte-identical to the single-process run, a plain
+## (in-memory) campaign whose report must match the checkpointed
+## run's, a wider pass of the campaign replay's equivalence property,
+## and one pass of the end-to-end benchmark's workloads against their
+## recorded output digests.
+verify: build test fmt-check clippy doc replay-check bench-build bench-check bench-spill-check trace-roundtrip campaign-resume campaign-fanout campaign-plain audit isa-audit
 	@echo "verify: OK"
 
 ## Tier-1 gate (ROADMAP.md): release build + quiet tests.

@@ -14,16 +14,21 @@
 //! * decay counters recomputed from the last-access cycle each time.
 //!
 //! [`RefModel`] consumes the same access stream as the real `DataL1`
-//! and [`RefModel::check`] diffs the full observable state after every
-//! access: tags, dirty bits, protection, replica pairing, recency order,
-//! per-line decay counters, and the statistics counters — plus the
-//! conservation invariants (hits + misses = accesses, stats monotone,
-//! replicas always paired to a live primary a legal distance-k away).
+//! and diffs its observable state after every access, one set at a
+//! time: tags, dirty bits, protection, recency order, per-line decay
+//! counters and the local replica rules (a replica sits a legal
+//! distance-k away, parity-protected and clean), plus the statistics
+//! counters (exact, monotone, hits never above accesses), the spill
+//! region and the write buffer.
+//! [`RefModel::check_touched`] diffs the sets the access touched;
+//! [`RefModel::check`] diffs every set and then states the invariants
+//! only the whole cache can (replicas paired to a live primary, the
+//! replica ledger equal to a scan, the two replica tiers exclusive).
 //!
 //! The crate is **dependency-free**, including on the rest of the
 //! workspace: it must share no code — and therefore no bugs — with what
 //! it audits. The simulator side translates its state into the plain
-//! [`RealState`] structs defined here.
+//! [`RealSets`] structs defined here.
 //!
 //! Two more free-standing checks round out the audit surface:
 //! [`tally_conserved`] (fault-campaign outcome conservation: injected =
@@ -34,8 +39,8 @@ mod model;
 mod write_buffer;
 
 pub use model::{
-    ref_decay_counter, ref_is_dead, Counters, RealLine, RealSetExport, RealSets, RealState,
-    RefConfig, RefLine, RefModel, RefProtection, RefVictim, RefWriteBufferConfig,
+    ref_decay_counter, ref_is_dead, Counters, RealLine, RealSetExport, RealSets, RefConfig,
+    RefLine, RefModel, RefProtection, RefVictim, RefWriteBufferConfig,
 };
 pub use write_buffer::{RealWriteBuffer, RefWriteBuffer};
 

@@ -202,11 +202,10 @@ impl Counters {
     }
 }
 
-/// One valid line of the real cache, as exported for the audit.
+/// One valid line of the real cache, as exported for the audit under
+/// its set's [`RealSetExport`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RealLine {
-    /// Set index.
-    pub set: usize,
     /// Way index.
     pub way: usize,
     /// Block address.
@@ -225,23 +224,7 @@ pub struct RealLine {
     pub dead: bool,
 }
 
-/// A full observable-state snapshot of the real cache.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RealState {
-    /// Every valid line, in any order.
-    pub lines: Vec<RealLine>,
-    /// Per-set recency order, most-recently-used way first.
-    pub recency: Vec<Vec<usize>>,
-    /// Blocks resident in the L2 spill region, least-recently-*written*
-    /// first (empty for every dL1-only scheme).
-    pub spill: Vec<u64>,
-    /// The statistics counters.
-    pub counters: Counters,
-    /// Write-buffer state (write-through configurations only).
-    pub write_buffer: Option<RealWriteBuffer>,
-}
-
-/// One set's worth of exported real state, for the incremental diff.
+/// One set's worth of exported real state.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RealSetExport {
     /// The set index.
@@ -252,15 +235,18 @@ pub struct RealSetExport {
     pub recency: Vec<usize>,
 }
 
-/// A partial snapshot of the real cache: the named sets only, plus the
-/// global counters and write-buffer state (which every access can move).
+/// A snapshot of the real cache: the exported sets — every set, in
+/// order, for the full [`check`](RefModel::check); the touched ones for
+/// [`check_touched`](RefModel::check_touched) — plus the global state
+/// every access can move.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RealSets {
     /// One export per diffed set.
     pub sets: Vec<RealSetExport>,
     /// Blocks resident in the L2 spill region, least-recently-*written*
-    /// first. Exported on every incremental check — any access can move
-    /// the region, and the list is at most `spill_capacity` long.
+    /// first (empty for every dL1-only scheme). Exported on every check
+    /// — any access can move the region, and the list is at most
+    /// `spill_capacity` long.
     pub spill: Vec<u64>,
     /// The statistics counters.
     pub counters: Counters,
@@ -269,11 +255,13 @@ pub struct RealSets {
 }
 
 /// The naive reference dL1. Drive it with the same [`load`] / [`store`]
-/// stream as the real cache, then [`check`] the real cache's exported
-/// state after every access.
+/// stream as the real cache, and diff the real cache's exported state
+/// after every access: the sets it touched with [`check_touched`], or
+/// every set with [`check`].
 ///
 /// [`load`]: RefModel::load
 /// [`store`]: RefModel::store
+/// [`check_touched`]: RefModel::check_touched
 /// [`check`]: RefModel::check
 #[derive(Debug, Clone)]
 pub struct RefModel {
@@ -301,7 +289,7 @@ pub struct RefModel {
     /// The model performs the same transitions as the real cache, so
     /// this log names every set an in-sync real cache can have changed;
     /// a real-side change to a set the model never touched is caught by
-    /// the periodic full [`check`].
+    /// the next full [`check`].
     ///
     /// [`take_touched_sets`]: RefModel::take_touched_sets
     /// [`check`]: RefModel::check
@@ -684,22 +672,27 @@ impl RefModel {
     // The diff.
     // ------------------------------------------------------------------
 
-    /// Diffs the real cache's exported state against the model and
-    /// asserts the conservation invariants. Call after every access,
-    /// with the access's cycle.
+    /// The full diff: [`check_touched`](RefModel::check_touched) over an
+    /// export of every set, then the invariants that need the whole
+    /// cache (replica↔primary pairing, ledger vs scan, tier exclusivity,
+    /// unreplicated-primary protection). Call with the cycle of the last
+    /// access, or any later one.
     ///
     /// # Errors
     ///
     /// Returns a description of the first divergence or violated
-    /// invariant.
-    pub fn check(&mut self, now: u64, real: &RealState) -> Result<(), String> {
-        self.check_counters(&real.counters)?;
-        self.check_lines(now, real)?;
-        self.check_recency(real)?;
+    /// invariant, or of an export that does not list every set exactly
+    /// once, in order.
+    pub fn check(&mut self, now: u64, real: &RealSets) -> Result<(), String> {
+        if !real.sets.iter().map(|se| se.set).eq(0..self.cfg.sets) {
+            let listed: Vec<usize> = real.sets.iter().map(|se| se.set).collect();
+            return Err(format!(
+                "a full check needs sets 0..{} once each, in order; the export lists {listed:?}",
+                self.cfg.sets
+            ));
+        }
+        self.check_touched(now, real)?;
         self.check_replica_invariants(real)?;
-        self.check_spill_list(&real.spill)?;
-        self.check_write_buffer(&real.write_buffer)?;
-        self.prev_counters = Some(real.counters);
         // A clean full sweep covers every set: the incremental log is
         // stale from here on.
         self.touched.clear();
@@ -721,10 +714,9 @@ impl RefModel {
     /// sets — intended to be exactly the sets named by
     /// [`take_touched_sets`](RefModel::take_touched_sets). The global
     /// ledger-vs-scan and replica/primary pairing invariants need the
-    /// whole cache and are left to the periodic full
-    /// [`check`](RefModel::check); per-line replica invariants (legal
-    /// distance-k placement, parity, cleanliness) are still enforced
-    /// here.
+    /// whole cache and are left to the full [`check`](RefModel::check);
+    /// per-line replica invariants (legal distance-k placement, parity,
+    /// cleanliness) are enforced here.
     ///
     /// # Errors
     ///
@@ -800,21 +792,21 @@ impl RefModel {
         Ok(())
     }
 
-    /// The per-line diff shared by the full and incremental checks:
-    /// reference counterpart, field equality, and the decay cross-check.
-    fn check_line(&self, now: u64, rl: &RealLine) -> Result<(), String> {
-        let Some(ml) = &self.lines[rl.set][rl.way] else {
+    /// The per-line diff: reference counterpart, field equality, and the
+    /// decay cross-check.
+    fn check_line(&self, now: u64, set: usize, rl: &RealLine) -> Result<(), String> {
+        let Some(ml) = &self.lines[set][rl.way] else {
             return Err(format!(
-                "real line ({}, {}) addr {:#x} has no reference counterpart",
-                rl.set, rl.way, rl.addr
+                "real line ({set}, {}) addr {:#x} has no reference counterpart",
+                rl.way, rl.addr
             ));
         };
         if (ml.addr, ml.dirty, ml.replica, ml.prot, ml.last_access)
             != (rl.addr, rl.dirty, rl.replica, rl.prot, rl.last_access)
         {
             return Err(format!(
-                "line ({}, {}) diverged:\n  real      {rl:?}\n  reference {ml:?}",
-                rl.set, rl.way
+                "line ({set}, {}) diverged:\n  real      {rl:?}\n  reference {ml:?}",
+                rl.way
             ));
         }
         // Decay cross-check: the real counter/deadness must match the
@@ -822,173 +814,103 @@ impl RefModel {
         let want = ref_decay_counter(self.cfg.decay_window, ml.last_access, now);
         if rl.counter != want {
             return Err(format!(
-                "line ({}, {}) decay counter diverged at cycle {now}: real {}, \
+                "line ({set}, {}) decay counter diverged at cycle {now}: real {}, \
                  reference {want} (window {}, last access {})",
-                rl.set, rl.way, rl.counter, self.cfg.decay_window, ml.last_access
+                rl.way, rl.counter, self.cfg.decay_window, ml.last_access
             ));
         }
         if rl.dead != (rl.counter == 3) {
             return Err(format!(
-                "line ({}, {}): dead={} but counter={} — saturation and deadness disagree",
-                rl.set, rl.way, rl.dead, rl.counter
+                "line ({set}, {}): dead={} but counter={} — saturation and deadness disagree",
+                rl.way, rl.dead, rl.counter
             ));
         }
         Ok(())
     }
 
-    /// The incremental per-set diff: bidirectional line comparison,
-    /// recency order, and the local (single-line) replica invariants.
+    /// The per-set diff: bidirectional line comparison, recency order,
+    /// and the local (single-line) replica invariants.
     fn check_set(&self, now: u64, se: &RealSetExport) -> Result<(), String> {
-        if se.set >= self.cfg.sets {
-            return Err(format!("exported set {} out of range", se.set));
+        let set = se.set;
+        if set >= self.cfg.sets {
+            return Err(format!("exported set {set} out of range"));
         }
         let mut seen = vec![false; self.cfg.ways];
         for rl in &se.lines {
-            if rl.set != se.set {
-                return Err(format!("line {rl:?} exported under set {}", se.set));
-            }
             if rl.way >= self.cfg.ways {
-                return Err(format!("exported line out of range: {rl:?}"));
+                return Err(format!("exported line out of range in set {set}: {rl:?}"));
             }
             if std::mem::replace(&mut seen[rl.way], true) {
-                return Err(format!("line ({}, {}) exported twice", rl.set, rl.way));
+                return Err(format!("line ({set}, {}) exported twice", rl.way));
             }
-            self.check_line(now, rl)?;
+            self.check_line(now, set, rl)?;
             if rl.replica {
                 let home = self.cfg.set_of(rl.addr);
                 let candidates = self.cfg.candidate_sets(home);
-                if !candidates.contains(&rl.set) {
+                if !candidates.contains(&set) {
                     return Err(format!(
-                        "replica of {:#x} (home set {home}) found in set {}, \
+                        "replica of {:#x} (home set {home}) found in set {set}, \
                          not a legal distance-k candidate ({candidates:?})",
-                        rl.addr, rl.set
+                        rl.addr
                     ));
                 }
                 if rl.prot != RefProtection::Parity {
                     return Err(format!(
-                        "replica of {:#x} in set {} is not parity-protected",
-                        rl.addr, rl.set
+                        "replica of {:#x} in set {set} is not parity-protected",
+                        rl.addr
                     ));
                 }
                 if rl.dirty {
-                    return Err(format!(
-                        "replica of {:#x} in set {} is dirty",
-                        rl.addr, rl.set
-                    ));
+                    return Err(format!("replica of {:#x} in set {set} is dirty", rl.addr));
                 }
             }
         }
         // Any model line of this set the real cache did not export is a
         // divergence.
-        for (w, l) in self.lines[se.set].iter().enumerate() {
+        for (w, l) in self.lines[set].iter().enumerate() {
             if l.is_some() && !seen[w] {
                 return Err(format!(
-                    "reference line ({}, {w}) {l:?} missing from the real cache",
-                    se.set
+                    "reference line ({set}, {w}) {l:?} missing from the real cache"
                 ));
             }
         }
-        if se.recency != self.recency[se.set] {
+        if se.recency != self.recency[set] {
             return Err(format!(
-                "set {} recency diverged: real {:?}, reference {:?}",
-                se.set, se.recency, self.recency[se.set]
+                "set {set} recency diverged: real {:?}, reference {:?}",
+                se.recency, self.recency[set]
             ));
         }
         Ok(())
     }
 
-    fn check_lines(&self, now: u64, real: &RealState) -> Result<(), String> {
-        let mut seen = vec![vec![false; self.cfg.ways]; self.cfg.sets];
-        for rl in &real.lines {
-            if rl.set >= self.cfg.sets || rl.way >= self.cfg.ways {
-                return Err(format!("exported line out of range: {rl:?}"));
-            }
-            if std::mem::replace(&mut seen[rl.set][rl.way], true) {
-                return Err(format!("line ({}, {}) exported twice", rl.set, rl.way));
-            }
-            self.check_line(now, rl)?;
-        }
-        // Any model line the real cache did not export is a divergence.
-        for (s, set) in self.lines.iter().enumerate() {
-            for (w, l) in set.iter().enumerate() {
-                if l.is_some() && !seen[s][w] {
+    /// The invariants only the whole cache can state, over an export of
+    /// every set in order whose lines [`check_set`](Self::check_set) has
+    /// already matched: each replica has at most one copy per set and
+    /// (unless `keep_replicas_on_evict`) a live resident primary whose
+    /// protection reflects the pairing, the tiers are exclusive,
+    /// unreplicated primaries carry the scheme's code, and the `HashMap`
+    /// ledger agrees with a fresh scan.
+    fn check_replica_invariants(&self, real: &RealSets) -> Result<(), String> {
+        let mut scanned: HashMap<u64, Vec<usize>> = HashMap::new();
+        for se in &real.sets {
+            for rl in se.lines.iter().filter(|l| l.replica) {
+                let sets = scanned.entry(rl.addr).or_default();
+                if sets.contains(&se.set) {
                     return Err(format!(
-                        "reference line ({s}, {w}) {l:?} missing from the real cache"
+                        "block {:#x} holds two replicas in set {}",
+                        rl.addr, se.set
                     ));
                 }
+                sets.push(se.set);
             }
-        }
-        Ok(())
-    }
-
-    fn check_recency(&self, real: &RealState) -> Result<(), String> {
-        if real.recency.len() != self.cfg.sets {
-            return Err(format!(
-                "recency exported for {} sets, expected {}",
-                real.recency.len(),
-                self.cfg.sets
-            ));
-        }
-        for (s, (real_order, model_order)) in
-            real.recency.iter().zip(self.recency.iter()).enumerate()
-        {
-            if real_order != model_order {
-                return Err(format!(
-                    "set {s} recency diverged: real {real_order:?}, reference {model_order:?}"
-                ));
-            }
-        }
-        Ok(())
-    }
-
-    /// Replica pairing: every replica sits in a candidate set a legal
-    /// `distance-k` from its home set, is parity-protected, has at most
-    /// one copy per set, and (unless `keep_replicas_on_evict`) a live
-    /// resident primary whose protection reflects the pairing. The
-    /// `HashMap` ledger must agree with a fresh scan.
-    fn check_replica_invariants(&self, real: &RealState) -> Result<(), String> {
-        let mut scanned: HashMap<u64, Vec<usize>> = HashMap::new();
-        for rl in &real.lines {
-            if !rl.replica {
-                continue;
-            }
-            let home = self.cfg.set_of(rl.addr);
-            let candidates = self.cfg.candidate_sets(home);
-            if !candidates.contains(&rl.set) {
-                return Err(format!(
-                    "replica of {:#x} (home set {home}) found in set {}, \
-                     not a legal distance-k candidate ({candidates:?})",
-                    rl.addr, rl.set
-                ));
-            }
-            if rl.prot != RefProtection::Parity {
-                return Err(format!(
-                    "replica of {:#x} in set {} is not parity-protected",
-                    rl.addr, rl.set
-                ));
-            }
-            if rl.dirty {
-                return Err(format!(
-                    "replica of {:#x} in set {} is dirty",
-                    rl.addr, rl.set
-                ));
-            }
-            let sets = scanned.entry(rl.addr).or_default();
-            if sets.contains(&rl.set) {
-                return Err(format!(
-                    "block {:#x} holds two replicas in set {}",
-                    rl.addr, rl.set
-                ));
-            }
-            sets.push(rl.set);
         }
         for (block, sets) in &scanned {
             if !self.cfg.keep_replicas_on_evict {
                 let home = self.cfg.set_of(*block);
-                let primary = real
+                let primary = real.sets[home]
                     .lines
                     .iter()
-                    .find(|l| l.set == home && !l.replica && l.addr == *block);
+                    .find(|l| !l.replica && l.addr == *block);
                 let Some(primary) = primary else {
                     return Err(format!(
                         "replicas of {block:#x} in sets {sets:?} have no live primary"
@@ -1012,7 +934,7 @@ impl RefModel {
         // Unreplicated primaries carry the scheme's code; a spilled
         // block's resident primary reads under parity (the spilled copy
         // backs it, so per-line SEC-DED would be wasted).
-        for rl in &real.lines {
+        for rl in real.sets.iter().flat_map(|se| &se.lines) {
             if rl.replica {
                 continue;
             }
@@ -1108,16 +1030,25 @@ mod tests {
         }
     }
 
-    /// A RealState assembled from the model itself: the trivially
-    /// matching snapshot, as a harness for invariant tests.
-    fn snapshot(m: &RefModel, now: u64) -> RealState {
-        let mut lines = Vec::new();
-        for (s, set) in m.lines.iter().enumerate() {
-            for (w, l) in set.iter().enumerate() {
-                if let Some(l) = l {
+    /// A full snapshot assembled from the model itself: the trivially
+    /// matching export of every set, as a harness for invariant tests.
+    fn snapshot(m: &RefModel, now: u64) -> RealSets {
+        let every: Vec<usize> = (0..m.cfg.sets).collect();
+        snapshot_sets(m, &every, now)
+    }
+
+    /// A RealSets assembled from the model itself for the named sets:
+    /// the trivially matching partial snapshot.
+    fn snapshot_sets(m: &RefModel, sets: &[usize], now: u64) -> RealSets {
+        let export = |s: usize| RealSetExport {
+            set: s,
+            lines: m.lines[s]
+                .iter()
+                .enumerate()
+                .filter_map(|(w, l)| {
+                    let l = l.as_ref()?;
                     let counter = ref_decay_counter(m.cfg.decay_window, l.last_access, now);
-                    lines.push(RealLine {
-                        set: s,
+                    Some(RealLine {
                         way: w,
                         addr: l.addr,
                         dirty: l.dirty,
@@ -1126,13 +1057,13 @@ mod tests {
                         last_access: l.last_access,
                         counter,
                         dead: counter == 3,
-                    });
-                }
-            }
-        }
-        RealState {
-            lines,
-            recency: m.recency.clone(),
+                    })
+                })
+                .collect(),
+            recency: m.recency[s].clone(),
+        };
+        RealSets {
+            sets: sets.iter().map(|&s| export(s)).collect(),
             spill: m.spill.clone(),
             counters: m.counters,
             write_buffer: None,
@@ -1158,7 +1089,7 @@ mod tests {
         let mut m = RefModel::new(cfg());
         m.store(0x40, 0);
         let mut snap = snapshot(&m, 0);
-        let primary = snap.lines.iter_mut().find(|l| !l.replica).unwrap();
+        let primary = snap.sets[1].lines.iter_mut().find(|l| !l.replica).unwrap();
         primary.dirty = false;
         let err = m.check(0, &snap).unwrap_err();
         assert!(err.contains("diverged"), "{err}");
@@ -1170,13 +1101,13 @@ mod tests {
         m.store(0x40, 0);
         let mut snap = snapshot(&m, 0);
         // Teleport the replica to a non-candidate set in both the export
-        // and the model, so the pairing invariant (not the line diff)
+        // and the model, so the placement check (not the line diff)
         // fires.
-        let r = snap.lines.iter().position(|l| l.replica).unwrap();
-        snap.lines[r].set = 6;
-        let line = m.lines[5][snap.lines[r].way].take();
-        m.lines[6][snap.lines[r].way] = line;
-        snap.recency = m.recency.clone();
+        let r = snap.sets[5].lines.pop().unwrap();
+        assert!(r.replica);
+        snap.sets[6].lines.push(r);
+        let line = m.lines[5][r.way].take();
+        m.lines[6][r.way] = line;
         let err = m.check(0, &snap).unwrap_err();
         assert!(err.contains("distance-k"), "{err}");
     }
@@ -1202,25 +1133,6 @@ mod tests {
         snap2.counters.read_accesses = 0; // went backwards
         let err = m.check(1, &snap2).unwrap_err();
         assert!(err.contains("backwards"), "{err}");
-    }
-
-    /// A RealSets assembled from the model itself for the named sets:
-    /// the trivially matching partial snapshot.
-    fn snapshot_sets(m: &RefModel, sets: &[usize], now: u64) -> RealSets {
-        let full = snapshot(m, now);
-        RealSets {
-            sets: sets
-                .iter()
-                .map(|&s| RealSetExport {
-                    set: s,
-                    lines: full.lines.iter().filter(|l| l.set == s).copied().collect(),
-                    recency: m.recency[s].clone(),
-                })
-                .collect(),
-            spill: m.spill.clone(),
-            counters: m.counters,
-            write_buffer: None,
-        }
     }
 
     #[test]
@@ -1295,6 +1207,20 @@ mod tests {
         m.lines[5][rl.way].as_mut().unwrap().dirty = true;
         let err = m.check_touched(0, &snap).unwrap_err();
         assert!(err.contains("dirty"), "{err}");
+    }
+
+    #[test]
+    fn full_check_refuses_an_export_that_is_not_every_set_in_order() {
+        let mut m = RefModel::new(cfg());
+        m.store(0x40, 0);
+        let mut snap = snapshot(&m, 0);
+        snap.sets.remove(3);
+        let err = m.clone().check(0, &snap).unwrap_err();
+        assert!(err.contains("once each, in order"), "{err}");
+        let mut snap = snapshot(&m, 0);
+        snap.sets.swap(1, 5);
+        let err = m.check(0, &snap).unwrap_err();
+        assert!(err.contains("once each, in order"), "{err}");
     }
 
     #[test]

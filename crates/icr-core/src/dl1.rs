@@ -670,8 +670,8 @@ impl DataL1 {
     }
 
     /// Exports every valid line with its full observable state at cycle
-    /// `now`, for lockstep auditing against a reference model: every
-    /// set's [`export_set_lines`](DataL1::export_set_lines), in set order.
+    /// `now`: every set's [`export_set_lines`](DataL1::export_set_lines),
+    /// in set order.
     pub fn export_lines(&self, now: u64) -> Vec<LineExport> {
         let mut out = Vec::new();
         for set in 0..self.config.geometry.num_sets() {
@@ -682,8 +682,8 @@ impl DataL1 {
 
     /// Exports the valid lines of one set at cycle `now`, appended to
     /// `out` — the per-set slice of [`export_lines`](DataL1::export_lines)
-    /// for the incremental lockstep diff, which snapshots only the sets
-    /// an access touched. Decay counters come from
+    /// the lockstep audit reads, one set at a time, for both its
+    /// per-access diff and its full sweep. Decay counters come from
     /// [`DecayConfig::counter_at`], which saturates exactly when the
     /// victim scan's [`DecayConfig::dead_at`] holds.
     ///

@@ -357,11 +357,6 @@ impl OutcomeTally {
         OutcomeTally { counts }
     }
 
-    /// `true` when no trial has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.counts.iter().all(|&c| c == 0)
-    }
-
     fn index(outcome: ErrorOutcome) -> usize {
         ErrorOutcome::ALL
             .iter()
@@ -677,13 +672,11 @@ mod tests {
     #[test]
     fn counts_round_trip_through_from_counts() {
         let mut t = OutcomeTally::default();
-        assert!(t.is_empty());
         for (i, &o) in ErrorOutcome::ALL.iter().enumerate() {
             for _ in 0..=i {
                 t.record(o);
             }
         }
-        assert!(!t.is_empty());
         let back = OutcomeTally::from_counts(t.counts());
         assert_eq!(back, t);
         assert_eq!(back.total(), t.total());

@@ -20,7 +20,7 @@ use crate::exec::Pool;
 use crate::json::{arr, count, obj, text};
 use crate::simulator::{run_sim, CheckMode, SimConfig};
 use icr_check::{
-    Counters, RealLine, RealSetExport, RealSets, RealState, RealWriteBuffer, RefConfig, RefModel,
+    Counters, RealLine, RealSetExport, RealSets, RealWriteBuffer, RefConfig, RefModel,
     RefProtection, RefVictim, RefWriteBufferConfig,
 };
 use icr_core::{DataL1, DataL1Config, LineExport, Scheme, VictimPolicy, WritePolicy};
@@ -81,7 +81,6 @@ pub fn ref_config(cfg: &DataL1Config, hierarchy: &HierarchyConfig) -> RefConfig 
 
 fn to_real_line(l: &LineExport) -> RealLine {
     RealLine {
-        set: l.set,
         way: l.way,
         addr: l.addr.raw(),
         dirty: l.dirty,
@@ -144,27 +143,10 @@ fn export_write_buffer(dl1: &DataL1) -> Option<RealWriteBuffer> {
     })
 }
 
-/// Exports the real cache's full observable state at cycle `now` into
-/// the plain [`RealState`] the reference model diffs against. The
-/// backend supplies the L2 spill-region occupancy.
-pub fn export_real_state(dl1: &DataL1, backend: &MemoryBackend, now: u64) -> RealState {
-    let lines = dl1.export_lines(now).iter().map(to_real_line).collect();
-    let g = dl1.geometry();
-    let recency = (0..g.num_sets())
-        .map(|s| dl1.lru_order(s).to_vec())
-        .collect();
-    RealState {
-        lines,
-        recency,
-        spill: export_spill(backend),
-        counters: export_counters(dl1),
-        write_buffer: export_write_buffer(dl1),
-    }
-}
-
-/// Exports only the named sets (plus the global counters, spill-region
-/// occupancy and write buffer) at cycle `now`, for the incremental
-/// lockstep diff.
+/// Exports the named sets (plus the global counters, spill-region
+/// occupancy and write buffer) at cycle `now` into the plain
+/// [`RealSets`] the reference model diffs against. The backend supplies
+/// the L2 spill-region occupancy.
 pub fn export_real_sets(
     dl1: &DataL1,
     backend: &MemoryBackend,
@@ -192,6 +174,13 @@ pub fn export_real_sets(
     }
 }
 
+/// [`export_real_sets`] over every set, in order: the snapshot the full
+/// [`RefModel::check`] needs.
+pub fn export_real_state(dl1: &DataL1, backend: &MemoryBackend, now: u64) -> RealSets {
+    let every: Vec<usize> = (0..dl1.geometry().num_sets()).collect();
+    export_real_sets(dl1, backend, &every, now)
+}
+
 /// How many accesses run under the cheap incremental diff between two
 /// full-state sweeps. The incremental diff covers every set the model
 /// touched, so the sweep exists to catch the one thing it cannot: the
@@ -206,17 +195,16 @@ const SWEEP_EVERY: u64 = 1024;
 /// Most accesses are diffed *incrementally*: the model logs which sets
 /// its own transition touched, and only those sets (plus the global
 /// counters and write-buffer state) are exported and compared. Every
-/// `SWEEP_EVERY`-th access runs the original full-state diff — tags,
-/// recency and replica-pairing invariants over the whole cache — as the
-/// backstop for divergences in sets neither side should have moved.
+/// `SWEEP_EVERY`-th access, and the end of the run, sweeps: the same
+/// diff over every set, then the replica-pairing invariants over the
+/// whole cache — the backstop for divergences in sets neither side
+/// should have moved.
 #[derive(Debug)]
 pub struct LockstepChecker {
     model: RefModel,
     app: String,
     scheme: String,
     accesses: u64,
-    /// Accesses between full-state sweeps (incremental diffs otherwise).
-    sweep_every: u64,
     /// Reusable touched-set buffer for the incremental diff.
     touched: Vec<usize>,
 }
@@ -237,17 +225,8 @@ impl LockstepChecker {
             app: app.to_owned(),
             scheme: cfg.scheme.name(),
             accesses: 0,
-            sweep_every: SWEEP_EVERY,
             touched: Vec::new(),
         }
-    }
-
-    /// Overrides the full-sweep period (`1` = full diff on every access,
-    /// the pre-incremental behaviour). For tests.
-    pub fn with_sweep_every(mut self, sweep_every: u64) -> Self {
-        assert!(sweep_every > 0, "sweep period");
-        self.sweep_every = sweep_every;
-        self
     }
 
     /// Mirrors a load the real cache just performed, then diffs.
@@ -275,11 +254,25 @@ impl LockstepChecker {
         self.accesses
     }
 
+    /// The full sweep that ends a run, at its final cycle `now`.
+    ///
+    /// # Panics
+    ///
+    /// Panics with a full divergence report on a mismatch.
+    pub(crate) fn sweep(&mut self, now: u64, dl1: &DataL1, backend: &MemoryBackend) {
+        if let Err(e) = self.model.check(now, &export_real_state(dl1, backend, now)) {
+            panic!(
+                "lockstep audit divergence: scheme {}, app {}, final sweep after {} \
+                 accesses, at cycle {now}:\n{e}",
+                self.scheme, self.app, self.accesses
+            );
+        }
+    }
+
     fn verify(&mut self, kind: &str, addr: u64, now: u64, dl1: &DataL1, backend: &MemoryBackend) {
         self.accesses += 1;
-        let result = if self.accesses.is_multiple_of(self.sweep_every) {
-            let real = export_real_state(dl1, backend, now);
-            self.model.check(now, &real)
+        let result = if self.accesses.is_multiple_of(SWEEP_EVERY) {
+            self.model.check(now, &export_real_state(dl1, backend, now))
         } else {
             let mut touched = std::mem::take(&mut self.touched);
             self.model.take_touched_sets(&mut touched);
@@ -338,8 +331,7 @@ pub struct AuditCell {
     pub scheme: Scheme,
     /// Workload name.
     pub app: String,
-    /// dL1 accesses diffed against the reference model (one full-state
-    /// diff each).
+    /// dL1 accesses diffed against the reference model (one diff each).
     pub accesses_checked: u64,
     /// Cycles the simulation ran for.
     pub cycles: u64,

@@ -255,7 +255,7 @@ pub(crate) fn record(reference: &SimConfig) -> CallLog {
         machine: Machine::new(reference, &trace),
         log: LogWriter::default(),
     };
-    let (recorder, stats) = run_core(reference.cpu, &trace, recorder);
+    let (mut recorder, stats) = run_core(reference.cpu, &trace, recorder);
     CallLog {
         result: recorder.machine.finish(reference, stats),
         bytes: recorder.log.finish(),

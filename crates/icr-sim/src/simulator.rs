@@ -474,8 +474,12 @@ impl Machine {
     }
 
     /// The run's result: this memory side's final state plus the core's
-    /// statistics.
-    pub(crate) fn finish(&self, config: &SimConfig, stats: PipelineStats) -> SimResult {
+    /// statistics. A lockstep run ends with the checker's full sweep at
+    /// the final cycle.
+    pub(crate) fn finish(&mut self, config: &SimConfig, stats: PipelineStats) -> SimResult {
+        if let Some(chk) = &mut self.checker {
+            chk.sweep(stats.cycles, &self.dl1, &self.backend);
+        }
         let icr = *self.dl1.stats();
         let l2 = *self.backend.l2_stats();
         let l1i = *self.icache.stats();
@@ -604,7 +608,7 @@ pub(crate) fn run_core<M: MemorySide>(
 /// unknown application name.
 pub fn run_sim(config: &SimConfig) -> SimResult {
     let trace = workload(config);
-    let (machine, stats) = run_core(config.cpu, &trace, Machine::new(config, &trace));
+    let (mut machine, stats) = run_core(config.cpu, &trace, Machine::new(config, &trace));
     machine.finish(config, stats)
 }
 
@@ -761,5 +765,25 @@ mod tests {
             "replicated lines use parity"
         );
         assert!(r.energy_counts.l2_accesses > 0);
+    }
+
+    /// A lockstep run ends with a full sweep: a load the checker never
+    /// saw, served after the last one it did, diverges at `finish`.
+    #[test]
+    #[should_panic(expected = "lockstep audit divergence")]
+    fn finish_sweeps_a_lockstep_run() {
+        let config = SimConfig::builder("gzip", DataL1Config::paper_default(Scheme::BASE_P))
+            .check(CheckMode::Lockstep)
+            .build();
+        let mut machine = Machine::new(&config, &[]);
+        for (now, addr) in [0x1000, 0x2000, 0x1000].into_iter().enumerate() {
+            machine.load(addr, now as u64);
+        }
+        machine.dl1.load(Addr(0x3000), 3, &mut machine.backend);
+        let stats = PipelineStats {
+            cycles: 10,
+            ..PipelineStats::default()
+        };
+        machine.finish(&config, stats);
     }
 }

@@ -62,8 +62,9 @@ fn checker_catches_the_old_decay_counter_formula() {
     let now = 800;
     let mut real = export_real_state(&dl1, &backend, now);
     let line = real
-        .lines
+        .sets
         .iter_mut()
+        .flat_map(|se| &mut se.lines)
         .find(|l| l.last_access == 0)
         .expect("the cycle-0 line is resident");
     let elapsed = now - line.last_access;

@@ -20,18 +20,8 @@
 //! ```
 
 use icr_core::Scheme;
-use icr_sim::checkpoint::ShardCheckpoint;
+use icr_sim::checkpoint::{fnv1a64, ShardCheckpoint};
 use icr_sim::{run_campaign, run_sharded_campaign, CampaignSpec, ShardedCampaignSpec};
-
-/// FNV-1a over the document bytes.
-fn fnv(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// A small uniform campaign: 2 schemes × 2 apps, 12 trials per cell in
 /// batches of 4, short enough for debug-mode tier-1.
@@ -127,7 +117,7 @@ fn record_golden_campaign_digests() {
         let doc = report_json(width);
         println!(
             "const {name}: u64 = {:#018x}; // {} bytes, {} stopped early",
-            fnv(doc.as_bytes()),
+            fnv1a64(doc.as_bytes()),
             doc.len(),
             doc.matches("\"stopped_early\": true").count()
         );
@@ -135,7 +125,7 @@ fn record_golden_campaign_digests() {
     for (name, doc) in side_documents() {
         println!(
             "const {name}: u64 = {:#018x}; // {} bytes",
-            fnv(doc.as_bytes()),
+            fnv1a64(doc.as_bytes()),
             doc.len()
         );
     }
@@ -144,7 +134,7 @@ fn record_golden_campaign_digests() {
 #[test]
 fn plain_campaign_report_bytes_are_pinned() {
     assert_eq!(
-        fnv(report_json(None).as_bytes()),
+        fnv1a64(report_json(None).as_bytes()),
         GOLDEN_PLAIN,
         "the uniform plain campaign report changed"
     );
@@ -158,7 +148,7 @@ fn early_stopped_campaign_report_bytes_are_pinned() {
         "the pin must cover both stopped and full-budget cells:\n{doc}"
     );
     assert_eq!(
-        fnv(doc.as_bytes()),
+        fnv1a64(doc.as_bytes()),
         GOLDEN_EARLY_STOP,
         "the early-stopped plain campaign report changed"
     );
@@ -178,7 +168,7 @@ fn side_document_bytes_are_pinned() {
     );
     let pinned = [GOLDEN_IMPORTANCE, GOLDEN_WORKER, GOLDEN_WORKER_SHARD];
     for ((name, doc), want) in docs.iter().zip(pinned) {
-        assert_eq!(fnv(doc.as_bytes()), want, "the {name} document changed");
+        assert_eq!(fnv1a64(doc.as_bytes()), want, "the {name} document changed");
     }
 }
 

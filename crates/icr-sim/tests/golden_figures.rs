@@ -23,6 +23,7 @@
 
 use icr_core::{DataL1Config, Scheme};
 use icr_fault::ErrorModel;
+use icr_sim::checkpoint::fnv1a64;
 use icr_sim::experiment::{all_figures, figure_runners, isa_matrix, spill_matrix, ExpOptions};
 use icr_sim::{run_audit, run_sim, run_vuln, AuditSpec, FaultConfig, SimConfig, VulnSpec};
 use icr_trace::apps::{APP_NAMES, EXTENDED_APP_NAMES};
@@ -32,16 +33,6 @@ use icr_trace::apps::{APP_NAMES, EXTENDED_APP_NAMES};
 /// replication, decay and write-back traffic.
 const GOLDEN_INSTRUCTIONS: u64 = 3_000;
 const GOLDEN_SEED: u64 = 42;
-
-/// FNV-1a over the document bytes.
-fn fnv(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 fn golden_opts() -> ExpOptions {
     ExpOptions {
@@ -122,14 +113,14 @@ fn record_golden_digest() {
     let doc = all_json_document();
     println!(
         "const GOLDEN_DIGEST: u64 = {:#018x}; // {} figures, {} bytes",
-        fnv(doc.as_bytes()),
+        fnv1a64(doc.as_bytes()),
         doc.matches("\"id\":").count(),
         doc.len()
     );
     for (name, doc) in side_documents() {
         println!(
             "const {name}: u64 = {:#018x}; // {} bytes",
-            fnv(doc.as_bytes()),
+            fnv1a64(doc.as_bytes()),
             doc.len()
         );
     }
@@ -139,7 +130,7 @@ fn record_golden_digest() {
 fn default_figure_matrix_bytes_are_pinned() {
     let doc = all_json_document();
     assert_eq!(
-        fnv(doc.as_bytes()),
+        fnv1a64(doc.as_bytes()),
         GOLDEN_DIGEST,
         "the `icr-exp all --json` document changed; ISA workloads must \
          join via EXTENDED_APP_NAMES without touching the default matrix \
@@ -167,7 +158,7 @@ fn side_matrix_bytes_are_pinned() {
         GOLDEN_FAULTED_RUN,
     ];
     for ((name, doc), want) in side_documents().into_iter().zip(pinned) {
-        assert_eq!(fnv(doc.as_bytes()), want, "the {name} document changed");
+        assert_eq!(fnv1a64(doc.as_bytes()), want, "the {name} document changed");
     }
 }
 

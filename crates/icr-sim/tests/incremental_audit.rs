@@ -73,10 +73,10 @@ fn incremental_diff_catches_the_old_decay_counter_formula() {
     // from the home set of the two colliding addresses.
     assert!(touched.is_empty(), "clean check consumed the touched log");
     let home: Vec<usize> = export_real_state(&dl1, &backend, now)
-        .lines
+        .sets
         .iter()
-        .filter(|l| l.last_access == 0)
-        .map(|l| l.set)
+        .filter(|se| se.lines.iter().any(|l| l.last_access == 0))
+        .map(|se| se.set)
         .collect();
     let mut real = export_real_sets(&dl1, &backend, &home, now);
     let line = real.sets[0]
@@ -265,10 +265,9 @@ fn full_sweep_catches_what_the_touched_diff_skips() {
     let now = 10;
     // Doctor the line in set 1 — untouched by the final access to set 0.
     let mut full = export_real_state(&dl1, &backend, now);
-    let line = full
+    let line = full.sets[1]
         .lines
-        .iter_mut()
-        .find(|l| l.set == 1)
+        .first_mut()
         .expect("the 0x040 line is resident in set 1");
     line.last_access += 1;
 
@@ -285,9 +284,9 @@ fn full_sweep_catches_what_the_touched_diff_skips() {
 }
 
 /// The incremental checker (default sweep cadence) and the
-/// pre-incremental behaviour (a full diff on every access,
-/// `with_sweep_every(1)`) both run clean over the same simulation — the
-/// optimisation changed the cost, not the verdict.
+/// pre-incremental behaviour (a full diff on every access, here a bare
+/// `RefModel` running `check`) both run clean over the same simulation —
+/// the optimisation changed the cost, not the verdict.
 #[test]
 fn incremental_and_full_cadence_agree_on_a_clean_run() {
     let cfg = DataL1Config::paper_default(Scheme::ICR_P_PS_S);
@@ -295,7 +294,8 @@ fn incremental_and_full_cadence_agree_on_a_clean_run() {
     let mut backend = MemoryBackend::new(&hierarchy);
     let mut dl1 = DataL1::new(cfg.clone());
     let mut incremental = LockstepChecker::new(&cfg, &hierarchy, "synthetic");
-    let mut full = LockstepChecker::new(&cfg, &hierarchy, "synthetic").with_sweep_every(1);
+    let mut full = RefModel::new(ref_config(&cfg, &hierarchy));
+    let mut full_checked = 0u64;
     // A deterministic mix of hits, misses, and replica-triggering stores
     // across several sets.
     let mut addr = 0x40u64;
@@ -308,13 +308,16 @@ fn incremental_and_full_cadence_agree_on_a_clean_run() {
         if i % 3 == 0 {
             dl1.store(Addr(block), now, &mut backend);
             incremental.after_store(block, now, &dl1, &backend);
-            full.after_store(block, now, &dl1, &backend);
+            full.store(block, now);
         } else {
             dl1.load(Addr(block), now, &mut backend);
             incremental.after_load(block, now, &dl1, &backend);
-            full.after_load(block, now, &dl1, &backend);
+            full.load(block, now);
         }
+        full.check(now, &export_real_state(&dl1, &backend, now))
+            .unwrap_or_else(|e| panic!("full diff diverged at cycle {now}: {e}"));
+        full_checked += 1;
     }
     assert_eq!(incremental.accesses_checked(), 600);
-    assert_eq!(full.accesses_checked(), 600);
+    assert_eq!(full_checked, 600);
 }
