@@ -58,9 +58,12 @@ replay-check:
 ## Compile every icr-bench target (criterion and standalone alike) and
 ## the end-to-end benchmark package (its own workspace, which imports
 ## icr_sim's experiment, engine and pool APIs) without running them.
+## The package builds --locked: its Cargo.lock records every dependency
+## edge between the crates/* it uses, so a change to that graph fails
+## here instead of rewriting a benchmark file.
 bench-build:
 	$(CARGO) bench -p icr-bench --no-run
-	$(CARGO) build --release --offline --manifest-path benchmark/Cargo.toml
+	$(CARGO) build --release --offline --locked --manifest-path benchmark/Cargo.toml
 
 ## One pass of the end-to-end benchmark's figures, campaign and isa
 ## workloads (three cold iterations each, untraced, seed 0), then one
@@ -69,8 +72,9 @@ bench-build:
 ## sharded report and SimResult document the workloads produce must
 ## match its digest in benchmark/digests.txt, and the traced pass holds
 ## every campaign trial's memoised result, replayed, stopped early or
-## run in full, equal to a fresh run_sim.
-BENCH_CHECK = $(CARGO) run --release --offline --quiet --manifest-path benchmark/Cargo.toml --
+## run in full, equal to a fresh run_sim. Built --locked, like
+## bench-build.
+BENCH_CHECK = $(CARGO) run --release --offline --locked --quiet --manifest-path benchmark/Cargo.toml --
 bench-check:
 	@set -e; for run in "figures 0" "campaign 0" "isa 0" "campaign 1"; do \
 		set -- $$run; \

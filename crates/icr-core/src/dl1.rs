@@ -301,7 +301,8 @@ impl Footprint {
     }
 }
 
-/// Read-only view of a line, for tests, fault injection and inspection.
+/// Read-only view of a valid line: the dL1's one per-line read, for
+/// the lockstep audit, fault injection, tests and inspection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LineView {
     /// The block's address.
@@ -312,32 +313,9 @@ pub struct LineView {
     pub is_replica: bool,
     /// Protection code currently on the line's words.
     pub protection: Protection,
-}
-
-/// Full export of one valid line for lockstep auditing: every observable
-/// field, including the decay counter *as this implementation computes
-/// it* at the export cycle — a reference model recomputing the counter
-/// from `last_access` can then catch any drift between the two.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LineExport {
-    /// Set index.
-    pub set: usize,
-    /// Way index.
-    pub way: usize,
-    /// The block's address.
-    pub addr: BlockAddr,
-    /// Dirty (modified since fill).
-    pub dirty: bool,
-    /// Replica (vs primary copy).
-    pub is_replica: bool,
-    /// Protection code currently on the line's words.
-    pub protection: Protection,
-    /// Cycle of the line's last access.
+    /// Cycle of the line's last access; its decay counter at cycle `now`
+    /// is [`DecayConfig::counter_at`]`(last_access, now)`.
     pub last_access: u64,
-    /// The 2-bit decay counter at the export cycle (0–3).
-    pub counter: u8,
-    /// Deadness at the export cycle.
-    pub dead: bool,
 }
 
 /// The ICR data L1.
@@ -483,62 +461,6 @@ impl DataL1 {
         self.exposure.set_arrival(arrival);
     }
 
-    /// The [`ProtState`] the line at (`set`, `way`) currently sits in,
-    /// or `None` for an invalid line. This is the public window the
-    /// fault injector's importance proposal reads to tilt its site draw
-    /// toward dirty unreplicated parity lines — the high-ACE residency
-    /// the exposure ledger charges as unrecoverable.
-    pub fn line_exposure_state(&self, set: usize, way: usize) -> Option<ProtState> {
-        if !self.lines.valid[self.lines.slot(set, way)] {
-            return None;
-        }
-        Some(self.exposure_state(set, way))
-    }
-
-    /// `true` when the line at (`set`, `way`) is a valid dirty *primary*
-    /// line under parity protection — the only residency a single-bit
-    /// strike can turn into data loss. Clean parity lines refetch from
-    /// L2, SEC-DED lines correct, and replica lines never hold the sole
-    /// copy; a dirty parity primary is loss-prone even while a replica
-    /// exists, because the replica may be evicted, spilled out, or
-    /// bypassed (laundering) before the corrupted word is consumed.
-    /// This is the site predicate behind the fault injector's
-    /// importance proposal.
-    pub fn line_loss_prone(&self, set: usize, way: usize) -> bool {
-        let sl = self.lines.slot(set, way);
-        self.lines.valid[sl]
-            && !self.lines.is_replica[sl]
-            && self.lines.prot[sl] != Protection::SecDed
-            && self.lines.dirty[sl]
-    }
-
-    /// The cycle at which the line at (`set`, `way`) was last accessed
-    /// (`0` for never-touched slots). Exported for fault-site
-    /// diagnostics.
-    pub fn line_last_access(&self, set: usize, way: usize) -> u64 {
-        self.lines.last_access[self.lines.slot(set, way)]
-    }
-
-    /// `true` when the line at (`set`, `way`) is a valid parity-protected
-    /// primary holding one of `blocks` (aligned block addresses). The
-    /// fault injector's site proposal uses this with the workload's
-    /// store working set: such lines are the ones a clean-line strike
-    /// can *launder* through — a later store dirties the line and
-    /// replication re-encodes the corrupted word under clean parity —
-    /// so they are strike-worthy even while clean.
-    pub fn line_in_working_set(
-        &self,
-        set: usize,
-        way: usize,
-        blocks: &std::collections::HashSet<u64>,
-    ) -> bool {
-        let sl = self.lines.slot(set, way);
-        self.lines.valid[sl]
-            && !self.lines.is_replica[sl]
-            && self.lines.prot[sl] != Protection::SecDed
-            && blocks.contains(&self.lines.addr[sl].raw())
-    }
-
     /// The [`ProtState`] the valid line at (`set`, `way`) is in.
     fn exposure_state(&self, set: usize, way: usize) -> ProtState {
         let sl = self.lines.slot(set, way);
@@ -666,53 +588,8 @@ impl DataL1 {
             dirty: self.lines.dirty[sl],
             is_replica: self.lines.is_replica[sl],
             protection: self.lines.prot[sl],
+            last_access: self.lines.last_access[sl],
         })
-    }
-
-    /// Exports every valid line with its full observable state at cycle
-    /// `now`: every set's [`export_set_lines`](DataL1::export_set_lines),
-    /// in set order.
-    pub fn export_lines(&self, now: u64) -> Vec<LineExport> {
-        let mut out = Vec::new();
-        for set in 0..self.config.geometry.num_sets() {
-            self.export_set_lines(set, now, &mut out);
-        }
-        out
-    }
-
-    /// Exports the valid lines of one set at cycle `now`, appended to
-    /// `out` — the per-set slice of [`export_lines`](DataL1::export_lines)
-    /// the lockstep audit reads, one set at a time, for both its
-    /// per-access diff and its full sweep. Decay counters come from
-    /// [`DecayConfig::counter_at`], which saturates exactly when the
-    /// victim scan's [`DecayConfig::dead_at`] holds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `set` is out of range.
-    pub fn export_set_lines(&self, set: usize, now: u64, out: &mut Vec<LineExport>) {
-        let assoc = self.lines.assoc;
-        for way in 0..assoc {
-            let sl = set * assoc + way;
-            if !self.lines.valid[sl] {
-                continue;
-            }
-            let counter = self
-                .config
-                .decay
-                .counter_at(self.lines.last_access[sl], now);
-            out.push(LineExport {
-                set,
-                way,
-                addr: self.lines.addr[sl],
-                dirty: self.lines.dirty[sl],
-                is_replica: self.lines.is_replica[sl],
-                protection: self.lines.prot[sl],
-                last_access: self.lines.last_access[sl],
-                counter,
-                dead: counter == 3,
-            });
-        }
     }
 
     /// The recency order of `set`'s ways, most-recently-used first —

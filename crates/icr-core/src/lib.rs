@@ -47,7 +47,7 @@ pub mod stats;
 pub mod victim;
 
 pub use decay::{DecayConfig, DecayState};
-pub use dl1::{DataL1, DataL1Config, LineExport, LineView, WritePolicy};
+pub use dl1::{DataL1, DataL1Config, LineView, WritePolicy};
 pub use hints::{HintAction, ReplicationHints};
 pub use placement::PlacementPolicy;
 pub use scheme::{

@@ -3,6 +3,7 @@
 
 use crate::model::ErrorModel;
 use icr_core::DataL1;
+use icr_ecc::Protection;
 use icr_mem::MemoryBackend;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -167,7 +168,6 @@ pub struct FaultInjector {
     hot_blocks: Option<Arc<HashSet<u64>>>,
     forced_arrival: Option<u64>,
     last_weight: f64,
-    pending_site_state: (bool, u64, u64),
 }
 
 impl FaultInjector {
@@ -194,20 +194,24 @@ impl FaultInjector {
             hot_blocks: None,
             forced_arrival: None,
             last_weight: 1.0,
-            pending_site_state: (false, 0, 0),
         }
     }
 
     /// Switches the site draw to an importance-sampling proposal:
-    /// valid dL1 lines that are loss-prone
-    /// ([`DataL1::line_loss_prone`]: dirty parity-protected primaries,
-    /// the only residency a single-bit strike can turn into data loss)
-    /// are drawn `boost`× as often as every other site. The fault
-    /// *arrival* process (the per-cycle Bernoulli draw and its RNG
-    /// stream) is untouched, so only the conditional site distribution
-    /// changes; [`last_weight`](Self::last_weight) then carries the
-    /// exact likelihood ratio `P_uniform(site) / P_proposal(site)`
-    /// that makes weighted outcome tallies unbiased.
+    /// loss-prone dL1 lines are drawn `boost`× as often as every other
+    /// site. A line is loss-prone when it is a dirty parity-protected
+    /// primary, the only residency a single-bit strike can turn into
+    /// data loss: a clean parity line refetches from L2, a SEC-DED line
+    /// corrects, and a replica never holds the sole copy. A dirty parity
+    /// primary stays loss-prone while it has a replica, which may be
+    /// evicted, spilled or bypassed before the struck word is consumed.
+    ///
+    /// The fault *arrival* process (the per-cycle Bernoulli draw and its
+    /// RNG stream) is untouched, so only the conditional site
+    /// distribution changes; [`last_weight`](Self::last_weight) then
+    /// carries the exact likelihood ratio
+    /// `P_uniform(site) / P_proposal(site)` that makes weighted outcome
+    /// tallies unbiased.
     ///
     /// Without this option the draw and its RNG consumption are
     /// byte-identical to the historical uniform injector.
@@ -333,9 +337,10 @@ impl FaultInjector {
     }
 
     /// Injects exactly one fault event right now (used by tests and by
-    /// deterministic experiments), striking uniformly across dL1 lines
-    /// and occupied L2 replica-region slots. Returns `false` when
-    /// neither holds anything to strike.
+    /// deterministic experiments), striking across dL1 lines and
+    /// occupied L2 replica-region slots, uniformly or, with
+    /// [`with_site_bias`](Self::with_site_bias), by the importance
+    /// proposal. Returns `false` when neither holds anything to strike.
     ///
     /// When the region is empty — every scheme whose placement tier is
     /// dL1-only — the draw collapses to the pure dL1 sample space, so
@@ -357,78 +362,76 @@ impl FaultInjector {
             Some(boost) => self.biased_site(dl1, &lines, slots.len(), boost),
         };
         self.last_weight = weight;
-        let (site, words, site_dirty, site_idle, site_block) = if idx < lines.len() {
-            let (set, way) = lines[idx];
-            let view = dl1.line_view(set, way);
-            (
-                FaultSite::DataL1 { set, way },
-                dl1.geometry().words_per_block(),
-                view.as_ref().is_some_and(|v| v.dirty),
-                cycle.saturating_sub(dl1.line_last_access(set, way)),
-                view.map(|v| v.addr.raw()).unwrap_or(0),
-            )
-        } else {
-            let (slot, block) = slots[idx - lines.len()];
-            (
-                FaultSite::L2Replica { slot },
-                backend.replica_region().words(slot).len(),
-                false,
-                0,
-                block.raw(),
-            )
+        let (site, words, site_dirty, site_idle_cycles, site_block) = match lines.get(idx) {
+            Some(&(set, way)) => {
+                let line = dl1
+                    .line_view(set, way)
+                    .expect("valid_lines lists valid lines");
+                (
+                    FaultSite::DataL1 { set, way },
+                    dl1.geometry().words_per_block(),
+                    line.dirty,
+                    cycle.saturating_sub(line.last_access),
+                    line.addr.raw(),
+                )
+            }
+            None => {
+                let (slot, block) = slots[idx - lines.len()];
+                (
+                    FaultSite::L2Replica { slot },
+                    backend.replica_region().words(slot).len(),
+                    false,
+                    0,
+                    block.raw(),
+                )
+            }
         };
-        self.pending_site_state = (site_dirty, site_idle, site_block);
         let word = self.rng.gen_range(0..words);
+        let (bit, in_check_bits) = match self.model {
+            ErrorModel::Direct | ErrorModel::Column => (self.rng.gen_range(0..64), false),
+            ErrorModel::Adjacent => (self.rng.gen_range(0..63), false),
+            // 64 data bits + 8 check bits per word: strike uniformly.
+            ErrorModel::Random => match self.rng.gen_range(0..72) {
+                bit @ 0..=63 => (bit, false),
+                bit => (bit - 64, true),
+            },
+        };
+        flip(dl1, backend, site, word, bit, in_check_bits);
         match self.model {
-            ErrorModel::Direct => {
-                let bit = self.rng.gen_range(0..64);
-                flip_data(dl1, backend, site, word, bit);
-                self.record(cycle, site, word, bit, false);
-            }
-            ErrorModel::Adjacent => {
-                let bit = self.rng.gen_range(0..63);
-                flip_data(dl1, backend, site, word, bit);
-                flip_data(dl1, backend, site, word, bit + 1);
-                self.record(cycle, site, word, bit, false);
-            }
-            ErrorModel::Column => {
-                let bit = self.rng.gen_range(0..64);
-                let next_word = (word + 1) % words;
-                flip_data(dl1, backend, site, word, bit);
-                flip_data(dl1, backend, site, next_word, bit);
-                self.record(cycle, site, word, bit, false);
-            }
-            ErrorModel::Random => {
-                // 64 data bits + 8 check bits per word: strike uniformly.
-                let bit = self.rng.gen_range(0..72);
-                if bit < 64 {
-                    flip_data(dl1, backend, site, word, bit);
-                    self.record(cycle, site, word, bit, false);
-                } else {
-                    flip_check(dl1, backend, site, word, bit - 64);
-                    self.record(cycle, site, word, bit - 64, true);
-                }
-            }
+            ErrorModel::Adjacent => flip(dl1, backend, site, word, bit + 1, false),
+            ErrorModel::Column => flip(dl1, backend, site, (word + 1) % words, bit, false),
+            ErrorModel::Direct | ErrorModel::Random => {}
+        }
+        if self.keep_log {
+            self.log.push(InjectedFault {
+                cycle,
+                site,
+                word,
+                bit,
+                in_check_bits,
+                site_dirty,
+                site_idle_cycles,
+                site_block,
+            });
         }
         self.injected += 1;
         true
     }
 
-    /// Draws one site index from the importance proposal: loss-prone
-    /// lines ([`DataL1::line_loss_prone`] — dirty parity-protected
-    /// primaries, replicated or not) and, when
-    /// [`with_hot_blocks`](Self::with_hot_blocks) is set, parity
-    /// primaries holding a hot (store-working-set) block carry weight
-    /// `boost`; every other dL1 line and every occupied region slot
-    /// weight `1`. Returns the index into the `lines ++ slots` sample
-    /// space and the exact likelihood ratio
-    /// `P_uniform(site) / P_proposal(site)` of the drawn site.
+    /// Draws one site index from the importance proposal. A valid dL1
+    /// line that is a parity-protected primary and is either dirty
+    /// (replicated or not) or, when
+    /// [`with_hot_blocks`](Self::with_hot_blocks) is set, holds a hot
+    /// (store-working-set) block carries weight `boost`; every other dL1
+    /// line and every occupied region slot weight `1`. Returns the index
+    /// into the `lines ++ slots` sample space and the exact likelihood
+    /// ratio `P_uniform(site) / P_proposal(site)` of the drawn site.
     ///
     /// The word within the site is drawn uniformly either way, so its
     /// factor cancels from the ratio, which reduces to
-    /// `Σw / (total · w_site)`. When no loss-prone line is resident
-    /// the proposal *is* the uniform distribution and the ratio is
-    /// exactly `1`.
+    /// `Σw / (total · w_site)`. When no boosted line is resident the
+    /// proposal *is* the uniform distribution and the ratio is exactly
+    /// `1`.
     fn biased_site(
         &mut self,
         dl1: &DataL1,
@@ -439,24 +442,24 @@ impl FaultInjector {
         let total = lines.len() + slot_count;
         let hot = self.hot_blocks.as_deref();
         let line_weight = |&(set, way): &(usize, usize)| -> f64 {
-            let boosted = dl1.line_loss_prone(set, way)
-                || hot.is_some_and(|h| dl1.line_in_working_set(set, way, h));
+            let boosted = dl1.line_view(set, way).is_some_and(|l| {
+                !l.is_replica
+                    && l.protection == Protection::Parity
+                    && (l.dirty || hot.is_some_and(|h| h.contains(&l.addr.raw())))
+            });
             if boosted {
                 boost
             } else {
                 1.0
             }
         };
+        let site_weight = |i: usize| lines.get(i).map_or(1.0, line_weight);
         let total_weight: f64 = lines.iter().map(line_weight).sum::<f64>() + slot_count as f64;
         let r = self.rng.gen::<f64>() * total_weight;
         let mut acc = 0.0;
         let mut chosen = None;
         for i in 0..total {
-            let w = if i < lines.len() {
-                line_weight(&lines[i])
-            } else {
-                1.0
-            };
+            let w = site_weight(i);
             acc += w;
             if r < acc {
                 chosen = Some((i, w));
@@ -465,63 +468,27 @@ impl FaultInjector {
         }
         // Floating-point fallthrough (r landed on the accumulated sum's
         // rounding slack): charge the last site.
-        let (idx, site_weight) = chosen.unwrap_or_else(|| {
-            let i = total - 1;
-            let w = if i < lines.len() {
-                line_weight(&lines[i])
-            } else {
-                1.0
-            };
-            (i, w)
-        });
-        (idx, total_weight / (total as f64 * site_weight))
-    }
-
-    fn record(&mut self, cycle: u64, site: FaultSite, word: usize, bit: u32, chk: bool) {
-        if self.keep_log {
-            let (site_dirty, site_idle_cycles, site_block) = self.pending_site_state;
-            self.log.push(InjectedFault {
-                cycle,
-                site,
-                word,
-                bit,
-                in_check_bits: chk,
-                site_dirty,
-                site_idle_cycles,
-                site_block,
-            });
-        }
+        let (idx, w) = chosen.unwrap_or_else(|| (total - 1, site_weight(total - 1)));
+        (idx, total_weight / (total as f64 * w))
     }
 }
 
-fn flip_data(
+/// Flips `bit` of `word` at `site`: a data bit, or with `check` one of
+/// the word's check bits.
+fn flip(
     dl1: &mut DataL1,
     backend: &mut MemoryBackend,
     site: FaultSite,
     word: usize,
     bit: u32,
+    check: bool,
 ) {
-    let flipped = match site {
-        FaultSite::DataL1 { set, way } => dl1.flip_data_bit(set, way, word, bit),
-        FaultSite::L2Replica { slot } => {
-            backend.replica_region_mut().flip_data_bit(slot, word, bit)
-        }
-    };
-    debug_assert!(flipped, "fault site {site:?} vanished mid-injection");
-}
-
-fn flip_check(
-    dl1: &mut DataL1,
-    backend: &mut MemoryBackend,
-    site: FaultSite,
-    word: usize,
-    bit: u32,
-) {
-    let flipped = match site {
-        FaultSite::DataL1 { set, way } => dl1.flip_check_bit(set, way, word, bit),
-        FaultSite::L2Replica { slot } => {
-            backend.replica_region_mut().flip_check_bit(slot, word, bit)
-        }
+    let region = backend.replica_region_mut();
+    let flipped = match (site, check) {
+        (FaultSite::DataL1 { set, way }, false) => dl1.flip_data_bit(set, way, word, bit),
+        (FaultSite::DataL1 { set, way }, true) => dl1.flip_check_bit(set, way, word, bit),
+        (FaultSite::L2Replica { slot }, false) => region.flip_data_bit(slot, word, bit),
+        (FaultSite::L2Replica { slot }, true) => region.flip_check_bit(slot, word, bit),
     };
     debug_assert!(flipped, "fault site {site:?} vanished mid-injection");
 }
@@ -662,6 +629,61 @@ mod tests {
     }
 
     #[test]
+    fn each_strike_flips_its_logged_bits_and_logs_its_site_before_the_strike() {
+        let mut seen = [false; 4]; // dirty site, clean site, data bit, check bit
+        for model in ErrorModel::all() {
+            for seed in 0..64u64 {
+                let (mut dl1, mut backend) = loaded_cache();
+                for i in (0..16u64).step_by(2) {
+                    dl1.store(Addr(0x1000_0000 + i * 64), 20 + i, &mut backend);
+                }
+                let words = dl1.geometry().words_per_block();
+                let data = |dl1: &DataL1, (s, w): (usize, usize)| -> Vec<u64> {
+                    (0..words)
+                        .map(|i| dl1.word_data(s, w, i).unwrap())
+                        .collect()
+                };
+                let before: Vec<_> = dl1
+                    .valid_lines()
+                    .into_iter()
+                    .map(|sw| (sw, dl1.line_view(sw.0, sw.1).unwrap(), data(&dl1, sw)))
+                    .collect();
+                let cycle = 100 + seed;
+                let mut inj = FaultInjector::new(model, 1.0, seed).with_log();
+                assert!(inj.inject_one(&mut dl1, &mut backend, cycle));
+                let f = inj.log()[0];
+                let site = dl1_site(&f);
+                let (_, view, old) = before.iter().find(|b| b.0 == site).unwrap();
+                assert_eq!(f.site_dirty, view.dirty, "{model:?} seed {seed}");
+                assert_eq!(f.site_block, view.addr.raw(), "{model:?} seed {seed}");
+                assert_eq!(f.site_idle_cycles, cycle - view.last_access);
+                let mut flipped = vec![0u64; words];
+                match model {
+                    ErrorModel::Random if f.in_check_bits => assert!(f.bit < 8),
+                    ErrorModel::Direct | ErrorModel::Random => flipped[f.word] = 1 << f.bit,
+                    ErrorModel::Adjacent => flipped[f.word] = 0b11 << f.bit,
+                    ErrorModel::Column => {
+                        flipped[f.word] = 1 << f.bit;
+                        flipped[(f.word + 1) % words] = 1 << f.bit;
+                    }
+                }
+                let diff: Vec<u64> = data(&dl1, site)
+                    .iter()
+                    .zip(old)
+                    .map(|(a, b)| a ^ b)
+                    .collect();
+                assert_eq!(diff, flipped, "{model:?} seed {seed}: {f:?}");
+                seen[usize::from(!f.site_dirty)] = true;
+                seen[2 + usize::from(f.in_check_bits)] = true;
+            }
+        }
+        assert_eq!(
+            seen, [true; 4],
+            "dirty, clean, data-bit and check-bit strikes"
+        );
+    }
+
+    #[test]
     fn determinism_same_seed_same_fault_sites() {
         let (mut a, mut backend_a) = loaded_cache();
         let (mut b, mut backend_b) = loaded_cache();
@@ -687,6 +709,9 @@ mod tests {
         assert!(inj.inject_one(&mut dl1, &mut backend, 0));
         let f = inj.log()[0];
         assert_eq!(f.site, FaultSite::L2Replica { slot: 0 });
+        assert!(!f.site_dirty);
+        assert_eq!(f.site_idle_cycles, 0);
+        assert_eq!(f.site_block, block.raw());
         let after: Vec<u64> = backend.replica_region().export_lru_order()[0].1.clone();
         assert_eq!(after[f.word], before[f.word] ^ (1 << f.bit));
         assert!(
@@ -761,7 +786,9 @@ mod tests {
             *lines
                 .iter()
                 .find(|&&(s, w)| {
-                    dl1.line_exposure_state(s, w) == Some(icr_core::ProtState::DirtyParity)
+                    dl1.line_view(s, w).is_some_and(|l| {
+                        l.dirty && !l.is_replica && l.protection == Protection::Parity
+                    })
                 })
                 .expect("the stored line is dirty parity")
         };

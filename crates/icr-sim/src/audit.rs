@@ -23,7 +23,7 @@ use icr_check::{
     Counters, RealLine, RealSetExport, RealSets, RealWriteBuffer, RefConfig, RefModel,
     RefProtection, RefVictim, RefWriteBufferConfig,
 };
-use icr_core::{DataL1, DataL1Config, LineExport, Scheme, VictimPolicy, WritePolicy};
+use icr_core::{DataL1, DataL1Config, Scheme, VictimPolicy, WritePolicy};
 use icr_ecc::Protection;
 use icr_mem::{HierarchyConfig, MemoryBackend};
 
@@ -79,9 +79,17 @@ pub fn ref_config(cfg: &DataL1Config, hierarchy: &HierarchyConfig) -> RefConfig 
     }
 }
 
-fn to_real_line(l: &LineExport) -> RealLine {
-    RealLine {
-        way: l.way,
+/// The valid line at (`set`, `way`) as the model sees it at cycle
+/// `now`, read through [`DataL1::line_view`]. The decay counter is the
+/// one the real cache derives from `last_access`
+/// ([`DecayConfig::counter_at`](icr_core::DecayConfig::counter_at)), so
+/// the model, recomputing it from scratch, catches any drift between
+/// the two.
+fn real_line(dl1: &DataL1, set: usize, way: usize, now: u64) -> Option<RealLine> {
+    let l = dl1.line_view(set, way)?;
+    let counter = dl1.config().decay.counter_at(l.last_access, now);
+    Some(RealLine {
+        way,
         addr: l.addr.raw(),
         dirty: l.dirty,
         replica: l.is_replica,
@@ -90,9 +98,9 @@ fn to_real_line(l: &LineExport) -> RealLine {
             Protection::SecDed => RefProtection::SecDed,
         },
         last_access: l.last_access,
-        counter: l.counter,
-        dead: l.dead,
-    }
+        counter,
+        dead: counter == 3,
+    })
 }
 
 fn export_counters(dl1: &DataL1) -> Counters {
@@ -153,17 +161,15 @@ pub fn export_real_sets(
     sets: &[usize],
     now: u64,
 ) -> RealSets {
-    let mut scratch: Vec<LineExport> = Vec::new();
+    let ways = dl1.geometry().associativity();
     let sets = sets
         .iter()
-        .map(|&s| {
-            scratch.clear();
-            dl1.export_set_lines(s, now, &mut scratch);
-            RealSetExport {
-                set: s,
-                lines: scratch.iter().map(to_real_line).collect(),
-                recency: dl1.lru_order(s).to_vec(),
-            }
+        .map(|&s| RealSetExport {
+            set: s,
+            lines: (0..ways)
+                .filter_map(|w| real_line(dl1, s, w, now))
+                .collect(),
+            recency: dl1.lru_order(s).to_vec(),
         })
         .collect();
     RealSets {

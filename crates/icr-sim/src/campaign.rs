@@ -784,8 +784,9 @@ fn fold_shard(cells: &mut [CellSlot], shard_cells: &[ShardCellState]) -> u64 {
         if let (Some(sum), Some(shard)) = (total.weighted.as_mut(), cell.weighted.as_ref()) {
             sum.merge(shard);
         }
-        total.trials += cell.trials;
-        n += cell.trials;
+        let trials = cell.tally.total();
+        total.trials += trials;
+        n += trials;
     }
     n
 }
@@ -974,7 +975,6 @@ pub fn run_sharded_campaign_observed(
                     .map(|slot| ShardCellState {
                         scheme: slot.scheme_name.clone(),
                         app: slot.report.app.clone(),
-                        trials: 0,
                         tally: OutcomeTally::default(),
                         weighted: base.importance.then(WeightedTally::default),
                     })
@@ -984,7 +984,6 @@ pub fn run_sharded_campaign_observed(
                     if let Some(w) = shard_states[ci].weighted.as_mut() {
                         w.record(outcome, weight);
                     }
-                    shard_states[ci].trials += 1;
                 }
                 let n = fold_shard(&mut cells, &shard_states);
                 if let Some(dir) = dir {
@@ -1161,10 +1160,11 @@ fn verify_participation(
             ));
         }
         let expected = if slot.active { end - start } else { 0 };
-        if cell.trials != expected {
+        let trials = cell.tally.total();
+        if trials != expected {
             return Err(format!(
-                "cell ({}, {}) records {} trials, replayed early-stop state expects {expected}",
-                cell.scheme, cell.app, cell.trials
+                "cell ({}, {}) records {trials} trials, replayed early-stop state expects {expected}",
+                cell.scheme, cell.app
             ));
         }
         if importance != cell.weighted.is_some() {

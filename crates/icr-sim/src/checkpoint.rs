@@ -114,18 +114,17 @@ impl From<io::Error> for CheckpointError {
     }
 }
 
-/// One cell's contribution to one shard: how many trials of the shard's
-/// range this cell actually ran (0 when it was already stopped) and
-/// their outcome tally.
+/// One cell's contribution to one shard: the outcome tally of the
+/// trials of the shard's range this cell actually ran (none when it was
+/// already stopped).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardCellState {
     /// Scheme name, as [`icr_core::Scheme::name`] renders it.
     pub scheme: String,
     /// Workload name.
     pub app: String,
-    /// Trials of this shard the cell executed.
-    pub trials: u64,
-    /// Their outcomes.
+    /// The outcomes of the trials of this shard the cell executed; its
+    /// `total()` is their number.
     pub tally: OutcomeTally,
     /// Importance-sampling weight sums for the same trials. `Some`
     /// exactly when the campaign ran in importance mode; uniform
@@ -169,7 +168,7 @@ impl ShardCheckpoint {
             obj([
                 ("scheme", text(&c.scheme)),
                 ("app", text(&c.app)),
-                ("trials", count(c.trials)),
+                ("trials", count(c.tally.total())),
                 ("counts", arr(c.tally.counts().map(count))),
             ]
             .into_iter()
@@ -352,7 +351,6 @@ pub fn read_shard(path: &Path, fingerprint: u64) -> Result<ShardCheckpoint, Chec
         cells.push(ShardCellState {
             scheme: get_str(cv, "scheme")?.to_string(),
             app: get_str(cv, "app")?.to_string(),
-            trials,
             tally,
             weighted,
         });
@@ -433,14 +431,12 @@ mod tests {
                 ShardCellState {
                     scheme: "icr-p-ps-s".into(),
                     app: "gzip".into(),
-                    trials: 3,
                     tally,
                     weighted: None,
                 },
                 ShardCellState {
                     scheme: "basep".into(),
                     app: "gcc".into(),
-                    trials: 0,
                     tally: OutcomeTally::default(),
                     weighted: None,
                 },

@@ -43,9 +43,13 @@ fn golden_opts() -> ExpOptions {
 }
 
 /// Builds the exact document `icr-exp all --json` writes, at the test
-/// budget.
+/// budget, once every figure has passed `FigureResult::validate`.
 fn all_json_document() -> String {
-    let body = all_figures(&golden_opts())
+    let figures = all_figures(&golden_opts());
+    for f in &figures {
+        assert_eq!(f.validate(), Ok(()), "figure {} is inconsistent", f.id);
+    }
+    let body = figures
         .iter()
         .map(|f| f.to_json())
         .collect::<Vec<_>>()

@@ -3,9 +3,11 @@
 //!
 //! The fixture table below was recorded from the pre-refactor
 //! (array-of-structs) implementation: one digest per (scheme × app) cell
-//! of the paper matrix, folding every `export_lines` field, the per-set
-//! `lru_order`, the audited statistics counters and the returned access
-//! latencies at regular checkpoints during a trace replay. Any layout
+//! of the paper matrix, folding every valid line's `line_view` fields
+//! with the decay counter `DecayConfig::counter_at` derives from them,
+//! the per-set `lru_order`, the audited statistics counters and the
+//! returned access latencies at regular checkpoints during a trace
+//! replay. Any layout
 //! change that perturbs a tag, dirty bit, protection code, replica flag,
 //! decay counter, recency order, latency or counter — at any checkpoint,
 //! not just at the end — changes the digest.
@@ -56,19 +58,27 @@ fn fold(h: &mut u64, x: u64) {
     }
 }
 
-/// Folds the full observable state of the cache — every exported line
-/// field, the recency order of every set, and the audited counters.
+/// Folds the full observable state of the cache — every valid line's
+/// view with its decay counter and deadness at `now`, in set and way
+/// order, the recency order of every set, and the audited counters.
 fn fold_state(h: &mut u64, dl1: &DataL1, now: u64) {
-    for l in dl1.export_lines(now) {
-        fold(h, l.set as u64);
-        fold(h, l.way as u64);
-        fold(h, l.addr.raw());
-        fold(h, u64::from(l.dirty));
-        fold(h, u64::from(l.is_replica));
-        fold(h, u64::from(l.protection == icr_ecc::Protection::SecDed));
-        fold(h, l.last_access);
-        fold(h, u64::from(l.counter));
-        fold(h, u64::from(l.dead));
+    let g = dl1.geometry();
+    for set in 0..g.num_sets() {
+        for way in 0..g.associativity() {
+            let Some(l) = dl1.line_view(set, way) else {
+                continue;
+            };
+            let counter = dl1.config().decay.counter_at(l.last_access, now);
+            fold(h, set as u64);
+            fold(h, way as u64);
+            fold(h, l.addr.raw());
+            fold(h, u64::from(l.dirty));
+            fold(h, u64::from(l.is_replica));
+            fold(h, u64::from(l.protection == icr_ecc::Protection::SecDed));
+            fold(h, l.last_access);
+            fold(h, u64::from(counter));
+            fold(h, u64::from(counter == 3));
+        }
     }
     for s in 0..dl1.geometry().num_sets() {
         for &w in dl1.lru_order(s) {
